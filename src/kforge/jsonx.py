@@ -2,22 +2,21 @@
 
 Model completions are asked to return bare JSON but routinely arrive
 wrapped in code fences, lead-in prose, or trailing commentary. This module
-strips fences and scans for the first balanced candidate of the expected
-shape, falling through to later candidates when an earlier one does not
-parse.
+strips fences and decodes a JSON value at each opening bracket of the
+expected shape in turn, keeping the first one that parses.
 """
 from __future__ import annotations
 
 import json
 import re
 
-from kforge import kernels
 from kforge.errors import JsonSyntax, NoJsonFound, WrongShape
 
 JSON_LIST = "json_list"
 JSON_OBJECT = "json_object"
 
 _FENCE_LINE = re.compile(r"^\s*```[^\n]*$", re.MULTILINE)
+_DECODER = json.JSONDecoder()
 
 
 def strip_code_fences(text: str) -> str:
@@ -26,20 +25,20 @@ def strip_code_fences(text: str) -> str:
 
 
 def _first_parseable(text: str, open_char: str):
-    """Yield the first candidate span that parses, or (None, first_error)."""
-    pos = 0
+    """Decode at each ``open_char`` in turn; return ``((start, value), first_error)``.
+
+    ``(start, value)`` is ``None`` when no candidate decodes.
+    """
     first_error = None
-    while True:
-        span = kernels.scan_json_span(text, open_char, pos)
-        if span is None:
-            return None, first_error
-        start, end = span
+    i = text.find(open_char)
+    while i != -1:
         try:
-            return (start, json.loads(text[start:end])), first_error
-        except ValueError as exc:
+            return (i, _DECODER.raw_decode(text, i)[0]), first_error
+        except (ValueError, RecursionError) as exc:  # nesting past the decoder's limit
             if first_error is None:
-                first_error = JsonSyntax(start, str(exc))
-            pos = start + 1
+                first_error = JsonSyntax(i, str(exc))
+        i = text.find(open_char, i + 1)
+    return None, first_error
 
 
 def extract_json(raw_text: str, expected: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -260,13 +261,13 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
         taken[category] = picked
 
     rng = random.Random(f"{spec.seed}:interleave")
-    queues = {c: list(rows) for c, rows in taken.items() if rows}
+    queues = {c: deque(rows) for c, rows in taken.items() if rows}
     out: list[Record] = []
     while queues:
         categories = sorted(queues)
         weights = [len(queues[c]) for c in categories]
         category = rng.choices(categories, weights=weights)[0]
-        out.append(queues[category].pop(0))
+        out.append(queues[category].popleft())
         if not queues[category]:
             del queues[category]
     return out

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from kforge import kernels
 from kforge.annotation import SemanticDescriptor
 from kforge.errors import DuplicateImageId, MalformedOutput
 from kforge.gateway import Gateway, LlmRequest
@@ -73,43 +72,46 @@ def build_index(descriptors: Iterable[SemanticDescriptor]) -> DescriptorIndex:
     return DescriptorIndex(by_subcategory=by_sub, by_domain=by_dom, descriptors=all_desc)
 
 
-def _encode_sets(index: DescriptorIndex):
-    """Map key/concept strings to int ids so the pair kernel works on sorted int tuples."""
-    vocab: dict[str, int] = {}
+def _bucket_pairs(index: DescriptorIndex, members: list[str], alignment: str,
+                  min_contrast: float) -> list[tuple[float, str, str, str]]:
+    """Score every pair of bucket members; keep ``(-score, left, right, alignment)``.
 
-    def encode(values: tuple[str, ...]) -> tuple[int, ...]:
-        ids = set()
+    Keys and concepts become int bitmasks over the bucket's own vocabulary,
+    so each set operation is one int operation plus ``int.bit_count``.
+    """
+    bits: dict[str, int] = {}
+
+    def mask(values: tuple[str, ...]) -> int:
+        m = 0
         for v in values:
-            if v not in vocab:
-                vocab[v] = len(vocab)
-            ids.add(vocab[v])
-        return tuple(sorted(ids))
+            m |= bits.setdefault(v, 1 << len(bits))
+        return m
 
-    keys = {}
-    concepts = {}
-    for image_id, d in index.descriptors.items():
-        keys[image_id] = encode(d.distinguishing_key_information)
-        concepts[image_id] = encode(d.core_concepts)
-    return keys, concepts
+    descs = [index.descriptors[m] for m in members]
+    keys = [mask(d.distinguishing_key_information) for d in descs]
+    need_shared = alignment != ALIGN_SUBCATEGORY
+    concepts = [mask(d.core_concepts) for d in descs] if need_shared else []
+    out = []
+    for i in range(len(members) - 1):
+        left, ki = members[i], keys[i]
+        for j in range(i + 1, len(members)):
+            kj = keys[j]
+            n_diff = (ki ^ kj).bit_count()
+            if n_diff == 0 or (need_shared and not concepts[i] & concepts[j]):
+                continue
+            score = n_diff / (ki | kj).bit_count()
+            if score >= min_contrast:
+                out.append((-score, left, members[j], alignment))
+    return out
 
 
-def _bucket_candidates(index, members, alignment, keys, concepts, min_contrast):
-    enc_k = [keys[m] for m in members]
-    enc_c = [concepts[m] for m in members]
-    for i, j, n_diff, n_union, n_shared in kernels.bucket_pair_stats(enc_k, enc_c):
-        if n_diff == 0:
-            continue
-        if n_shared == 0 and alignment != ALIGN_SUBCATEGORY:
-            continue
-        score = n_diff / n_union
-        if score < min_contrast:
-            continue
-        left, right = members[i], members[j]
-        dl, dr = index.descriptors[left], index.descriptors[right]
-        shared = tuple(sorted(set(dl.core_concepts) & set(dr.core_concepts)))
-        differing = tuple(sorted(
-            set(dl.distinguishing_key_information) ^ set(dr.distinguishing_key_information)))
-        yield PairCandidate(left, right, alignment, shared, differing, score)
+def _candidate(index: DescriptorIndex, neg_score: float, left: str, right: str,
+               alignment: str) -> PairCandidate:
+    dl, dr = index.descriptors[left], index.descriptors[right]
+    shared = tuple(sorted(set(dl.core_concepts) & set(dr.core_concepts)))
+    differing = tuple(sorted(
+        set(dl.distinguishing_key_information) ^ set(dr.distinguishing_key_information)))
+    return PairCandidate(left, right, alignment, shared, differing, -neg_score)
 
 
 def propose_pairs(index: DescriptorIndex,
@@ -129,42 +131,34 @@ def propose_pairs(index: DescriptorIndex,
     if not 0 <= min_contrast <= 1:
         raise ValueError("min_contrast must be within [0, 1]")
 
-    keys, concepts = _encode_sets(index)
-    candidates: list[PairCandidate] = []
-
+    # Each image lies in one subcategory bucket, and the domain buckets pair
+    # only subcategory loners, so no pair is scored twice.
+    scored: list[tuple[float, str, str, str]] = []
     for bucket in index.by_subcategory.values():
         if len(bucket) > 1:
-            candidates.extend(_bucket_candidates(
-                index, bucket, ALIGN_SUBCATEGORY, keys, concepts, min_contrast))
+            scored.extend(_bucket_pairs(index, bucket, ALIGN_SUBCATEGORY, min_contrast))
 
     singles = {m for bucket in index.by_subcategory.values() if len(bucket) == 1
                for m in bucket}
     for bucket in index.by_domain.values():
         loners = [m for m in bucket if m in singles]
         if len(loners) > 1:
-            candidates.extend(_bucket_candidates(
-                index, loners, ALIGN_DOMAIN, keys, concepts, min_contrast))
-
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for c in candidates:
-        if c.pair_id not in seen:
-            seen.add(c.pair_id)
-            unique.append(c)
+            scored.extend(_bucket_pairs(index, loners, ALIGN_DOMAIN, min_contrast))
 
     if max_per_image is not None and max_per_image != math.inf:
-        unique.sort(key=lambda c: (-c.contrast_score, c.pair_id))
+        scored.sort()  # (-score, pair id): pair ids are unique
         load: dict[str, int] = {}
         kept = []
-        for c in unique:
-            if load.get(c.left_id, 0) < max_per_image and load.get(c.right_id, 0) < max_per_image:
-                kept.append(c)
-                load[c.left_id] = load.get(c.left_id, 0) + 1
-                load[c.right_id] = load.get(c.right_id, 0) + 1
-        unique = kept
+        for t in scored:
+            left, right = t[1], t[2]
+            if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
+                kept.append(t)
+                load[left] = load.get(left, 0) + 1
+                load[right] = load.get(right, 0) + 1
+        scored = kept
 
-    unique.sort(key=lambda c: c.pair_id)
-    return unique
+    scored.sort(key=lambda t: (t[1], t[2]))
+    return [_candidate(index, *t) for t in scored]
 
 
 _FILTER_REASK = ('\nAnswer with a single line starting with "PASS:" or "FAIL:".')
@@ -268,19 +262,6 @@ def verdict_to_obj(v: PairVerdict) -> dict:
 def verdict_from_obj(obj: dict) -> PairVerdict:
     return PairVerdict(candidate_from_obj(obj["candidate"]), bool(obj["pass"]),
                        str(obj["rationale"]))
-
-
-def write_verdicts(verdicts: Iterable[PairVerdict], path: str | Path) -> int:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(json.dumps(verdict_to_obj(v), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    os.replace(tmp, path)
-    return count
 
 
 def read_verdicts(path: str | Path) -> Iterator[PairVerdict]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kforge.errors import JsonSyntax, NoJsonFound, WrongShape
+from kforge.errors import JsonSyntax, KforgeError, NoJsonFound, WrongShape
 from kforge.jsonx import JSON_LIST, JSON_OBJECT, extract_json, strip_code_fences
 
 from oracles import oracle_extract_json
@@ -93,6 +93,18 @@ def test_unterminated_candidate_skipped():
     assert extract_json(raw, JSON_OBJECT) == {"a": 1}
 
 
+def test_only_candidate_unterminated_is_json_syntax():
+    # a candidate of the right shape exists but never closes
+    with pytest.raises(JsonSyntax) as err:
+        extract_json('unterminated { "a": 1', JSON_OBJECT)
+    assert err.value.offset == 13
+
+
+def test_nesting_past_decoder_limit_is_json_syntax():
+    with pytest.raises(JsonSyntax):
+        extract_json("[" * 3000, JSON_LIST)
+
+
 def test_nested_value_recovered_whole():
     value = {"a": {"b": [1, {"c": "x"}]}, "d": []}
     raw = "answer: " + json.dumps(value) + " trailing"
@@ -115,3 +127,21 @@ def test_recovery_matches_oracle_on_random_suite():
         recovered = extract_json(raw, expected)
         assert recovered == value
         assert oracle_extract_json(raw, expected) == value
+
+
+def _bracket_heavy_text(rng: random.Random, n: int) -> str:
+    alphabet = list('abc {}[]"\\:,0123456789\n') + ["é", "漢"]
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+@pytest.mark.parametrize("expected", [JSON_LIST, JSON_OBJECT])
+def test_random_bracket_text_matches_oracle(expected):
+    rng = random.Random(5)
+    for _ in range(2000):
+        raw = _bracket_heavy_text(rng, rng.randint(0, 120))
+        want = oracle_extract_json(raw, expected)
+        if want is None:
+            with pytest.raises(KforgeError):
+                extract_json(raw, expected)
+        else:
+            assert extract_json(raw, expected) == want

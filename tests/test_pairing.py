@@ -140,6 +140,30 @@ def test_oracle_equivalence_with_min_contrast():
     assert _as_oracle_shape(out) == oracle_propose_pairs(ds, min_contrast=0.4)
 
 
+def _oracle_greedy_cap(rows, max_per_image):
+    """The documented cap: best score first, ties by pair id, output by pair id."""
+    load: dict[str, int] = {}
+    kept = []
+    for row in sorted(rows, key=lambda r: (-r[5], r[0], r[1])):
+        left, right = row[0], row[1]
+        if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
+            kept.append(row)
+            load[left] = load.get(left, 0) + 1
+            load[right] = load.get(right, 0) + 1
+    return sorted(kept, key=lambda r: (r[0], r[1]))
+
+
+@pytest.mark.parametrize("max_per_image", [1, 2, 3])
+@pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 16])
+def test_greedy_cap_matches_oracle(seed, max_per_image):
+    rng = random.Random(seed)
+    ds = random_descriptors(rng, rng.randint(4, 40))
+    out = propose_pairs(build_index(ds), max_per_image=max_per_image, min_contrast=0.0)
+    expected = _oracle_greedy_cap(oracle_propose_pairs(ds), max_per_image)
+    assert [(c.left_id, c.right_id, c.alignment_level, c.shared_concepts,
+             c.differing_keys, c.contrast_score) for c in out] == expected
+
+
 def test_low_value_surface_info_never_influences_pairing():
     rng = random.Random(13)
     ds = random_descriptors(rng, 15)
