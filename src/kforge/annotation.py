@@ -7,12 +7,11 @@ and canonicalizes list fields for matching.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from kforge.corpus import validate_record_id
+from kforge.corpus import publish, validate_record_id
 from kforge.errors import SchemaMismatch
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -112,16 +111,9 @@ def descriptor_from_obj(obj: dict) -> SemanticDescriptor:
 
 
 def write_descriptors(descriptors: Iterable[SemanticDescriptor], path: str | Path) -> int:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for d in descriptors:
-            fh.write(descriptor_to_json(d))
-            fh.write("\n")
-            count += 1
-    os.replace(tmp, path)
-    return count
+    lines = [descriptor_to_json(d) + "\n" for d in descriptors]
+    publish(path, lines)
+    return len(lines)
 
 
 def read_descriptors(path: str | Path) -> Iterator[SemanticDescriptor]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from kforge import knowledge, mixture, pipeline
-from kforge.corpus import read_shard, record_to_json
+from kforge.corpus import publish, read_shard
 from kforge.errors import ConfigInvalid, KforgeError, SpecInvalid
 from kforge.gateway import mock_gateway
 
@@ -164,9 +164,8 @@ def kd_score_cmd(in_paths, report_path, compares, config_path):
             profiles, {r.id: r.source for r in records}, comparisons,
             backend_id=gateway.backend_id)
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(
-            json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True),
-            encoding="utf-8")
+        publish(report_path,
+                [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
         _emit({"stage": "kd-score", "in": len(records), "out": len(profiles),
                "report": str(report_path)})
     except ConfigInvalid as exc:
@@ -206,20 +205,7 @@ def mix_cmd(spec_ref, pools_dir, out_dir, rebalance, budget, unit, seed):
         plan = mixture.plan_mixture(spec, mixture.pool_sizes(pools, spec.unit),
                                     rebalance=rebalance)
         sampled = mixture.sample_mixture(plan, pools)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "mixture.jsonl", "w", encoding="utf-8") as fh:
-            for record in sampled:
-                fh.write(record_to_json(record))
-                fh.write("\n")
-        verify = mixture.verify_mixture(sampled, spec)
-        (out / "mixture_verify.json").write_text(
-            json.dumps(verify, indent=2, sort_keys=True), encoding="utf-8")
-        (out / "mixture_plan.json").write_text(json.dumps({
-            "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
-            "targets": plan.targets, "achieved": plan.achieved,
-            "shortfalls": plan.shortfalls}, indent=2, sort_keys=True),
-            encoding="utf-8")
+        verify = mixture.publish_mixture(out_dir, plan, sampled)
         _emit({"stage": "mix", "in": len(records), "out": len(sampled),
                "verify_pass": verify["pass"],
                "max_abs_error": verify["max_abs_error"]})

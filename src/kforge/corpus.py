@@ -7,6 +7,7 @@ object whose single key names the body variant: ``caption``, ``qa``,
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -242,24 +243,44 @@ def read_shard(path: str | Path,
                 on_error(exc, lineno, raw)
 
 
-def write_shard(records: Iterable[Record], path: str | Path) -> int:
-    """Write records as JSONL via a temp file + atomic rename. Returns the count."""
+def publish(path: str | Path, chunks: Iterable[str]) -> None:
+    """Durably replace ``path`` with the concatenation of ``chunks``.
+
+    The text goes to ``<path>.tmp``, which is fsynced and renamed over
+    ``path``; the directory is fsynced last, so once this returns the file
+    survives an OS crash. Readers never see a half-written file. On failure
+    the temp file is removed and the error re-raised.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                validate_record(record)
-                fh.write(record_to_json(record))
-                fh.write("\n")
-                count += 1
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
-        if tmp.exists():
+    except BaseException:
+        with contextlib.suppress(OSError):
             tmp.unlink()
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_shard(records: Iterable[Record], path: str | Path) -> int:
+    """Validate records, then publish them as one JSONL shard. Returns the count."""
+    lines = []
+    for record in records:
+        validate_record(record)
+        lines.append(record_to_json(record) + "\n")
+    try:
+        publish(path, lines)
+    except OSError as exc:
         raise ShardIoError(f"cannot write {path}: {exc}") from exc
-    return count
+    return len(lines)
 
 
 def dedupe_by_id(records: Iterable[Record]) -> tuple[list[Record], int]:

@@ -9,13 +9,12 @@ reports record the backend identity.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from kforge.corpus import KIND_OTHER, Record
+from kforge.corpus import KIND_OTHER, Record, publish
 from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -49,6 +48,26 @@ class KnowledgeProfile:
     @property
     def n_abstract(self) -> int:
         return sum(1 for e in self.elements if e.kind == ABSTRACT)
+
+
+class ProfileCounts(NamedTuple):
+    """The counts ``build_report`` reads, as stored on a profile JSONL line."""
+
+    sample_id: str
+    kd: int
+    n_facts: int
+    n_abstract: int
+
+    @classmethod
+    def from_line(cls, line: str) -> ProfileCounts:
+        """Read the counts off one JSON line of ``profile_to_obj`` output.
+
+        The counts come before the element list, which is most of the line,
+        so only that head is decoded when the line is compact.
+        """
+        cut = line.find(',"elements":')
+        obj = json.loads(line[:cut] + "}" if cut >= 0 else line)
+        return cls(obj["sample_id"], obj["kd"], obj["n_facts"], obj["n_abstract"])
 
 
 def _element(text: str, kind: str) -> KnowledgeElement | None:
@@ -111,18 +130,19 @@ def _histogram(values: list[int]) -> dict[str, int]:
     return {k: counts[k] for k in sorted(counts, key=lambda s: int(s.split("-")[0]))}
 
 
-def build_report(profiles: Iterable[KnowledgeProfile],
+def build_report(profiles: Iterable[KnowledgeProfile | ProfileCounts],
                  source_of: dict[str, str],
                  comparisons: list[tuple[str, str]],
                  backend_id: str) -> dict:
     """Corpus-level density report.
 
+    ``profiles`` may be full profiles or just their stored counts.
     ``source_of`` maps profile sample ids to source labels; every profile
     must resolve. ``comparisons`` lists (source_a, source_b) pairs reported
     as mean ratios; a comparison against a source with no profiles raises
     ``EmptyGroup`` rather than treating the mean as zero.
     """
-    groups: dict[str, list[KnowledgeProfile]] = {}
+    groups: dict[str, list[KnowledgeProfile | ProfileCounts]] = {}
     for p in profiles:
         source = source_of.get(p.sample_id)
         if source is None:
@@ -189,16 +209,10 @@ def profile_from_obj(obj: dict) -> KnowledgeProfile:
 
 
 def write_profiles(profiles: Iterable[KnowledgeProfile], path: str | Path) -> int:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for p in profiles:
-            fh.write(json.dumps(profile_to_obj(p), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    os.replace(tmp, path)
-    return count
+    lines = [json.dumps(profile_to_obj(p), ensure_ascii=False, separators=(",", ":")) + "\n"
+             for p in profiles]
+    publish(path, lines)
+    return len(lines)
 
 
 def read_profiles(path: str | Path) -> Iterator[KnowledgeProfile]:

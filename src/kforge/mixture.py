@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from kforge.corpus import Record, estimate_tokens
+from kforge.corpus import Record, estimate_tokens, publish, record_to_json
 from kforge.errors import AllPoolsEmpty, PoolRecordMissing, SpecInvalid
 
 UNIT_SAMPLES = "samples"
@@ -306,3 +306,22 @@ def verify_mixture(records: Iterable[Record], spec: MixtureSpec,
         "tolerance": tolerance,
         "pass": bool(total) and max_abs_error <= tolerance,
     }
+
+
+def publish_mixture(out_dir: str | Path, plan: MixturePlan,
+                    records: list[Record]) -> dict:
+    """Publish ``mixture.jsonl``, ``mixture_plan.json`` and ``mixture_verify.json``.
+
+    Each file goes through ``corpus.publish``. Returns the verify document.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    spec = plan.spec
+    publish(out_dir / "mixture.jsonl", (record_to_json(r) + "\n" for r in records))
+    publish(out_dir / "mixture_plan.json", [json.dumps({
+        "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
+        "targets": plan.targets, "achieved": plan.achieved,
+        "shortfalls": plan.shortfalls}, sort_keys=True, indent=2)])
+    verify = verify_mixture(records, spec)
+    publish(out_dir / "mixture_verify.json", [json.dumps(verify, sort_keys=True, indent=2)])
+    return verify

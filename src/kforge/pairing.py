@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from kforge.annotation import SemanticDescriptor
+from kforge.corpus import publish
 from kforge.errors import DuplicateImageId, MalformedOutput
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -235,16 +235,10 @@ def candidate_from_obj(obj: dict) -> PairCandidate:
 
 
 def write_candidates(candidates: Iterable[PairCandidate], path: str | Path) -> int:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(candidate_to_obj(c), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    os.replace(tmp, path)
-    return count
+    lines = [json.dumps(candidate_to_obj(c), ensure_ascii=False, separators=(",", ":")) + "\n"
+             for c in candidates]
+    publish(path, lines)
+    return len(lines)
 
 
 def read_candidates(path: str | Path) -> Iterator[PairCandidate]:

@@ -1,10 +1,12 @@
 """Pipeline orchestration: config, checkpoint/resume, quarantine, stages.
 
-Every stage writes its output atomically (a ``.part`` file renamed into
-place on completion), records processed work ids in an append-only
-checkpoint log, and sends failing records to the quarantine directory with
-their error code. A killed stage resumes where it left off as long as the
-config digest matches.
+Every stage publishes its outputs through ``corpus.publish`` (temp file,
+fsync, rename, directory fsync) and sends failing records to the quarantine
+directory with their error code. LLM-backed stages keep one append-only
+journal per stage (see ``StageIO``), which gives two guarantees: a killed
+process loses nothing that was flushed, and an OS crash loses at most about
+``SYNC_INTERVAL_S`` of journal writes and never a published file. A killed
+stage resumes where it left off as long as the config digest matches.
 """
 from __future__ import annotations
 
@@ -12,25 +14,28 @@ import hashlib
 import json
 import logging
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from kforge import annotation, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
-                           read_shard, record_to_json)
+                           publish, read_shard, record_to_json)
 from kforge.errors import ConfigInvalid, KforgeError
 from kforge.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("annotate", "pair", "filter", "caption", "pair-caption", "interleave",
-          "vqa-synth", "kd-score", "mix", "stats")
-
 ENV_ENDPOINT = "KF_LLM_ENDPOINT"
 ENV_API_KEY = "KF_LLM_API_KEY"
 ENV_MODEL = "KF_LLM_MODEL"
+
+# a stage journal is fsynced at most this often; flushes in between only
+# reach the kernel
+SYNC_INTERVAL_S = 1.0
+JOURNAL_FORMAT = "journal/1"
 
 
 @dataclass
@@ -175,105 +180,123 @@ def build_gateway(config: PipelineConfig) -> Gateway:
 # --- checkpointed stage I/O --------------------------------------------------
 
 class StageIO:
-    """Part file + checkpoint log for one resumable stage.
+    """Append-only journal for one resumable stage, then a durable publish.
 
-    Output lines land in ``<final>.part`` and processed work ids in the
-    checkpoint log, flushed together every ``flush_every`` items (part
-    first, so a crash can only cause reprocessing, never loss). Finalize
-    dedupes lines (reprocessing a deterministic item repeats its exact
-    line) and renames the part file into place.
+    The journal ``<work_dir>/<stage>.ckpt`` starts with a JSON header (stage,
+    config digest, ``format``). Each processed item adds its output lines,
+    tagged ``+``, then a commit line ``=<work_id>``; output lines are
+    single-line JSON and work ids never contain a newline. ``flush`` hands
+    the journal to the kernel every ``flush_every`` items, so a killed
+    process loses nothing flushed; the journal is fsynced at most once per
+    ``SYNC_INTERVAL_S``, so an OS crash loses at most about that much of it.
+
+    On resume only committed items count: whatever follows the last commit,
+    a torn final line included, is cut off and its item processed again, so
+    every item's lines appear exactly once. ``finalize`` publishes them with
+    ``corpus.publish`` and only then removes the journal, so no published
+    file is ever lost.
     """
 
     def __init__(self, final_path: Path, work_dir: Path, stage: str,
                  config_digest: str, flush_every: int = 16):
         self.final_path = Path(final_path)
-        self.part_path = work_dir / f"{stage}.part"
         self.ckpt_path = work_dir / f"{stage}.ckpt"
         self.stage = stage
         self.config_digest = config_digest
         self.flush_every = max(1, flush_every)
         self.processed: set[str] = set()
         self._lines: list[str] = []
-        self._pending_lines: list[str] = []
-        self._pending_ids: list[str] = []
+        self._unflushed = 0
         work_dir.mkdir(parents=True, exist_ok=True)
-        self._load()
+        resumed = self.ckpt_path.exists() and self._load()
+        self._fh = open(self.ckpt_path, "a" if resumed else "w", encoding="utf-8",
+                        newline="\n")
+        if not resumed:
+            self._fh.write(json.dumps({"stage": self.stage,
+                                       "config_digest": self.config_digest,
+                                       "format": JOURNAL_FORMAT}) + "\n")
+        self._synced_at = time.monotonic()
 
-    def _load(self) -> None:
-        if self.ckpt_path.exists():
-            with open(self.ckpt_path, "r", encoding="utf-8") as fh:
-                header_line = fh.readline()
+    def _load(self) -> bool:
+        """Read the committed items and cut the journal after the last commit.
+
+        Returns False when not even the header line is complete, that is,
+        nothing was committed.
+        """
+        with open(self.ckpt_path, "r+b") as fh:
+            header_line = fh.readline()
+            if not header_line.endswith(b"\n"):
+                return False
+            try:
+                header = json.loads(header_line)
+            except ValueError as exc:
+                raise ConfigInvalid(f"corrupt checkpoint {self.ckpt_path}") from exc
+            if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
+                raise ConfigInvalid(
+                    f"checkpoint {self.ckpt_path} has an unknown format; "
+                    "remove it to rerun stage " + self.stage)
+            if header.get("config_digest") != self.config_digest:
+                raise ConfigInvalid(
+                    f"checkpoint for stage {self.stage} was written with a "
+                    "different config; refusing to resume")
+            committed_end = pos = len(header_line)
+            uncommitted: list[str] = []
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break
+                pos += len(raw)
+                tag = raw[:1]
+                if tag not in (b"+", b"="):
+                    break
                 try:
-                    header = json.loads(header_line)
-                except ValueError as exc:
-                    raise ConfigInvalid(f"corrupt checkpoint {self.ckpt_path}") from exc
-                if header.get("config_digest") != self.config_digest:
-                    raise ConfigInvalid(
-                        f"checkpoint for stage {self.stage} was written with a "
-                        "different config; refusing to resume")
-                self.processed = {line.strip() for line in fh if line.strip()}
-        if self.part_path.exists():
-            seen = set()
-            with open(self.part_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if line and line not in seen:
-                        seen.add(line)
-                        self._lines.append(line)
+                    body = raw[1:-1].decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+                if tag == b"+":
+                    uncommitted.append(body)
+                else:
+                    self.processed.add(body)
+                    self._lines.extend(uncommitted)
+                    uncommitted = []
+                    committed_end = pos
+            fh.truncate(committed_end)
+        return True
+
+    def __enter__(self) -> StageIO:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def append(self, work_id: str, lines: list[str]) -> None:
-        self._pending_lines.extend(lines)
-        self._pending_ids.append(work_id)
+        write = self._fh.write
+        for line in lines:
+            write(f"+{line}\n")
+        write(f"={work_id}\n")
+        self._lines.extend(lines)
         self.processed.add(work_id)
-        if len(self._pending_ids) >= self.flush_every:
+        self._unflushed += 1
+        if self._unflushed >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
-        if self._pending_lines:
-            with open(self.part_path, "a", encoding="utf-8") as fh:
-                for line in self._pending_lines:
-                    fh.write(line)
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._lines.extend(self._pending_lines)
-            self._pending_lines = []
-        if self._pending_ids:
-            new_file = not self.ckpt_path.exists()
-            with open(self.ckpt_path, "a", encoding="utf-8") as fh:
-                if new_file:
-                    fh.write(json.dumps({"stage": self.stage,
-                                         "config_digest": self.config_digest}))
-                    fh.write("\n")
-                for work_id in self._pending_ids:
-                    fh.write(work_id)
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._pending_ids = []
+        self._fh.flush()
+        now = time.monotonic()
+        if now - self._synced_at >= SYNC_INTERVAL_S:
+            os.fsync(self._fh.fileno())
+            self._synced_at = now
+        self._unflushed = 0
+
+    def close(self) -> None:
+        self._fh.close()
 
     def finalize(self) -> list[str]:
-        """Atomically publish the deduped output and clear resume state."""
+        """Durably publish the committed output, then remove the journal."""
         self.flush()
-        seen: set[str] = set()
-        lines = []
-        for line in self._lines:
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-        tmp = self.final_path.with_name(self.final_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, self.final_path)
-        # checkpoint first: if we die between the unlinks, the published
-        # output plus a missing checkpoint reads as "complete", never as a
-        # fresh stage with an empty part file
-        for p in (self.ckpt_path, self.part_path):
-            if p.exists():
-                p.unlink()
-        return lines
+        publish(self.final_path, (line + "\n" for line in self._lines))
+        self.close()
+        self.ckpt_path.unlink()
+        return self._lines
 
 
 class Quarantine:
@@ -295,13 +318,6 @@ class Quarantine:
 
 
 # --- shared stage plumbing ----------------------------------------------------
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def _out(config: PipelineConfig, name: str) -> Path:
     out_dir = Path(config.out_dir)
@@ -344,11 +360,6 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
     a list of output lines or raises a KforgeError (quarantined).
     """
-    io = StageIO(final_path, _work_dir(config), stage, config.digest(),
-                 config.flush_every)
-    pending = [(work_id, payload) for work_id, payload in items
-               if work_id not in io.processed]
-
     def run_one(entry):
         work_id, payload = entry
         try:
@@ -356,24 +367,28 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
         except KforgeError as exc:
             return work_id, None, exc
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(run_one, pending)
-            for work_id, lines, exc in results:
+    with StageIO(final_path, _work_dir(config), stage, config.digest(),
+                 config.flush_every) as io:
+        pending = [(work_id, payload) for work_id, payload in items
+                   if work_id not in io.processed]
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                results = pool.map(run_one, pending)
+                for work_id, lines, exc in results:
+                    if exc is not None:
+                        quarantine.put(work_id, exc)
+                        io.append(work_id, [])
+                    else:
+                        io.append(work_id, lines)
+        else:
+            for entry in pending:
+                work_id, lines, exc = run_one(entry)
                 if exc is not None:
                     quarantine.put(work_id, exc)
                     io.append(work_id, [])
                 else:
                     io.append(work_id, lines)
-    else:
-        for entry in pending:
-            work_id, lines, exc = run_one(entry)
-            if exc is not None:
-                quarantine.put(work_id, exc)
-                io.append(work_id, [])
-            else:
-                io.append(work_id, lines)
-    lines = io.finalize()
+        lines = io.finalize()
     return len(items), len(lines)
 
 
@@ -541,15 +556,15 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
 
     n_in, n_out = _run_llm_items(config, "kd-score", items, process,
                                  _out(config, "kd_profiles.jsonl"), quarantine)
-    profiles = [knowledge.profile_from_obj(json.loads(line))
+    profiles = [knowledge.ProfileCounts.from_line(line)
                 for line in _read_lines(_out(config, "kd_profiles.jsonl"))]
+    scored_sources = {source_of.get(p.sample_id) for p in profiles}
     comparisons = [pair for pair in config.kd_comparisons
-                   if all(any(source_of.get(p.sample_id) == s for p in profiles)
-                          for s in pair)]
+                   if all(s in scored_sources for s in pair)]
     report = knowledge.build_report(profiles, source_of, comparisons,
                                     backend_id=gateway.backend_id)
-    _atomic_write_text(_out(config, "kd_report.json"),
-                       json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True))
+    publish(_out(config, "kd_report.json"),
+            [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
     return n_in, n_out
 
 
@@ -565,34 +580,14 @@ def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
     records = _source_records(config, quarantine, include_generated=True)
     pools = mixture.resolve_pools(records, spec)
     mix_dir = Path(config.out_dir) / "mixture"
-    mix_dir.mkdir(parents=True, exist_ok=True)
     if not records:
         # empty corpus: publish empty outputs and report the failure via verify
-        _atomic_write_text(mix_dir / "mixture.jsonl", "")
-        _atomic_write_text(mix_dir / "mixture_plan.json", json.dumps({
-            "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
-            "targets": {}, "achieved": {}, "shortfalls": {}}, sort_keys=True, indent=2))
-        _atomic_write_text(mix_dir / "mixture_verify.json", json.dumps(
-            mixture.verify_mixture([], spec), sort_keys=True, indent=2))
+        mixture.publish_mixture(mix_dir, mixture.MixturePlan(spec, {}, {}, {}), [])
         return 0, 0
     plan = mixture.plan_mixture(spec, mixture.pool_sizes(pools, spec.unit),
                                 rebalance=config.rebalance)
     sampled = mixture.sample_mixture(plan, pools)
-    tmp = mix_dir / "mixture.jsonl.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in sampled:
-            fh.write(record_to_json(record))
-            fh.write("\n")
-    os.replace(tmp, mix_dir / "mixture.jsonl")
-
-    _atomic_write_text(mix_dir / "mixture_plan.json", json.dumps({
-        "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
-        "targets": plan.targets, "achieved": plan.achieved,
-        "shortfalls": plan.shortfalls,
-    }, sort_keys=True, indent=2))
-    verify = mixture.verify_mixture(sampled, spec)
-    _atomic_write_text(mix_dir / "mixture_verify.json",
-                       json.dumps(verify, sort_keys=True, indent=2))
+    mixture.publish_mixture(mix_dir, plan, sampled)
     return len(records), len(sampled)
 
 
@@ -604,8 +599,7 @@ def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine
         by_source[r.source] = by_source.get(r.source, 0) + 1
         by_kind[r.kind] = by_kind.get(r.kind, 0) + 1
     doc = {"records": len(records), "by_source": by_source, "by_kind": by_kind}
-    _atomic_write_text(_out(config, "corpus_stats.json"),
-                       json.dumps(doc, sort_keys=True, indent=2))
+    publish(_out(config, "corpus_stats.json"), [json.dumps(doc, sort_keys=True, indent=2)])
     return len(records), len(records)
 
 
@@ -622,16 +616,17 @@ _STAGE_FUNCS = {
     "stats": stage_stats,
 }
 
+# the last file each stage publishes: run_all skips a stage once it exists
 _STAGE_OUTPUT = {
     "annotate": "descriptors.jsonl",
     "pair": "pair_candidates.jsonl",
-    "filter": "pair_verdicts.jsonl",
+    "filter": "pairs_selected.jsonl",
     "caption": "caption1.jsonl",
     "pair-caption": "pair_caption.jsonl",
     "interleave": "interleaved.jsonl",
     "vqa-synth": "vqa1.jsonl",
     "kd-score": "kd_report.json",
-    "mix": "mixture/mixture.jsonl",
+    "mix": "mixture/mixture_verify.json",
     "stats": "corpus_stats.json",
 }
 

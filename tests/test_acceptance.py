@@ -33,6 +33,10 @@ from oracles import oracle_distinct_content_count, oracle_propose_pairs
 from test_jsonx import random_json_value, wrap_in_noise
 from test_pipeline import KillerBackend, _tree_bytes, make_workspace
 
+# a journal or temp file left open on any exit path fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
 
 @contextmanager
 def criterion(name: str, max_seconds: float | None = None):

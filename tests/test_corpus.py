@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kforge.corpus import (IMAGE_ARITY, KINDS, Record, dedupe_by_id,
                            estimate_tokens, read_shard, record_from_obj,
-                           record_to_json, validate_record, write_shard)
+                           publish, record_to_json, validate_record, write_shard)
 from kforge.errors import ParseError, ValidationError
 
 from conftest import make_corpus
@@ -82,6 +82,20 @@ def test_write_empty_shard(tmp_path):
     assert write_shard([], path) == 0
     assert path.read_bytes() == b""
     assert list(read_shard(path)) == []
+
+
+def test_failed_publish_keeps_old_file_and_removes_temp(tmp_path):
+    path = tmp_path / "doc.json"
+    publish(path, ["old"])
+
+    def chunks():
+        yield "half of the new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        publish(path, chunks())
+    assert path.read_text(encoding="utf-8") == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
 def test_read_preserves_order(tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from kforge.corpus import Record
 from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
 from kforge.gateway import mock_gateway
-from kforge.knowledge import (KnowledgeElement, KnowledgeProfile, build_report,
-                              extract_elements, kd_score, profile_from_obj,
-                              profile_to_obj, read_profiles, write_profiles)
+from kforge.knowledge import (KnowledgeElement, KnowledgeProfile, ProfileCounts,
+                              build_report, extract_elements, kd_score,
+                              profile_from_obj, profile_to_obj, read_profiles,
+                              write_profiles)
 
 from conftest import replay_gateway
 from fixtures_text import (INTERLEAVE_CONSTITUENTS, INTERLEAVE_TEXT,
@@ -180,3 +181,18 @@ def test_profile_roundtrip(tmp_path):
     write_profiles(profiles, path)
     assert list(read_profiles(path)) == profiles
     assert profile_from_obj(profile_to_obj(profiles[0])) == profiles[0]
+
+
+def test_report_from_stored_counts_matches_full_profiles():
+    gw = mock_gateway()
+    texts = [PAIR_SINGLE_A, PAIR_SINGLE_B, PAIR_JOINT, INTERLEAVE_TEXT]
+    profiles = [kd_score(_text_record(f"r{i}", t), gw) for i, t in enumerate(texts)]
+    source_of = {p.sample_id: "ab"[i % 2] for i, p in enumerate(profiles)}
+    counts = [ProfileCounts.from_line(json.dumps(profile_to_obj(p), separators=(",", ":")))
+              for p in profiles]
+    assert counts == [ProfileCounts.from_line(json.dumps(profile_to_obj(p), indent=1))
+                      for p in profiles]
+    assert [c.kd for c in counts] == [p.kd for p in profiles]
+    assert (build_report(counts, source_of, [("a", "b")], backend_id="mock")
+            == build_report(profiles, source_of, [("a", "b")], backend_id="mock"))
+

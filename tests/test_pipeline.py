@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,14 @@ from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
 from kforge.errors import ConfigInvalid
 from kforge.gateway import Gateway, MockBackend, RetryPolicy
-from kforge.pipeline import PipelineConfig, config_from_obj, run_all, run_stage
+from kforge.pipeline import (PipelineConfig, Quarantine, StageIO, config_from_obj,
+                             run_all, run_stage)
 
 from conftest import make_corpus
+
+# a journal or temp file left open on any exit path fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
 
 def _spec_doc():
@@ -246,6 +252,29 @@ def test_kill_late_stage_and_resume(tmp_path):
     assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
 
 
+@pytest.mark.parametrize("module, step", [
+    # filter: pair_verdicts.jsonl is published, pairs_selected.jsonl is not
+    (pipeline.pairing, "select_pairs"),
+    # mix: mixture.jsonl and mixture_plan.json are published, the verify report is not
+    (pipeline.mixture, "verify_mixture"),
+])
+def test_kill_between_stage_outputs_and_resume(tmp_path, monkeypatch, module, step):
+    pristine = make_workspace(tmp_path, "pristine")
+    assert run_all(pristine)[0] == 0
+
+    config = make_workspace(tmp_path, "killed")
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, step, killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_all(config)
+    assert run_all(config)[0] == 0
+    assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
+
+
 def test_resume_with_altered_config_refused(tmp_path):
     config = make_workspace(tmp_path)
     killer = Gateway(KillerBackend(limit=7), retry=RetryPolicy(backoff_base=0.001))
@@ -254,6 +283,144 @@ def test_resume_with_altered_config_refused(tmp_path):
     config.seed = 99  # different digest
     with pytest.raises(ConfigInvalid):
         run_stage("annotate", config)
+
+
+@pytest.mark.parametrize("tail", [
+    '+{"id":"c","v',  # torn half line
+    "\0" * 64 + "\n",  # zero-filled block left by an OS crash
+])
+def test_resume_reprocesses_uncommitted_item_once(tmp_path, tail):
+    config = make_workspace(tmp_path)
+    work = Path(config.out_dir) / ".work"
+    final = Path(config.out_dir) / "demo.jsonl"
+    replies = iter(range(1, 100))
+
+    def process(work_id):
+        # like a real model: a second call for the same item answers differently
+        return [json.dumps({"id": work_id, "v": next(replies)}, separators=(",", ":"))]
+
+    with StageIO(final, work, "demo", config.digest()) as io:
+        io.append("a", process("a"))
+    committed = io.ckpt_path.read_bytes()
+    # killed after b's output reached the journal but before its commit
+    with open(io.ckpt_path, "a", encoding="utf-8") as fh:
+        fh.write("+" + process("b")[0] + "\n" + tail)
+
+    calls, journal_at_first_call = [], []
+
+    def tracked(work_id):
+        if not calls:
+            journal_at_first_call.append((work / "demo.ckpt").read_bytes())
+        calls.append(work_id)
+        return process(work_id)
+
+    items = [(w, w) for w in ("a", "b", "c")]
+    quarantine = Quarantine(Path(config.quarantine_dir), "demo")
+    assert pipeline._run_llm_items(config, "demo", items, tracked, final,
+                                   quarantine) == (3, 3)
+    assert calls == ["b", "c"]
+    assert journal_at_first_call == [committed]  # the uncommitted tail was cut off
+    published = [json.loads(line) for line in final.read_text().splitlines()]
+    assert [p["id"] for p in published] == ["a", "b", "c"]
+    assert published[0]["v"] == 1 and published[1]["v"] == 3
+    assert not (work / "demo.ckpt").exists()
+
+
+@pytest.mark.parametrize("header", [
+    {"stage": "annotate"},  # the old ``.part`` + ``.ckpt`` format had no marker
+    {"stage": "annotate", "format": "journal/0"},
+])
+def test_checkpoint_without_journal_format_refused(tmp_path, header):
+    config = make_workspace(tmp_path)
+    work = Path(config.out_dir) / ".work"
+    work.mkdir(parents=True)
+    header = dict(header, config_digest=config.digest())
+    (work / "annotate.ckpt").write_text(json.dumps(header) + "\nc0-000\n",
+                                        encoding="utf-8")
+    with pytest.raises(ConfigInvalid):
+        run_stage("annotate", config)
+
+
+def test_empty_journal_starts_stage_afresh(tmp_path):
+    # killed before the first flush: the journal exists but holds no header
+    config = make_workspace(tmp_path)
+    work = Path(config.out_dir) / ".work"
+    work.mkdir(parents=True)
+    (work / "annotate.ckpt").write_bytes(b"")
+    stats = run_stage("annotate", config)
+    assert stats["llm_calls"] == 14 and stats["out"] == 14
+    assert not (work / "annotate.ckpt").exists()
+
+
+class _Clock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def _record_durability_calls(monkeypatch) -> list[tuple]:
+    """Log os.fsync (by inode), os.replace and Path.unlink in call order."""
+    events: list[tuple] = []
+    real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst)))
+        real_replace(src, dst)
+
+    def unlink(self, *args, **kwargs):
+        events.append(("unlink", Path(self)))
+        real_unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    return events
+
+
+def test_journal_fsynced_at_most_once_per_interval(tmp_path, monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(pipeline.time, "monotonic", clock)
+    events = _record_durability_calls(monkeypatch)
+    with StageIO(tmp_path / "demo.jsonl", tmp_path / ".work", "demo", "d",
+                 flush_every=1) as io:
+        journal = io.ckpt_path.stat().st_ino
+        io.append("a", ['{"id":"a"}'])
+        # flushed to the kernel, so a killed process keeps it, but not synced
+        assert io.ckpt_path.read_text(encoding="utf-8").endswith('+{"id":"a"}\n=a\n')
+        clock.now += pipeline.SYNC_INTERVAL_S / 2
+        io.append("b", ['{"id":"b"}'])
+        assert events == []
+        clock.now += pipeline.SYNC_INTERVAL_S / 2
+        io.append("c", ['{"id":"c"}'])
+        assert events == [("fsync", journal)]
+        clock.now += pipeline.SYNC_INTERVAL_S * 0.75
+        io.append("d", ['{"id":"d"}'])
+        assert events == [("fsync", journal)]
+        clock.now += pipeline.SYNC_INTERVAL_S * 0.25
+        io.append("e", ['{"id":"e"}'])
+        assert events == [("fsync", journal)] * 2
+
+
+def test_finalize_publishes_durably_before_removing_journal(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline.time, "monotonic", _Clock())
+    events = _record_durability_calls(monkeypatch)
+    final = tmp_path / "out" / "demo.jsonl"
+    final.parent.mkdir()
+    with StageIO(final, final.parent / ".work", "demo", "d") as io:
+        io.append("a", ['{"id":"a"}'])
+        journal = io.ckpt_path
+        io.finalize()
+    published = final.stat().st_ino  # the temp file's inode, renamed into place
+    directory = final.parent.stat().st_ino
+    assert events == [("fsync", published), ("replace", final),
+                      ("fsync", directory), ("unlink", journal)]
+    assert final.read_text(encoding="utf-8") == '{"id":"a"}\n'
 
 
 # --- cli --------------------------------------------------------------------------------
