@@ -144,25 +144,25 @@ def run_all(config_path, strict, seed):
 def kd_score_cmd(in_paths, report_path, compares, config_path):
     """Score knowledge density over shards and write a report."""
     try:
-        gateway = (pipeline.build_gateway(_load_config(config_path))
-                   if config_path else mock_gateway())
-        shards: list[Path] = []
-        for p in in_paths:
-            path = Path(p)
-            shards.extend(sorted(path.glob("*.jsonl")) if path.is_dir() else [path])
-        records = []
-        seen = set()
-        for shard in shards:
-            for record in read_shard(shard):
-                if record.id not in seen:
-                    seen.add(record.id)
-                    records.append(record)
-        records = [r for r in records if r.kind != "other"]
-        profiles = [knowledge.kd_score(r, gateway) for r in records]
-        comparisons = [tuple(c.split(":", 1)) for c in compares]
-        report = knowledge.build_report(
-            profiles, {r.id: r.source for r in records}, comparisons,
-            backend_id=gateway.backend_id)
+        with (pipeline.build_gateway(_load_config(config_path))
+              if config_path else mock_gateway()) as gateway:
+            shards: list[Path] = []
+            for p in in_paths:
+                path = Path(p)
+                shards.extend(sorted(path.glob("*.jsonl")) if path.is_dir() else [path])
+            records = []
+            seen = set()
+            for shard in shards:
+                for record in read_shard(shard):
+                    if record.id not in seen:
+                        seen.add(record.id)
+                        records.append(record)
+            records = [r for r in records if r.kind != "other"]
+            profiles = [knowledge.kd_score(r, gateway) for r in records]
+            comparisons = [tuple(c.split(":", 1)) for c in compares]
+            report = knowledge.build_report(
+                profiles, {r.id: r.source for r in records}, comparisons,
+                backend_id=gateway.backend_id)
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         publish(report_path,
                 [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])

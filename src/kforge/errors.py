@@ -53,7 +53,10 @@ class MissingBinding(KforgeError):
 class BackendError(KforgeError):
     """Transport-level failure talking to an LLM backend.
 
-    ``kind`` is one of ``timeout``, ``http_status``, ``rate_limited``.
+    ``kind`` is one of ``timeout``, ``connection`` (refused, reset or closed
+    before any response), ``http_status`` (``status`` is None when the reply
+    broke off), ``rate_limited``. The gateway retries ``timeout``,
+    ``connection``, ``rate_limited`` and ``http_status`` of 500 or more.
     """
 
     code = "backend"

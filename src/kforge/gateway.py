@@ -3,21 +3,31 @@
 Provides the request/retry contract, a token-bucket rate limiter with an
 in-flight cap, a fully deterministic mock backend (the basis of all golden
 tests), a replay backend for scripted fixtures, and a generic HTTP backend
-speaking the common chat-completions wire shape.
+speaking the common chat-completions wire shape. The HTTP backend uses only
+the standard library: one keep-alive connection per worker thread, proxies
+read once from the environment, HTTPS verified against the system trust
+store. Timeouts, 429s, 5xx replies and connections dropped before a
+response are retried with backoff.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
+import select
+import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
+from urllib.parse import unquote, urlsplit, urlunsplit
+from urllib.request import getproxies, proxy_bypass
 
 from kforge import jsonx
-from kforge.errors import BackendError, KforgeError, MalformedOutput, ValidationError
+from kforge.errors import (BackendError, ConfigInvalid, KforgeError, MalformedOutput,
+                           ValidationError)
 from kforge.prompts import JSON_LIST, JSON_OBJECT, REGISTRY, PromptTemplate, render_prompt
 from kforge.textnorm import distinct_content_words, tokenize
 
@@ -269,22 +279,103 @@ class ReplayBackend:
 
 
 class HttpBackend:
-    """Minimal chat-completions client.
+    """Minimal chat-completions client on the standard library.
 
     Sends ``POST endpoint`` with ``{"model", "messages", "temperature",
     "max_tokens"}`` where messages is a single user turn; image URIs ride
     as ``image_url`` content parts. Reads the reply from
     ``choices[0].message.content``.
+
+    Each worker thread keeps one keep-alive connection and reuses it across
+    calls; one the server closed while idle is reopened before the next
+    request, and one that failed is closed. Proxies come from the
+    environment (``http_proxy``, ``https_proxy``, ``no_proxy``), read once
+    here: plain HTTP goes to the proxy with the absolute URL as the target,
+    HTTPS through a CONNECT tunnel. HTTPS verifies against the system trust
+    store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` are honoured).
+
+    Failures become ``BackendError``: a socket timeout ``timeout``; a
+    connection refused, reset or closed before any response ``connection``;
+    429 ``rate_limited``; any other status >= 400, a reply that breaks off,
+    or one of the wrong shape ``http_status``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None):
+                 timeout: float = 60.0):
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigInvalid(f"endpoint is not an http(s) URL: {endpoint!r}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self.session = session or requests.Session()
         self.name = f"http:{model}"
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._address = (host, port)
+        self._tunnel: tuple[str, int, dict] | None = None
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(host):
+            proxy_url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ConfigInvalid(f"unsupported {url.scheme} proxy: {proxy!r}")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii"))
+            if url.scheme == "https":
+                self._tunnel = (host, port, proxy_headers)
+            else:
+                self._target = urlunsplit(url._replace(fragment=""))
+                self._headers.update(proxy_headers)
+        self._ssl = ssl.create_default_context() if url.scheme == "https" else None
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: list[tuple[threading.Thread, http.client.HTTPConnection]] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; http.client connects it on first use."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            host, port = self._address
+            if self._ssl is not None:
+                conn = http.client.HTTPSConnection(host, port, timeout=self.timeout,
+                                                   context=self._ssl)
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+            if self._tunnel is not None:
+                tunnel_host, tunnel_port, tunnel_headers = self._tunnel
+                conn.set_tunnel(tunnel_host, tunnel_port, headers=tunnel_headers)
+            self._local.conn = conn
+            with self._lock:
+                # a finished worker thread's connection is never used again
+                kept = []
+                for thread, opened in self._opened:
+                    if thread.is_alive():
+                        kept.append((thread, opened))
+                    else:
+                        opened.close()
+                kept.append((threading.current_thread(), conn))
+                self._opened = kept
+        elif conn.sock is not None and _readable(conn.sock):
+            # an idle keep-alive socket reads as ready only once the server
+            # has closed it; drop it so http.client reconnects
+            conn.close()
+        return conn
+
+    def close(self) -> None:
+        """Close every connection this backend opened, in any thread."""
+        with self._lock:
+            opened, self._opened = self._opened, []
+            # threads still holding a closed connection open a fresh one
+            self._local = threading.local()
+        for _, conn in opened:
+            conn.close()
 
     def complete(self, request: LlmRequest, prompt: str) -> str:
         if request.image_uris:
@@ -294,34 +385,50 @@ class HttpBackend:
             ]
         else:
             content = prompt
-        body = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": content}],
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        }).encode("utf-8")
+        conn = self._connection()
+        resp = None
         try:
-            resp = self.session.post(self.endpoint, json=body, headers=headers,
-                                     timeout=self.timeout)
-        except requests.Timeout as exc:
-            raise BackendError("timeout", message=str(exc)) from exc
-        except requests.RequestException as exc:
-            raise BackendError("http_status", message=str(exc)) from exc
-        if resp.status_code == 429:
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            if resp is not None:
+                resp.close()
+            if isinstance(exc, TimeoutError):
+                kind = "timeout"
+            elif resp is None and not isinstance(exc, ssl.SSLCertVerificationError):
+                kind = "connection"
+            else:
+                kind = "http_status"
+            raise BackendError(kind, message=f"{type(exc).__name__}: {exc}") from exc
+        if resp.status == 429:
             raise BackendError("rate_limited", 429)
-        if resp.status_code >= 400:
-            raise BackendError("http_status", resp.status_code)
+        if resp.status >= 400:
+            raise BackendError("http_status", resp.status)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError("http_status", resp.status_code,
+            raise BackendError("http_status", resp.status,
                                f"unexpected response shape: {exc}") from exc
 
 
-_RETRYABLE = ("timeout", "rate_limited")
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has data or EOF waiting, without blocking."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+_RETRYABLE = ("timeout", "rate_limited", "connection")
 
 
 @dataclass
@@ -358,6 +465,18 @@ class Gateway:
         self.semaphore = threading.BoundedSemaphore(in_flight)
         self.stats = GatewayStats()
         self._sleep = sleep
+
+    def __enter__(self) -> Gateway:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the backend's connections, if it holds any."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
 
     @property
     def backend_id(self) -> str:

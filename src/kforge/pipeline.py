@@ -16,6 +16,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,8 +194,9 @@ class StageIO:
     On resume only committed items count: whatever follows the last commit,
     a torn final line included, is cut off and its item processed again, so
     every item's lines appear exactly once. ``finalize`` publishes them with
-    ``corpus.publish`` and only then removes the journal, so no published
-    file is ever lost.
+    ``corpus.publish``, runs the stage's later publishes, and only then
+    removes the journal, so no published file is ever lost and a kill
+    before the stage's last file never repeats its model calls.
     """
 
     def __init__(self, final_path: Path, work_dir: Path, stage: str,
@@ -290,11 +292,14 @@ class StageIO:
     def close(self) -> None:
         self._fh.close()
 
-    def finalize(self) -> list[str]:
-        """Durably publish the committed output, then remove the journal."""
+    def finalize(self, then=None) -> list[str]:
+        """Durably publish the committed output, call ``then(lines)``, then
+        remove the journal."""
         self.flush()
         publish(self.final_path, (line + "\n" for line in self._lines))
         self.close()
+        if then is not None:
+            then(self._lines)
         self.ckpt_path.unlink()
         return self._lines
 
@@ -354,11 +359,13 @@ def _source_records(config: PipelineConfig, quarantine: Quarantine | None = None
 
 
 def _run_llm_items(config: PipelineConfig, stage: str, items, process,
-                   final_path: Path, quarantine: Quarantine):
+                   final_path: Path, quarantine: Quarantine, then=None):
     """Run work items through an LLM-backed processor with resume support.
 
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
-    a list of output lines or raises a KforgeError (quarantined).
+    a list of output lines or raises a KforgeError (quarantined). ``then``
+    receives the published lines and publishes the stage's remaining files
+    while the journal still exists.
     """
     def run_one(entry):
         work_id, payload = entry
@@ -388,13 +395,8 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
                     io.append(work_id, [])
                 else:
                     io.append(work_id, lines)
-        lines = io.finalize()
+        lines = io.finalize(then)
     return len(items), len(lines)
-
-
-def _read_lines(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
 
 
 # --- stages --------------------------------------------------------------------
@@ -447,14 +449,14 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
         return [json.dumps(pairing.verdict_to_obj(verdict), ensure_ascii=False,
                            separators=(",", ":"))]
 
-    n_in, n_out = _run_llm_items(config, "filter", items, process,
-                                 _out(config, "pair_verdicts.jsonl"), quarantine)
-    verdicts = [pairing.verdict_from_obj(json.loads(line))
-                for line in _read_lines(_out(config, "pair_verdicts.jsonl"))]
-    verdicts.sort(key=lambda v: v.candidate.pair_id)
-    selected = pairing.select_pairs(verdicts)
-    pairing.write_candidates(selected, _out(config, "pairs_selected.jsonl"))
-    return n_in, n_out
+    def select(lines):
+        verdicts = [pairing.verdict_from_obj(json.loads(line)) for line in lines]
+        verdicts.sort(key=lambda v: v.candidate.pair_id)
+        selected = pairing.select_pairs(verdicts)
+        pairing.write_candidates(selected, _out(config, "pairs_selected.jsonl"))
+
+    return _run_llm_items(config, "filter", items, process,
+                          _out(config, "pair_verdicts.jsonl"), quarantine, then=select)
 
 
 def _selected_pairs(config: PipelineConfig) -> list[pairing.PairCandidate]:
@@ -554,18 +556,18 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
         return [json.dumps(knowledge.profile_to_obj(profile), ensure_ascii=False,
                            separators=(",", ":"))]
 
-    n_in, n_out = _run_llm_items(config, "kd-score", items, process,
-                                 _out(config, "kd_profiles.jsonl"), quarantine)
-    profiles = [knowledge.ProfileCounts.from_line(line)
-                for line in _read_lines(_out(config, "kd_profiles.jsonl"))]
-    scored_sources = {source_of.get(p.sample_id) for p in profiles}
-    comparisons = [pair for pair in config.kd_comparisons
-                   if all(s in scored_sources for s in pair)]
-    report = knowledge.build_report(profiles, source_of, comparisons,
-                                    backend_id=gateway.backend_id)
-    publish(_out(config, "kd_report.json"),
-            [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
-    return n_in, n_out
+    def report(lines):
+        profiles = [knowledge.ProfileCounts.from_line(line) for line in lines]
+        scored_sources = {source_of.get(p.sample_id) for p in profiles}
+        comparisons = [pair for pair in config.kd_comparisons
+                       if all(s in scored_sources for s in pair)]
+        doc = knowledge.build_report(profiles, source_of, comparisons,
+                                     backend_id=gateway.backend_id)
+        publish(_out(config, "kd_report.json"),
+                [json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)])
+
+    return _run_llm_items(config, "kd-score", items, process,
+                          _out(config, "kd_profiles.jsonl"), quarantine, then=report)
 
 
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
@@ -637,11 +639,11 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     if stage not in _STAGE_FUNCS:
         raise ConfigInvalid(f"unknown stage {stage!r}")
     validate_config(config)
-    gateway = gateway or build_gateway(config)
-    quarantine = Quarantine(Path(config.quarantine_dir), stage)
-    before = gateway.stats.snapshot()
-    n_in, n_out = _STAGE_FUNCS[stage](config, gateway, quarantine)
-    after = gateway.stats.snapshot()
+    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
+        quarantine = Quarantine(Path(config.quarantine_dir), stage)
+        before = gateway.stats.snapshot()
+        n_in, n_out = _STAGE_FUNCS[stage](config, gateway, quarantine)
+        after = gateway.stats.snapshot()
     stats = {
         "stage": stage,
         "in": n_in,
@@ -663,17 +665,17 @@ def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
     """Run the full pipeline in order; completed stages are skipped on resume."""
     validate_config(config)
-    gateway = gateway or build_gateway(config)
     all_stats = []
     work_dir = _work_dir(config)
-    for stage in RUN_ALL_ORDER:
-        final = _out(config, _STAGE_OUTPUT[stage])
-        resumable = (work_dir / f"{stage}.ckpt").exists()
-        if final.exists() and not resumable:
-            logger.info("stage %s already complete, skipping", stage)
-            continue
-        stats = run_stage(stage, config, gateway=gateway, strict=strict)
-        all_stats.append(stats)
-        if stats["strict_failure"]:
-            return 1, all_stats
+    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
+        for stage in RUN_ALL_ORDER:
+            final = _out(config, _STAGE_OUTPUT[stage])
+            resumable = (work_dir / f"{stage}.ckpt").exists()
+            if final.exists() and not resumable:
+                logger.info("stage %s already complete, skipping", stage)
+                continue
+            stats = run_stage(stage, config, gateway=gateway, strict=strict)
+            all_stats.append(stats)
+            if stats["strict_failure"]:
+                return 1, all_stats
     return 0, all_stats

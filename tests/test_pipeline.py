@@ -255,10 +255,14 @@ def test_kill_late_stage_and_resume(tmp_path):
 @pytest.mark.parametrize("module, step", [
     # filter: pair_verdicts.jsonl is published, pairs_selected.jsonl is not
     (pipeline.pairing, "select_pairs"),
+    # kd-score: kd_profiles.jsonl is published, kd_report.json is not
+    (pipeline.knowledge, "build_report"),
     # mix: mixture.jsonl and mixture_plan.json are published, the verify report is not
     (pipeline.mixture, "verify_mixture"),
 ])
 def test_kill_between_stage_outputs_and_resume(tmp_path, monkeypatch, module, step):
+    stage = {"select_pairs": "filter", "build_report": "kd-score",
+             "verify_mixture": "mix"}[step]
     pristine = make_workspace(tmp_path, "pristine")
     assert run_all(pristine)[0] == 0
 
@@ -271,7 +275,11 @@ def test_kill_between_stage_outputs_and_resume(tmp_path, monkeypatch, module, st
         patch.setattr(module, step, killed)
         with pytest.raises(KeyboardInterrupt):
             run_all(config)
-    assert run_all(config)[0] == 0
+    code, all_stats = run_all(config)
+    assert code == 0
+    # the journal outlived the first publish: no model call is repeated
+    resumed = next(s for s in all_stats if s["stage"] == stage)
+    assert resumed["llm_calls"] == 0
     assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
 
 
