@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from kforge import knowledge, mixture, pipeline
-from kforge.corpus import publish, read_shard
+from kforge.corpus import KIND_OTHER, publish
 from kforge.errors import ConfigInvalid, KforgeError, SpecInvalid
 from kforge.gateway import mock_gateway
 
@@ -150,14 +150,8 @@ def kd_score_cmd(in_paths, report_path, compares, config_path):
             for p in in_paths:
                 path = Path(p)
                 shards.extend(sorted(path.glob("*.jsonl")) if path.is_dir() else [path])
-            records = []
-            seen = set()
-            for shard in shards:
-                for record in read_shard(shard):
-                    if record.id not in seen:
-                        seen.add(record.id)
-                        records.append(record)
-            records = [r for r in records if r.kind != "other"]
+            records = [r for r in pipeline.Ingest().records(shards)
+                       if r.kind != KIND_OTHER]
             profiles = [knowledge.kd_score(r, gateway) for r in records]
             comparisons = [tuple(c.split(":", 1)) for c in compares]
             report = knowledge.build_report(
@@ -194,13 +188,7 @@ def mix_cmd(spec_ref, pools_dir, out_dir, rebalance, budget, unit, seed):
                                         seed=seed, unit=unit)
         else:
             spec = mixture.load_spec(spec_ref)
-        records = []
-        seen = set()
-        for shard in sorted(Path(pools_dir).glob("*.jsonl")):
-            for record in read_shard(shard):
-                if record.id not in seen:
-                    seen.add(record.id)
-                    records.append(record)
+        records = pipeline.Ingest().records(sorted(Path(pools_dir).glob("*.jsonl")))
         pools = mixture.resolve_pools(records, spec)
         plan = mixture.plan_mixture(spec, mixture.pool_sizes(pools, spec.unit),
                                     rebalance=rebalance)

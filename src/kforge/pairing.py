@@ -132,33 +132,40 @@ def propose_pairs(index: DescriptorIndex,
         raise ValueError("min_contrast must be within [0, 1]")
 
     # Each image lies in one subcategory bucket, and the domain buckets pair
-    # only subcategory loners, so no pair is scored twice.
-    scored: list[tuple[float, str, str, str]] = []
-    for bucket in index.by_subcategory.values():
-        if len(bucket) > 1:
-            scored.extend(_bucket_pairs(index, bucket, ALIGN_SUBCATEGORY, min_contrast))
-
+    # only subcategory loners, so no pair is scored twice and the per-image
+    # cap can run one bucket at a time: no decision depends on another bucket.
+    buckets = [(bucket, ALIGN_SUBCATEGORY)
+               for bucket in index.by_subcategory.values() if len(bucket) > 1]
     singles = {m for bucket in index.by_subcategory.values() if len(bucket) == 1
                for m in bucket}
     for bucket in index.by_domain.values():
         loners = [m for m in bucket if m in singles]
         if len(loners) > 1:
-            scored.extend(_bucket_pairs(index, loners, ALIGN_DOMAIN, min_contrast))
+            buckets.append((loners, ALIGN_DOMAIN))
 
-    if max_per_image is not None and max_per_image != math.inf:
-        scored.sort()  # (-score, pair id): pair ids are unique
-        load: dict[str, int] = {}
-        kept = []
-        for t in scored:
-            left, right = t[1], t[2]
-            if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
-                kept.append(t)
-                load[left] = load.get(left, 0) + 1
-                load[right] = load.get(right, 0) + 1
-        scored = kept
+    kept: list[tuple[float, str, str, str]] = []
+    for members, alignment in buckets:
+        kept.extend(_cap(_bucket_pairs(index, members, alignment, min_contrast),
+                         max_per_image))
+    kept.sort(key=lambda t: (t[1], t[2]))
+    return [_candidate(index, *t) for t in kept]
 
-    scored.sort(key=lambda t: (t[1], t[2]))
-    return [_candidate(index, *t) for t in scored]
+
+def _cap(scored: list[tuple[float, str, str, str]],
+         max_per_image: int | float | None) -> list[tuple[float, str, str, str]]:
+    """Greedy per-image cap: best score first, ties by pair id."""
+    if max_per_image is None or max_per_image == math.inf:
+        return scored
+    scored.sort()  # (-score, pair id): pair ids are unique
+    load: dict[str, int] = {}
+    kept = []
+    for t in scored:
+        left, right = t[1], t[2]
+        if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
+            kept.append(t)
+            load[left] = load.get(left, 0) + 1
+            load[right] = load.get(right, 0) + 1
+    return kept
 
 
 _FILTER_REASK = ('\nAnswer with a single line starting with "PASS:" or "FAIL:".')

@@ -7,6 +7,10 @@ journal per stage (see ``StageIO``), which gives two guarantees: a killed
 process loses nothing that was flushed, and an OS crash loses at most about
 ``SYNC_INTERVAL_S`` of journal writes and never a published file. A killed
 stage resumes where it left off as long as the config digest matches.
+
+Within ``run_all`` the stages share one ``Ingest``, so each shard is read
+and validated once, and an invalid line is quarantined once, under the
+stage that first reads its shard.
 """
 from __future__ import annotations
 
@@ -18,11 +22,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from kforge import annotation, generation, knowledge, mixture, pairing
+from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
-                           publish, read_shard, record_to_json)
+                           dedupe_by_id, publish, record_to_json)
 from kforge.errors import ConfigInvalid, KforgeError
 from kforge.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
@@ -334,7 +339,90 @@ def _work_dir(config: PipelineConfig) -> Path:
     return Path(config.out_dir) / ".work"
 
 
-def _source_records(config: PipelineConfig, quarantine: Quarantine | None = None,
+class Ingest:
+    """Run-scoped reader: every input file is decoded at most once per run.
+
+    A decoded file is cached under its path with its identity (inode, size,
+    mtime in ns), which ``os.stat`` checks on every access. ``corpus.publish``
+    renames, so a republished file has a new identity and is read again;
+    nothing stale is served. Shard lines are validated as ``read_shard``
+    does, and each invalid line goes to the quarantine of the first stage
+    that reads its shard, only there. Cached records, descriptors and pairs
+    are shared by every stage that reads them and must not be mutated.
+    """
+
+    def __init__(self):
+        self._files: dict[tuple[str, Path], tuple[tuple[int, int, int], object]] = {}
+
+    def _cached(self, kind: str, path: Path, decode):
+        # stat before decoding: a file replaced in between is stored under
+        # its old identity, so the next access reads it again
+        try:
+            st = os.stat(path)
+        except OSError:
+            return decode(path)  # let the decoder report the missing file
+        identity = (st.st_ino, st.st_size, st.st_mtime_ns)
+        hit = self._files.get((kind, path))
+        if hit is not None and hit[0] == identity:
+            return hit[1]
+        value = decode(path)
+        self._files[(kind, path)] = (identity, value)
+        return value
+
+    def shard(self, path: Path, quarantine: Quarantine | None = None) -> tuple[Record, ...]:
+        """The valid records of one shard, in file order.
+
+        The shard's invalid lines are put in ``quarantine`` the first time
+        one is given; before that, without one, the first of them is raised.
+        """
+        def decode(p):
+            errors = []
+            records = tuple(corpus.read_shard(
+                p, on_error=lambda exc, lineno, raw: errors.append((lineno, exc))))
+            return _Shard(records, errors)
+
+        entry = self._cached("shard", path, decode)
+        if entry.errors and not entry.reported:
+            if quarantine is None:
+                raise entry.errors[0][1]
+            for lineno, exc in entry.errors:
+                quarantine.put(f"{path.name}:{lineno}", exc)
+            entry.reported = True
+        return entry.records
+
+    def records(self, paths, quarantine: Quarantine | None = None) -> list[Record]:
+        """The records of several shards in file order; the first of each id wins."""
+        return dedupe_by_id(chain.from_iterable(
+            self.shard(p, quarantine) for p in paths))[0]
+
+    def uris(self, config: PipelineConfig, quarantine: Quarantine) -> dict[str, str]:
+        """Image URI of each single-image source record, by record id."""
+        return {r.id: r.image_uris[0] for r in _source_records(config, self, quarantine)
+                if len(r.image_uris) == 1}
+
+    def descriptors(self, config: PipelineConfig) -> tuple[annotation.SemanticDescriptor, ...]:
+        return self._cached("descriptors", _out(config, "descriptors.jsonl"),
+                            lambda p: tuple(annotation.read_descriptors(p)))
+
+    def descriptor_map(self, config: PipelineConfig) -> dict[str, annotation.SemanticDescriptor]:
+        return {d.image_id: d for d in self.descriptors(config)}
+
+    def selected_pairs(self, config: PipelineConfig) -> tuple[pairing.PairCandidate, ...]:
+        path = _out(config, "pairs_selected.jsonl")
+        if not path.exists():
+            return ()
+        return self._cached("pairs", path, lambda p: tuple(pairing.read_candidates(p)))
+
+
+@dataclass
+class _Shard:
+    records: tuple[Record, ...]
+    errors: list[tuple[int, Exception]]
+    reported: bool = False
+
+
+def _source_records(config: PipelineConfig, ingest: Ingest,
+                    quarantine: Quarantine | None = None,
                     include_generated: bool = False) -> list[Record]:
     """All records from the input shards (optionally plus generated shards)."""
     shard_paths = sorted(Path(config.in_dir).glob("*.jsonl"))
@@ -343,19 +431,7 @@ def _source_records(config: PipelineConfig, quarantine: Quarantine | None = None
                      "vqa1.jsonl")
         shard_paths += [p for p in (Path(config.out_dir) / n for n in generated)
                         if p.exists()]
-    records: list[Record] = []
-    seen: set[str] = set()
-    for path in shard_paths:
-        def on_error(exc, lineno, raw, _path=path):
-            if quarantine is None:
-                raise exc
-            quarantine.put(f"{_path.name}:{lineno}", exc)
-
-        for record in read_shard(path, on_error=on_error):
-            if record.id not in seen:
-                seen.add(record.id)
-                records.append(record)
-    return records
+    return ingest.records(shard_paths, quarantine)
 
 
 def _run_llm_items(config: PipelineConfig, stage: str, items, process,
@@ -410,8 +486,9 @@ def _annotatable(records: list[Record]) -> list[tuple[str, tuple[str, str]]]:
     return items
 
 
-def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    records = _source_records(config, quarantine)
+def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                   ingest: Ingest):
+    records = _source_records(config, ingest, quarantine)
     items = _annotatable(records)
 
     def process(payload):
@@ -423,20 +500,20 @@ def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
                           _out(config, "descriptors.jsonl"), quarantine)
 
 
-def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    descriptors = list(annotation.read_descriptors(_out(config, "descriptors.jsonl")))
+def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+               ingest: Ingest):
+    descriptors = ingest.descriptors(config)
     index = pairing.build_index(descriptors)
     candidates = pairing.propose_pairs(index, config.max_per_image, config.min_contrast)
     pairing.write_candidates(candidates, _out(config, "pair_candidates.jsonl"))
     return len(descriptors), len(candidates)
 
 
-def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    descriptors = {d.image_id: d
-                   for d in annotation.read_descriptors(_out(config, "descriptors.jsonl"))}
+def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                 ingest: Ingest):
+    descriptors = ingest.descriptor_map(config)
     candidates = list(pairing.read_candidates(_out(config, "pair_candidates.jsonl")))
-    uris = {r.id: r.image_uris[0] for r in _source_records(config, quarantine)
-            if len(r.image_uris) == 1}
+    uris = ingest.uris(config, quarantine)
 
     items = [(f"{c.left_id}~{c.right_id}", c) for c in candidates]
 
@@ -459,20 +536,13 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
                           _out(config, "pair_verdicts.jsonl"), quarantine, then=select)
 
 
-def _selected_pairs(config: PipelineConfig) -> list[pairing.PairCandidate]:
-    path = _out(config, "pairs_selected.jsonl")
-    if not path.exists():
-        return []
-    return list(pairing.read_candidates(path))
-
-
-def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
+def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                  ingest: Ingest):
     """Single-caption branch for images left unpaired by the filter."""
-    descriptors = {d.image_id: d
-                   for d in annotation.read_descriptors(_out(config, "descriptors.jsonl"))}
-    paired = {image_id for pair in _selected_pairs(config) for image_id in pair.pair_id}
-    uris = {r.id: r.image_uris[0] for r in _source_records(config, quarantine)
-            if len(r.image_uris) == 1}
+    descriptors = ingest.descriptor_map(config)
+    paired = {image_id for pair in ingest.selected_pairs(config)
+              for image_id in pair.pair_id}
+    uris = ingest.uris(config, quarantine)
     items = [(image_id, (image_id, uris[image_id]))
              for image_id in sorted(descriptors)
              if image_id not in paired and image_id in uris]
@@ -486,14 +556,13 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
                           _out(config, "caption1.jsonl"), quarantine)
 
 
-def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    descriptors = {d.image_id: d
-                   for d in annotation.read_descriptors(_out(config, "descriptors.jsonl"))}
+def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                       ingest: Ingest):
+    descriptors = ingest.descriptor_map(config)
     verdicts = {v.candidate.pair_id: v
                 for v in pairing.read_verdicts(_out(config, "pair_verdicts.jsonl"))}
-    uris = {r.id: r.image_uris[0] for r in _source_records(config, quarantine)
-            if len(r.image_uris) == 1}
-    selected = _selected_pairs(config)
+    uris = ingest.uris(config, quarantine)
+    selected = ingest.selected_pairs(config)
     items = [(f"{c.left_id}~{c.right_id}", c) for c in selected]
 
     def process(candidate):
@@ -509,15 +578,14 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
                           _out(config, "pair_caption.jsonl"), quarantine)
 
 
-def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
+def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                     ingest: Ingest):
     if config.seed is None:
         raise ConfigInvalid("interleave grouping samples; config needs a seed")
-    descriptors = {d.image_id: d
-                   for d in annotation.read_descriptors(_out(config, "descriptors.jsonl"))}
-    uris = {r.id: r.image_uris[0] for r in _source_records(config, quarantine)
-            if len(r.image_uris) == 1}
+    descriptors = ingest.descriptor_map(config)
+    uris = ingest.uris(config, quarantine)
     groups = generation.group_for_interleave(
-        _selected_pairs(config), descriptors,
+        ingest.selected_pairs(config), descriptors,
         min_size=config.interleave_min, max_size=config.interleave_max,
         seed=config.seed)
     items = [("g~" + "~".join(group),
@@ -532,9 +600,10 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
                           _out(config, "interleaved.jsonl"), quarantine)
 
 
-def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
+def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                    ingest: Ingest):
     path = _out(config, "caption1.jsonl")
-    captions = list(read_shard(path)) if path.exists() else []
+    captions = ingest.shard(path) if path.exists() else ()
     items = [(r.id, r) for r in captions]
 
     def process(record):
@@ -545,8 +614,10 @@ def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quaran
                           _out(config, "vqa1.jsonl"), quarantine)
 
 
-def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    records = [r for r in _source_records(config, quarantine, include_generated=True)
+def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                   ingest: Ingest):
+    records = [r for r in _source_records(config, ingest, quarantine,
+                                          include_generated=True)
                if r.kind != KIND_OTHER]
     items = [(r.id, r) for r in records]
     source_of = {r.id: r.source for r in records}
@@ -570,7 +641,8 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
                           _out(config, "kd_profiles.jsonl"), quarantine, then=report)
 
 
-def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
+def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+              ingest: Ingest):
     if config.seed is None:
         raise ConfigInvalid("mix samples; config needs a seed")
     if config.mixture_spec.startswith("builtin:"):
@@ -579,7 +651,7 @@ def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
                                     seed=config.seed, unit=config.mixture_unit)
     else:
         spec = mixture.load_spec(config.mixture_spec)
-    records = _source_records(config, quarantine, include_generated=True)
+    records = _source_records(config, ingest, quarantine, include_generated=True)
     pools = mixture.resolve_pools(records, spec)
     mix_dir = Path(config.out_dir) / "mixture"
     if not records:
@@ -593,8 +665,9 @@ def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
     return len(records), len(sampled)
 
 
-def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine):
-    records = _source_records(config, quarantine, include_generated=True)
+def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
+                ingest: Ingest):
+    records = _source_records(config, ingest, quarantine, include_generated=True)
     by_source: dict[str, int] = {}
     by_kind: dict[str, int] = {}
     for r in records:
@@ -634,15 +707,20 @@ _STAGE_OUTPUT = {
 
 
 def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None,
-              strict: bool = False) -> dict:
-    """Run one stage; returns the stats document."""
+              strict: bool = False, ingest: Ingest | None = None) -> dict:
+    """Run one stage; returns the stats document.
+
+    ``ingest`` is the run's shared reader; without one the stage reads its
+    inputs through a fresh ``Ingest``.
+    """
     if stage not in _STAGE_FUNCS:
         raise ConfigInvalid(f"unknown stage {stage!r}")
     validate_config(config)
     with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
         quarantine = Quarantine(Path(config.quarantine_dir), stage)
         before = gateway.stats.snapshot()
-        n_in, n_out = _STAGE_FUNCS[stage](config, gateway, quarantine)
+        n_in, n_out = _STAGE_FUNCS[stage](config, gateway, quarantine,
+                                          ingest if ingest is not None else Ingest())
         after = gateway.stats.snapshot()
     stats = {
         "stage": stage,
@@ -663,10 +741,14 @@ RUN_ALL_ORDER = ("annotate", "pair", "filter", "pair-caption", "caption",
 
 def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
-    """Run the full pipeline in order; completed stages are skipped on resume."""
+    """Run the full pipeline in order; completed stages are skipped on resume.
+
+    All stages share one ``Ingest``, so each input file is read once.
+    """
     validate_config(config)
     all_stats = []
     work_dir = _work_dir(config)
+    ingest = Ingest()
     with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
         for stage in RUN_ALL_ORDER:
             final = _out(config, _STAGE_OUTPUT[stage])
@@ -674,7 +756,8 @@ def run_all(config: PipelineConfig, strict: bool = False,
             if final.exists() and not resumable:
                 logger.info("stage %s already complete, skipping", stage)
                 continue
-            stats = run_stage(stage, config, gateway=gateway, strict=strict)
+            stats = run_stage(stage, config, gateway=gateway, strict=strict,
+                              ingest=ingest)
             all_stats.append(stats)
             if stats["strict_failure"]:
                 return 1, all_stats

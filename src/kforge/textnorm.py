@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 
-_WS = re.compile(r"\s+")
 _TOKEN = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 
 STOPWORDS = frozenset(
@@ -29,8 +28,11 @@ STOPWORDS = frozenset(
 
 
 def canonicalize(text: str) -> str:
-    """Trim, collapse internal whitespace, lowercase. No stemming."""
-    return _WS.sub(" ", text.strip()).lower()
+    """Trim, collapse internal whitespace, lowercase. No stemming.
+
+    ``str.split`` splits on exactly the characters ``re``'s ``\\s`` matches.
+    """
+    return " ".join(text.split()).lower()
 
 
 def tokenize(text: str) -> list[str]:

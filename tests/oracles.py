@@ -13,18 +13,20 @@ import re
 from kforge.textnorm import STOPWORDS
 
 
+def oracle_canonicalize(text: str) -> str:
+    """Trim, collapse every ``\\s`` run to one space, lowercase."""
+    return re.sub(r"\s+", " ", text.strip()).lower()
+
+
 def oracle_propose_pairs(descriptors, min_contrast: float = 0.0):
     """Enumerate all C(n,2) pairs and apply the pairing predicates directly.
 
     Returns sorted tuples (left, right, alignment, shared, differing, score).
     """
-    def canon(s: str) -> str:
-        return re.sub(r"\s+", " ", s.strip()).lower()
-
     ds = {d.image_id: d for d in descriptors}
     ids = sorted(ds)
-    sub = {i: canon(ds[i].semantic_subcategory) for i in ids}
-    dom = {i: canon(ds[i].domain_direction) for i in ids}
+    sub = {i: oracle_canonicalize(ds[i].semantic_subcategory) for i in ids}
+    dom = {i: oracle_canonicalize(ds[i].domain_direction) for i in ids}
     has_partner = {i: any(j != i and sub[j] == sub[i] for j in ids) for i in ids}
 
     out = []

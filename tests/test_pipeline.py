@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -7,10 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kforge import pipeline
+from kforge import annotation, corpus, pairing, pipeline
 from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
-from kforge.errors import ConfigInvalid
+from kforge.errors import ConfigInvalid, ParseError
 from kforge.gateway import Gateway, MockBackend, RetryPolicy
 from kforge.pipeline import (PipelineConfig, Quarantine, StageIO, config_from_obj,
                              run_all, run_stage)
@@ -160,8 +161,78 @@ def test_dirty_corpus_survives_full_run(tmp_path):
         fh.write("this is not json\n")
     code, all_stats = run_all(config)
     assert code == 0
-    assert all(s["quarantined"] >= 1 or s["stage"] in ("pair", "vqa-synth")
-               for s in all_stats)
+    # the stage that first reads the shard reports the bad line, no other stage
+    rows = [(path.name, json.loads(line))
+            for path in sorted(Path(config.quarantine_dir).glob("*.jsonl"))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [(name, row["work_id"], row["error_code"]) for name, row in rows] == [
+        ("annotate.jsonl", "corpus.jsonl:31", "parse")]
+    assert [s["stage"] for s in all_stats if s["quarantined"]] == ["annotate"]
+
+
+def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    decoded: list[str] = []
+
+    def counting(fn):
+        def wrapper(path, *args, **kwargs):
+            decoded.append(Path(path).name)
+            return fn(path, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(corpus, "read_shard", counting(corpus.read_shard))
+    monkeypatch.setattr(annotation, "read_descriptors",
+                        counting(annotation.read_descriptors))
+    monkeypatch.setattr(pairing, "read_candidates", counting(pairing.read_candidates))
+    code, _ = run_all(config)
+    assert code == 0
+    assert sorted(decoded) == sorted([
+        "corpus.jsonl", "descriptors.jsonl", "pair_candidates.jsonl",
+        "pairs_selected.jsonl", "caption1.jsonl", "pair_caption.jsonl",
+        "interleaved.jsonl", "vqa1.jsonl"])
+
+
+def test_ingest_rereads_republished_shard(tmp_path, monkeypatch):
+    path = tmp_path / "shard.jsonl"
+    corpus.write_shard(make_corpus(n_caption=3, n_vqa=0, n_text=0, n_other=0), path)
+    calls = []
+    read_shard = corpus.read_shard
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return read_shard(p, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "read_shard", counting)
+    ingest = pipeline.Ingest()
+    first = ingest.shard(path)
+    assert ingest.shard(path) is first and len(calls) == 1
+    # same size and timestamps, new content: only the rename shows the change
+    st = os.stat(path)
+    changed = [dataclasses.replace(r, payload={"caption": r.payload["caption"].upper()})
+               for r in first]
+    corpus.write_shard(changed, path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(path).st_size == st.st_size
+    second = ingest.shard(path)
+    assert len(calls) == 2
+    assert [r.payload for r in second] == [r.payload for r in changed]
+    assert [r.payload for r in second] != [r.payload for r in first]
+
+
+def test_ingest_quarantines_a_bad_line_once(tmp_path):
+    path = tmp_path / "shard.jsonl"
+    corpus.write_shard(make_corpus(n_caption=2, n_vqa=0, n_text=0, n_other=0), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    ingest = pipeline.Ingest()
+    with pytest.raises(ParseError):
+        ingest.shard(path)  # no quarantine yet: the bad line raises
+    first, second = (Quarantine(tmp_path / "q", name) for name in ("first", "second"))
+    assert len(ingest.records([path], first)) == 2
+    assert len(ingest.records([path], second)) == 2
+    assert (first.count, second.count) == (1, 0)
+    row = json.loads((tmp_path / "q" / "first.jsonl").read_text(encoding="utf-8"))
+    assert (row["work_id"], row["error_code"]) == ("shard.jsonl:3", "parse")
 
 
 def test_stage_sequence_produces_all_outputs(tmp_path):
