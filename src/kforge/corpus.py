@@ -4,6 +4,12 @@ One shard is a UTF-8 JSONL file, one record per line, with exactly the
 fields ``id, kind, image_uris, payload, source, meta``. ``payload`` is an
 object whose single key names the body variant: ``caption``, ``qa``,
 ``text``, or ``doc``.
+
+``read_shard`` decodes, validates and builds each record once: the line
+goes through the JSON scanner (``json.loads`` only for lines it does not
+consume whole, which keeps its error messages), the decoded fields are
+checked in one pass, and the ``Record`` is constructed after the checks.
+A record's default token estimate is computed once and kept on it.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -56,15 +63,17 @@ MARKER = re.compile(r"<Image_(\d+)>")
 
 DEFAULT_IMAGE_TOKENS = 256
 
+# One scanner and one encoder for every line: json.loads pays for whitespace
+# handling and json.dumps for a new encoder on each call. The C encoder is
+# the one json.dumps(obj, ensure_ascii=False, separators=(",", ":")) builds.
+_scan = json.JSONDecoder().scan_once
+_encoder = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_iterencode = (json.encoder.c_make_encoder(
+    None, _encoder.default, json.encoder.encode_basestring, None, ":", ",", False, False, True)
+    if json.encoder.c_make_encoder else lambda obj, _: _encoder.iterencode(obj))
 
-@dataclass(frozen=True)
-class QaItem:
-    question: str
-    answer: str
-    scope: str = SCOPE_DETAIL
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One corpus sample. Treat as immutable after construction."""
 
@@ -74,6 +83,8 @@ class Record:
     payload: dict
     source: str
     meta: dict = field(default_factory=dict)
+    # estimate_tokens' default estimate, kept by its first call
+    _tokens: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def text_units(self) -> list[str]:
         """All text carried by the payload, in a stable order."""
@@ -90,12 +101,6 @@ class Record:
                                separators=(",", ":"))]
         return [body]
 
-    def qa_items(self) -> list[QaItem]:
-        if self.kind != KIND_VQA:
-            raise ValueError(f"record {self.id} is not a vqa record")
-        return [QaItem(d["question"], d["answer"], d.get("scope", SCOPE_DETAIL))
-                for d in self.payload["qa"]]
-
 
 def validate_record_id(value: str, line: int | None = None) -> None:
     if not isinstance(value, str) or not value:
@@ -107,14 +112,14 @@ def validate_record_id(value: str, line: int | None = None) -> None:
 
 
 def _check_markers(text: str, n_images: int, line: int | None) -> None:
-    ks = [int(m.group(1)) for m in MARKER.finditer(text)]
+    seen = Counter(int(m.group(1)) for m in MARKER.finditer(text))
     expected = set(range(1, n_images + 1))
-    out_of_range = [k for k in ks if k not in expected]
+    out_of_range = sorted(k for k in seen if k not in expected)
     if out_of_range:
         raise ValidationError(
-            "payload", f"image markers out of range: {sorted(set(out_of_range))}", line)
-    missing = sorted(expected - set(ks))
-    duplicated = sorted({k for k in ks if ks.count(k) > 1})
+            "payload", f"image markers out of range: {out_of_range}", line)
+    missing = sorted(expected - seen.keys())
+    duplicated = sorted(k for k, count in seen.items() if count > 1)
     if missing or duplicated:
         raise ValidationError(
             "payload",
@@ -122,95 +127,90 @@ def _check_markers(text: str, n_images: int, line: int | None) -> None:
             line)
 
 
-def validate_record(record: Record, line: int | None = None) -> Record:
-    """Enforce the kind/arity table and payload invariants."""
-    validate_record_id(record.id, line)
-    if record.kind not in KINDS:
-        raise ValidationError("kind", f"unknown kind {record.kind!r}", line)
-    lo, hi = IMAGE_ARITY[record.kind]
-    n = len(record.image_uris)
+def _check_fields(rid, kind, uris: tuple, payload, source, meta, line: int | None) -> None:
+    """The kind/arity table and payload invariants, in one pass over the fields."""
+    validate_record_id(rid, line)
+    if kind not in KINDS:
+        raise ValidationError("kind", f"unknown kind {kind!r}", line)
+    lo, hi = IMAGE_ARITY[kind]
+    n = len(uris)
     if n < lo or (hi is not None and n > hi):
         bound = f"exactly {lo}" if lo == hi else (f">= {lo}" if hi is None else f"{lo}..{hi}")
-        raise ValidationError("image_uris", f"kind {record.kind} requires {bound} images, got {n}", line)
-    for uri in record.image_uris:
-        if not isinstance(uri, str) or not uri.strip():
+        raise ValidationError("image_uris", f"kind {kind} requires {bound} images, got {n}", line)
+    for uri in uris:
+        if not isinstance(uri, str) or not uri or uri.isspace():
             raise ValidationError("image_uris", "image URIs must be non-empty strings", line)
 
-    key = PAYLOAD_KEY[record.kind]
-    if not isinstance(record.payload, dict) or set(record.payload) != {key}:
-        raise ValidationError("payload", f"kind {record.kind} requires a single {key!r} key", line)
-    body = record.payload[key]
-    if record.kind == KIND_VQA:
+    key = PAYLOAD_KEY[kind]
+    if not isinstance(payload, dict) or len(payload) != 1 or key not in payload:
+        raise ValidationError("payload", f"kind {kind} requires a single {key!r} key", line)
+    body = payload[key]
+    if kind == KIND_VQA:
         if not isinstance(body, list) or not body:
             raise ValidationError("payload", "qa must be a non-empty list", line)
         for item in body:
             if not isinstance(item, dict):
                 raise ValidationError("payload", "qa items must be objects", line)
             for f in ("question", "answer"):
-                if not isinstance(item.get(f), str) or not item[f].strip():
+                value = item.get(f)
+                if not isinstance(value, str) or not value or value.isspace():
                     raise ValidationError("payload", f"qa item {f} must be non-empty", line)
             scope = item.get("scope", SCOPE_DETAIL)
             if scope not in (SCOPE_GLOBAL, SCOPE_DETAIL):
                 raise ValidationError("payload", f"unknown qa scope {scope!r}", line)
-    elif record.kind == KIND_OTHER:
+    elif kind == KIND_OTHER:
         if not isinstance(body, dict):
             raise ValidationError("payload", "doc must be an object", line)
     else:
-        if not isinstance(body, str) or not body.strip():
+        if not isinstance(body, str) or not body or body.isspace():
             raise ValidationError("payload", f"{key} must be non-empty text", line)
-        if record.kind == KIND_INTERLEAVED:
-            _check_markers(body, len(record.image_uris), line)
+        if kind == KIND_INTERLEAVED:
+            _check_markers(body, n, line)
 
-    if not isinstance(record.source, str) or not record.source:
+    if not isinstance(source, str) or not source:
         raise ValidationError("source", "must be a non-empty string", line)
-    if not isinstance(record.meta, dict):
+    if not isinstance(meta, dict):
         raise ValidationError("meta", "must be an object", line)
-    for k, v in record.meta.items():
+    for k, v in meta.items():
         if not isinstance(k, str) or not isinstance(v, str):
             raise ValidationError("meta", "keys and values must be strings", line)
+
+
+def validate_record(record: Record, line: int | None = None) -> Record:
+    """Enforce the kind/arity table and payload invariants."""
+    _check_fields(record.id, record.kind, record.image_uris, record.payload,
+                  record.source, record.meta, line)
     return record
-
-
-def _payload_to_obj(record: Record) -> dict:
-    key = PAYLOAD_KEY[record.kind]
-    body = record.payload[key]
-    if record.kind == KIND_VQA:
-        body = [{"question": d["question"], "answer": d["answer"],
-                 "scope": d.get("scope", SCOPE_DETAIL)} for d in body]
-    return {key: body}
 
 
 def record_to_json(record: Record) -> str:
     """Serialize with a stable field order so identical inputs give identical bytes."""
-    obj = {
-        "id": record.id,
-        "kind": record.kind,
-        "image_uris": list(record.image_uris),
-        "payload": _payload_to_obj(record),
-        "source": record.source,
-        "meta": {k: record.meta[k] for k in sorted(record.meta)},
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    payload = record.payload
+    if record.kind == KIND_VQA:
+        payload = {"qa": [{"question": d["question"], "answer": d["answer"],
+                           "scope": d.get("scope", SCOPE_DETAIL)} for d in payload["qa"]]}
+    meta = record.meta
+    return "".join(_iterencode({
+        "id": record.id, "kind": record.kind, "image_uris": record.image_uris,
+        "payload": payload, "source": record.source,
+        "meta": dict(sorted(meta.items())) if meta else {}}, 0))
 
 
 def record_from_obj(obj: dict, line: int | None = None) -> Record:
     if not isinstance(obj, dict):
         raise ValidationError("record", "line is not a JSON object", line)
-    missing = {"id", "kind", "image_uris", "payload", "source"} - set(obj)
-    if missing:
-        raise ValidationError(sorted(missing)[0], "field missing", line)
-    uris = obj["image_uris"]
+    try:
+        rid, kind, uris = obj["id"], obj["kind"], obj["image_uris"]
+        payload, source = obj["payload"], obj["source"]
+    except KeyError:
+        missing = {"id", "kind", "image_uris", "payload", "source"} - set(obj)
+        raise ValidationError(sorted(missing)[0], "field missing", line) from None
     if not isinstance(uris, list):
         raise ValidationError("image_uris", "must be a list", line)
-    record = Record(
-        id=obj["id"],
-        kind=obj["kind"],
-        image_uris=tuple(uris),
-        payload=obj["payload"],
-        source=obj["source"],
-        meta=obj.get("meta", {}),
-    )
-    return validate_record(record, line)
+    uris = tuple(uris)
+    meta = obj.get("meta", {})
+    _check_fields(rid, kind, uris, payload, source, meta, line)
+    return Record(rid, kind, uris, payload, source, meta)
 
 
 def read_shard(path: str | Path,
@@ -229,13 +229,21 @@ def read_shard(path: str | Path,
         raise ShardIoError(f"cannot open {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
             try:
                 try:
-                    obj = json.loads(raw)
-                except ValueError as exc:
-                    raise ParseError(lineno, str(exc)) from exc
+                    obj, end = _scan(raw, 0)
+                    whole = raw[end:] in ("", "\n")
+                except (StopIteration, ValueError, RecursionError):
+                    whole = False
+                if not whole:
+                    # blank lines, surrounding whitespace, a BOM, extra data and
+                    # errors: json.loads decides, with its own messages
+                    if not raw.strip():
+                        continue
+                    try:
+                        obj = json.loads(raw)
+                    except ValueError as exc:
+                        raise ParseError(lineno, str(exc)) from exc
                 yield record_from_obj(obj, lineno)
             except (ParseError, ValidationError) as exc:
                 if on_error is None:
@@ -303,11 +311,18 @@ def estimate_tokens(record: Record, image_token_cost: int = DEFAULT_IMAGE_TOKENS
 
     Default heuristic: ceil(total text chars / 4) plus a flat per-image
     cost. A real tokenizer can be plugged in via ``estimator`` (called on
-    the concatenated text).
+    the concatenated text). The default estimate is kept on the record, so
+    each record is estimated once however often it is asked for.
     """
+    default = estimator is None and image_token_cost == DEFAULT_IMAGE_TOKENS
+    if default and record._tokens is not None:
+        return record._tokens
     units = record.text_units()
     if estimator is not None:
         text_tokens = estimator("\n".join(units))
     else:
         text_tokens = math.ceil(sum(len(u) for u in units) / 4)
-    return text_tokens + len(record.image_uris) * image_token_cost
+    tokens = text_tokens + len(record.image_uris) * image_token_cost
+    if default:
+        object.__setattr__(record, "_tokens", tokens)  # derived from frozen fields
+    return tokens

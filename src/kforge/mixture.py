@@ -4,15 +4,19 @@ A mixture spec names category proportions, a unit (samples or tokens), a
 budget, a seed, and the source pools feeding each category. Planning uses
 largest-remainder apportionment so targets always sum to the budget;
 sampling is a seeded shuffle per category interleaved by a seeded weighted
-round-robin, without replacement.
+round-robin, without replacement. Each interleave draw equals
+``random.choices`` over the sorted categories weighted by their remaining
+counts. Pool records arrive decoded, validated and built once per read
+(``corpus.read_shard``), and in token units each is estimated once.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from collections import deque
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -213,11 +217,10 @@ def pool_sizes(pools: dict[str, list[Record]], unit: str) -> dict[str, int]:
 
 
 def _stamp(record: Record, spec: MixtureSpec, category: str) -> Record:
-    meta = dict(record.meta)
-    meta[CATEGORY_META_KEY] = category
-    meta[SPEC_META_KEY] = spec.name
-    return Record(id=record.id, kind=record.kind, image_uris=record.image_uris,
-                  payload=record.payload, source=record.source, meta=meta)
+    stamped = Record(record.id, record.kind, record.image_uris, record.payload, record.source,
+                     {**record.meta, CATEGORY_META_KEY: category, SPEC_META_KEY: spec.name})
+    object.__setattr__(stamped, "_tokens", record._tokens)  # same text, same estimate
+    return stamped
 
 
 def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Record]:
@@ -227,7 +230,7 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
     (spec seed, category) and taken until the quota is met; in token units
     the last record may overshoot the target by at most one record. The
     categories are then interleaved by a seeded round-robin weighted by the
-    remaining counts.
+    remaining counts, with the ``random()`` and bisect of ``random.choices``.
     """
     spec = plan.spec
     taken: dict[str, list[Record]] = {}
@@ -252,24 +255,25 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
             if record_id in used_ids:
                 continue
             record = by_id[record_id]
+            amount += estimate_tokens(record) if spec.unit == UNIT_TOKENS else 1
             picked.append(_stamp(record, spec, category))
             used_ids.add(record_id)
-            amount += estimate_tokens(record) if spec.unit == UNIT_TOKENS else 1
         if amount < quota:
             raise PoolRecordMissing(
                 f"pool for {category} holds {amount} {spec.unit}, plan needs {quota}")
         taken[category] = picked
 
-    rng = random.Random(f"{spec.seed}:interleave")
-    queues = {c: deque(rows) for c, rows in taken.items() if rows}
+    draw = random.Random(f"{spec.seed}:interleave").random
+    queues = [iter(taken[c]) for c in sorted(taken) if taken[c]]
+    counts = [len(taken[c]) for c in sorted(taken) if taken[c]]
     out: list[Record] = []
-    while queues:
-        categories = sorted(queues)
-        weights = [len(queues[c]) for c in categories]
-        category = rng.choices(categories, weights=weights)[0]
-        out.append(queues[category].popleft())
-        if not queues[category]:
-            del queues[category]
+    while counts:
+        cum = list(accumulate(counts))
+        i = bisect(cum, draw() * (cum[-1] + 0.0), 0, len(cum) - 1)
+        out.append(next(queues[i]))
+        counts[i] -= 1
+        if not counts[i]:
+            del queues[i], counts[i]
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import re
 
 from kforge.textnorm import STOPWORDS
@@ -90,3 +91,33 @@ def oracle_dedupe_count(ids) -> int:
     for record_id in ids:
         seen[record_id] = seen.get(record_id, 0) + 1
     return sum(v - 1 for v in seen.values())
+
+
+def oracle_json_line(raw: str):
+    """Reference decode of one shard line: ``json.loads``, nothing else.
+
+    Returns ``("skip", None)`` for a blank line, ``("value", obj)`` for a
+    decoded line, and ``("error", message)`` where ``json.loads`` raises
+    ``ValueError``; any other exception propagates.
+    """
+    if not raw.strip():
+        return "skip", None
+    try:
+        return "value", json.loads(raw)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def oracle_interleave(seed: int, taken: dict) -> list:
+    """The weighted round-robin as first written: one ``random.choices`` per draw
+    over the sorted categories that still hold items, weighted by their counts."""
+    rng = random.Random(f"{seed}:interleave")
+    queues = {c: list(items) for c, items in taken.items() if items}
+    out = []
+    while queues:
+        categories = sorted(queues)
+        category = rng.choices(categories, weights=[len(queues[c]) for c in categories])[0]
+        out.append(queues[category].pop(0))
+        if not queues[category]:
+            del queues[category]
+    return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from kforge.corpus import (IMAGE_ARITY, KINDS, Record, dedupe_by_id,
 from kforge.errors import ParseError, ValidationError
 
 from conftest import make_corpus
-from oracles import oracle_dedupe_count
+from oracles import oracle_dedupe_count, oracle_json_line
 
 # --- strategies --------------------------------------------------------------
 
@@ -188,6 +189,277 @@ def test_bad_record_id():
     with pytest.raises(ValidationError) as err:
         validate_record(record)
     assert err.value.field == "id"
+
+
+def test_many_markers_checked_in_linear_time():
+    n = 20000
+    uris = tuple(f"file:///{i}.jpg" for i in range(n))
+    order = list(range(1, n + 1))
+    random.Random(5).shuffle(order)
+    text = "doc " + " ".join(f"part {k} <Image_{k}>" for k in order)
+    bad = text.replace(f"<Image_{order[0]}>", f"<Image_{order[1]}>")
+    record = Record(id="r1", kind="interleaved", image_uris=uris,
+                    payload={"text": text}, source="s", meta={})
+    t0 = time.perf_counter()
+    validate_record(record)
+    with pytest.raises(ValidationError) as err:
+        validate_record(Record(id="r1", kind="interleaved", image_uris=uris,
+                               payload={"text": bad}, source="s", meta={}))
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == ("payload: image markers must appear exactly once "
+                              f"(missing=[{order[0]}], duplicated=[{order[1]}])")
+
+
+# --- validation parity: the check order and messages are pinned ----------------
+
+_DROP = object()
+
+_BASE = {
+    "caption": {"image_uris": ["file:///a.jpg"], "payload": {"caption": "a stone harbor"}},
+    "vqa": {"image_uris": ["file:///a.jpg"],
+            "payload": {"qa": [{"question": "What is shown?", "answer": "a harbor",
+                                "scope": "global"}]}},
+    "pair_caption": {"image_uris": ["file:///a.jpg", "file:///b.jpg"],
+                     "payload": {"caption": "two harbors"}},
+    "interleaved": {"image_uris": ["file:///a.jpg", "file:///b.jpg", "file:///c.jpg"],
+                    "payload": {"text": "see <Image_1> then <Image_2> and <Image_3>"}},
+    "pure_text": {"image_uris": [], "payload": {"text": "plain words"}},
+    "other": {"image_uris": [], "payload": {"doc": {"note": "x"}}},
+}
+
+
+def _obj(base, **changes):
+    obj = {"id": "r-1", "kind": base, **_BASE[base], "source": "src", "meta": {"k": "v"}}
+    for key, value in changes.items():
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
+
+
+def _qa(**item):
+    base = {"question": "What is shown?", "answer": "a harbor", "scope": "detail"}
+    base.update(item)
+    return {"qa": [{k: v for k, v in base.items() if v is not _DROP}]}
+
+
+_PARITY_CASES = [
+    # one defect
+    ("id-empty", _obj("caption", id=""),
+     ("id", "must be a non-empty string")),
+    ("id-space", _obj("caption", id="has space"),
+     ("id", "contains characters outside [A-Za-z0-9._~-]")),
+    ("id-long", _obj("caption", id="x" * 129),
+     ("id", "longer than 128 characters")),
+    ("id-int", _obj("caption", id=5),
+     ("id", "must be a non-empty string")),
+    ("kind-unknown", _obj("caption", kind="video"),
+     ("kind", "unknown kind 'video'")),
+    ("kind-null", _obj("caption", kind=None),
+     ("kind", "unknown kind None")),
+    ("arity-caption", _obj("caption", image_uris=["file:///a.jpg", "file:///b.jpg"]),
+     ("image_uris", "kind caption requires exactly 1 images, got 2")),
+    ("arity-pair", _obj("pair_caption", image_uris=["file:///a.jpg"]),
+     ("image_uris", "kind pair_caption requires exactly 2 images, got 1")),
+    ("arity-interleaved", _obj("interleaved", image_uris=["file:///a.jpg", "file:///b.jpg"]),
+     ("image_uris", "kind interleaved requires >= 3 images, got 2")),
+    ("arity-text", _obj("pure_text", image_uris=["file:///a.jpg"]),
+     ("image_uris", "kind pure_text requires exactly 0 images, got 1")),
+    ("uri-blank", _obj("caption", image_uris=[" \t"]),
+     ("image_uris", "image URIs must be non-empty strings")),
+    ("uri-empty", _obj("caption", image_uris=[""]),
+     ("image_uris", "image URIs must be non-empty strings")),
+    ("uri-int", _obj("caption", image_uris=[7]),
+     ("image_uris", "image URIs must be non-empty strings")),
+    ("payload-key", _obj("caption", payload={"text": "a stone harbor"}),
+     ("payload", "kind caption requires a single 'caption' key")),
+    ("payload-two-keys", _obj("caption", payload={"caption": "x", "text": "y"}),
+     ("payload", "kind caption requires a single 'caption' key")),
+    ("payload-list", _obj("caption", payload=["a stone harbor"]),
+     ("payload", "kind caption requires a single 'caption' key")),
+    ("caption-blank", _obj("caption", payload={"caption": "  \n"}),
+     ("payload", "caption must be non-empty text")),
+    ("caption-int", _obj("caption", payload={"caption": 3}),
+     ("payload", "caption must be non-empty text")),
+    ("qa-not-list", _obj("vqa", payload={"qa": {"question": "q", "answer": "a"}}),
+     ("payload", "qa must be a non-empty list")),
+    ("qa-empty", _obj("vqa", payload={"qa": []}),
+     ("payload", "qa must be a non-empty list")),
+    ("qa-item-str", _obj("vqa", payload={"qa": ["q"]}),
+     ("payload", "qa items must be objects")),
+    ("qa-question-blank", _obj("vqa", payload=_qa(question=" ")),
+     ("payload", "qa item question must be non-empty")),
+    ("qa-answer-missing", _obj("vqa", payload=_qa(answer=_DROP)),
+     ("payload", "qa item answer must be non-empty")),
+    ("qa-answer-int", _obj("vqa", payload=_qa(answer=4)),
+     ("payload", "qa item answer must be non-empty")),
+    ("qa-scope", _obj("vqa", payload=_qa(scope="local")),
+     ("payload", "unknown qa scope 'local'")),
+    ("markers-duplicated", _obj("interleaved", payload={"text": "<Image_1> <Image_1> <Image_3>"}),
+     ("payload", "image markers must appear exactly once (missing=[2], duplicated=[1])")),
+    ("markers-missing", _obj("interleaved", payload={"text": "<Image_1> <Image_2>"}),
+     ("payload", "image markers must appear exactly once (missing=[3], duplicated=[])")),
+    ("markers-out-of-range", _obj("interleaved", payload={
+        "text": "<Image_1> <Image_2> <Image_3> <Image_4> <Image_0>"}),
+     ("payload", "image markers out of range: [0, 4]")),
+    ("doc-not-object", _obj("other", payload={"doc": "text"}),
+     ("payload", "doc must be an object")),
+    ("source-empty", _obj("caption", source=""),
+     ("source", "must be a non-empty string")),
+    ("source-int", _obj("caption", source=3),
+     ("source", "must be a non-empty string")),
+    ("meta-list", _obj("caption", meta=["k"]),
+     ("meta", "must be an object")),
+    ("meta-value-int", _obj("caption", meta={"k": 1}),
+     ("meta", "keys and values must be strings")),
+    # no defect: edges where a shortcut could disagree with the full checks
+    ("id-128", _obj("caption", id="x" * 128),
+     None),
+    ("id-trailing-newline", _obj("caption", id="r-1\n"),
+     None),
+    ("uri-unicode-space", _obj("caption", image_uris=["\u2003\x1c"]),
+     ("image_uris", "image URIs must be non-empty strings")),
+    ("caption-separators", _obj("caption", payload={"caption": "\x1c\x1d\x1e\x1f\x85"}),
+     ("payload", "caption must be non-empty text")),
+    ("qa-answer-nbsp", _obj("vqa", payload=_qa(answer="\xa0")),
+     ("payload", "qa item answer must be non-empty")),
+    ("markers-none-needed", _obj("other", payload={"doc": {"t": "<Image_1>"}}),
+     None),
+    # two defects: the first check in order wins
+    ("id+kind", _obj("caption", id="a b", kind="video"),
+     ("id", "contains characters outside [A-Za-z0-9._~-]")),
+    ("kind+arity", _obj("caption", kind="video", image_uris=[]),
+     ("kind", "unknown kind 'video'")),
+    ("arity+uri", _obj("caption", image_uris=["", ""]),
+     ("image_uris", "kind caption requires exactly 1 images, got 2")),
+    ("uri+payload", _obj("caption", image_uris=[""], payload={"text": "x"}),
+     ("image_uris", "image URIs must be non-empty strings")),
+    ("payload-key+source", _obj("caption", payload={"text": "x"}, source=""),
+     ("payload", "kind caption requires a single 'caption' key")),
+    ("qa-item+meta", _obj("vqa", payload=_qa(question=""), meta={"k": 1}),
+     ("payload", "qa item question must be non-empty")),
+    ("qa-question+answer", _obj("vqa", payload=_qa(question="", answer="")),
+     ("payload", "qa item question must be non-empty")),
+    ("qa-answer+scope", _obj("vqa", payload=_qa(answer="", scope="local")),
+     ("payload", "qa item answer must be non-empty")),
+    ("markers+source", _obj("interleaved", payload={"text": "<Image_1>"}, source=""),
+     ("payload", "image markers must appear exactly once (missing=[2, 3], duplicated=[])")),
+    ("markers-out+duplicated", _obj("interleaved", payload={
+        "text": "<Image_1> <Image_1> <Image_2> <Image_3> <Image_9>"}),
+     ("payload", "image markers out of range: [9]")),
+    ("markers-missing+duplicated", _obj("interleaved", payload={
+        "text": "<Image_2> <Image_2> <Image_3>"}),
+     ("payload", "image markers must appear exactly once (missing=[1], duplicated=[2])")),
+    ("source+meta", _obj("caption", source=None, meta=[]),
+     ("source", "must be a non-empty string")),
+    ("doc+source", _obj("other", payload={"doc": []}, source=""),
+     ("payload", "doc must be an object")),
+]
+
+# defects found before a Record can be built: only record_from_obj sees them
+_OBJ_ONLY_CASES = [
+    ("not-object", ["r-1"],
+     ("record", "line is not a JSON object")),
+    ("missing-source", _obj("caption", source=_DROP),
+     ("source", "field missing")),
+    ("missing-id-and-kind", _obj("caption", id=_DROP, kind=_DROP),
+     ("id", "field missing")),
+    ("no-meta+uris-str", _obj("caption", meta=_DROP, image_uris="file:///a.jpg"),
+     ("image_uris", "must be a list")),
+    ("uris-str+bad-id", _obj("caption", image_uris="file:///a.jpg", id=""),
+     ("image_uris", "must be a list")),
+    ("missing+uris-str", _obj("caption", payload=_DROP, image_uris="x"),
+     ("payload", "field missing")),
+]
+
+
+def _record_of(obj: dict) -> Record:
+    return Record(id=obj["id"], kind=obj["kind"], image_uris=tuple(obj["image_uris"]),
+                  payload=obj["payload"], source=obj["source"], meta=obj.get("meta", {}))
+
+
+def _raised(call) -> tuple[str, str] | None:
+    try:
+        call()
+    except ValidationError as exc:
+        return exc.field, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name,obj,expected", _PARITY_CASES,
+                         ids=[case[0] for case in _PARITY_CASES])
+def test_validation_parity(name, obj, expected):
+    want = None if expected is None else (expected[0], f"line 3: {expected[0]}: {expected[1]}")
+    assert _raised(lambda: record_from_obj(obj, 3)) == want
+    assert _raised(lambda: validate_record(_record_of(obj), 3)) == want
+
+
+@pytest.mark.parametrize("name,obj,expected", _OBJ_ONLY_CASES,
+                         ids=[case[0] for case in _OBJ_ONLY_CASES])
+def test_validation_parity_before_record(name, obj, expected):
+    assert _raised(lambda: record_from_obj(obj, 3)) == (
+        expected[0], f"line 3: {expected[0]}: {expected[1]}")
+
+
+# --- decode fast path against plain json.loads ----------------------------------
+
+def _line_pieces() -> list[str]:
+    pieces = ["", " ", "\t", "\ufeff", "NaN", "-Infinity", "}", "]", "garbage", "{",
+              '"unterminated', '{"id": "x', "[1, 2", "null", "7", '"text"', "[]", "{}",
+              "[" * 40 + "]" * 40, '{"a":' * 40 + "1" + "}" * 40, "1" * 5000]
+    for record in make_corpus(n_caption=2, n_vqa=2, n_text=2, n_other=2):
+        pieces.append(record_to_json(record))
+        obj = json.loads(record_to_json(record))
+        pieces.append(json.dumps(obj))  # spaces after separators, ASCII escapes
+        obj["payload"] = {"doc": {"x": float("nan")}}
+        pieces.append(json.dumps(obj))
+    return pieces
+
+
+def _oracle_read(path) -> tuple[list[Record], list[tuple]]:
+    records, errors = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            what, value = oracle_json_line(raw)
+            if what == "skip":
+                continue
+            if what == "error":
+                errors.append((lineno, "ParseError", f"line {lineno}: {value}"))
+                continue
+            try:
+                records.append(record_from_obj(value, lineno))
+            except ValidationError as exc:
+                errors.append((lineno, "ValidationError", str(exc)))
+    return records, errors
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_read_shard_decodes_like_json_loads(tmp_path, seed):
+    rng = random.Random(seed)
+    pieces = _line_pieces()
+    lines = ["".join(rng.choice(pieces) for _ in range(rng.choice((1, 1, 1, 2, 3))))
+             for _ in range(300)]
+    path = tmp_path / "s.jsonl"
+    text = "\n".join(lines) + rng.choice(["", "\n"])
+    path.write_text(text, encoding="utf-8")
+    errors = []
+    got = list(read_shard(path, on_error=lambda exc, n, raw: errors.append(
+        (n, type(exc).__name__, str(exc)))))
+    want_records, want_errors = _oracle_read(path)
+    assert got == want_records
+    assert errors == want_errors
+    assert got and any(kind == "ParseError" for _, kind, _ in errors)
+
+
+def test_read_shard_too_deep_raises_like_json_loads(tmp_path):
+    line = "[" * 100000 + "]" * 100000
+    with pytest.raises(Exception) as oracle:
+        oracle_json_line(line)
+    path = tmp_path / "s.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(type(oracle.value)):
+        list(read_shard(path, on_error=lambda exc, n, raw: None))
 
 
 # --- dedupe -------------------------------------------------------------------

@@ -11,6 +11,8 @@ from kforge.mixture import (BUILTIN_NAMES, MixtureSpec, builtin_spec,
                             pool_sizes, resolve_pools, sample_mixture,
                             spec_from_obj, validate_spec, verify_mixture)
 
+from oracles import oracle_interleave
+
 
 def _pool(source: str, n: int, text_len: int = 200) -> list[Record]:
     return [Record(id=f"{source}-{i:05d}", kind="pure_text", image_uris=(),
@@ -185,6 +187,33 @@ def test_missing_pool_is_error():
     del pools["vqa"]
     with pytest.raises(PoolRecordMissing):
         sample_mixture(plan, pools)
+
+
+@pytest.mark.parametrize("unit", ["samples", "tokens"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_interleave_matches_random_choices_oracle(seed, unit):
+    rng = random.Random(f"interleave-test:{seed}:{unit}")
+    categories = ["a", "b", "c", "d", "e", "f"]
+    checked = 0
+    for _ in range(12):
+        sizes = {c: rng.choice([0, 0, 1, 1, 2, 5, rng.randint(3, 60)]) for c in categories}
+        if not any(sizes.values()):
+            continue
+        fractions = dict(zip(categories, (1, 2, 3, 1, 2, 3)))
+        spec = validate_spec(MixtureSpec(
+            "t", {c: f / 12 for c, f in fractions.items()}, unit,
+            rng.randint(1, 200) * (60 if unit == "tokens" else 1), rng.randint(0, 10**6),
+            {c: (c,) for c in categories}))
+        records = [r for c in categories
+                   for r in _pool(c, sizes[c], text_len=rng.randint(1, 400))]
+        pools = resolve_pools(records, spec)
+        out = sample_mixture(plan_mixture(spec, pool_sizes(pools, unit)), pools)
+        taken: dict[str, list[str]] = {}
+        for r in out:
+            taken.setdefault(r.meta["mixture_category"], []).append(r.id)
+        assert [r.id for r in out] == oracle_interleave(spec.seed, taken)
+        checked += len(out)
+    assert checked
 
 
 # --- verification --------------------------------------------------------------------
