@@ -6,12 +6,11 @@ and canonicalizes list fields for matching.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from kforge.corpus import publish, validate_record_id
+from kforge.corpus import json_line, read_jsonl, validate_record_id
 from kforge.errors import SchemaMismatch
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -103,21 +102,12 @@ def descriptor_to_json(descriptor: SemanticDescriptor) -> str:
     for f in fields(SemanticDescriptor):
         v = getattr(descriptor, f.name)
         obj[f.name] = list(v) if isinstance(v, tuple) else v
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return json_line(obj)
 
 
 def descriptor_from_obj(obj: dict) -> SemanticDescriptor:
     return validate_descriptor(obj, image_id=str(obj.get("image_id", "")))
 
 
-def write_descriptors(descriptors: Iterable[SemanticDescriptor], path: str | Path) -> int:
-    lines = [descriptor_to_json(d) + "\n" for d in descriptors]
-    publish(path, lines)
-    return len(lines)
-
-
 def read_descriptors(path: str | Path) -> Iterator[SemanticDescriptor]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield descriptor_from_obj(json.loads(line))
+    return read_jsonl(path, descriptor_from_obj)

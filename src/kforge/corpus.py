@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from kforge.errors import ParseError, ShardIoError, ValidationError
 
@@ -62,6 +62,8 @@ _ID_CHARS = re.compile(r"^[A-Za-z0-9._~-]+$")
 MARKER = re.compile(r"<Image_(\d+)>")
 
 DEFAULT_IMAGE_TOKENS = 256
+
+T = TypeVar("T")
 
 # One scanner and one encoder for every line: json.loads pays for whitespace
 # handling and json.dumps for a new encoder on each call. The C encoder is
@@ -111,15 +113,20 @@ def validate_record_id(value: str, line: int | None = None) -> None:
         raise ValidationError("id", "contains characters outside [A-Za-z0-9._~-]", line)
 
 
-def _check_markers(text: str, n_images: int, line: int | None) -> None:
+def marker_problems(text: str, n_images: int) -> tuple[list[int], list[int], list[int]]:
+    """The sorted (missing, duplicated, out-of-range) ``<Image_k>`` markers of a
+    text about ``n_images`` images, found in one pass."""
     seen = Counter(int(m.group(1)) for m in MARKER.finditer(text))
-    expected = set(range(1, n_images + 1))
-    out_of_range = sorted(k for k in seen if k not in expected)
+    return ([k for k in range(1, n_images + 1) if k not in seen],
+            sorted(k for k, count in seen.items() if count > 1),
+            sorted(k for k in seen if not 1 <= k <= n_images))
+
+
+def _check_markers(text: str, n_images: int, line: int | None) -> None:
+    missing, duplicated, out_of_range = marker_problems(text, n_images)
     if out_of_range:
         raise ValidationError(
             "payload", f"image markers out of range: {out_of_range}", line)
-    missing = sorted(expected - seen.keys())
-    duplicated = sorted(k for k, count in seen.items() if count > 1)
     if missing or duplicated:
         raise ValidationError(
             "payload",
@@ -190,10 +197,23 @@ def record_to_json(record: Record) -> str:
         payload = {"qa": [{"question": d["question"], "answer": d["answer"],
                            "scope": d.get("scope", SCOPE_DETAIL)} for d in payload["qa"]]}
     meta = record.meta
-    return "".join(_iterencode({
+    return json_line({
         "id": record.id, "kind": record.kind, "image_uris": record.image_uris,
         "payload": payload, "source": record.source,
-        "meta": dict(sorted(meta.items())) if meta else {}}, 0))
+        "meta": dict(sorted(meta.items())) if meta else {}})
+
+
+def json_line(obj) -> str:
+    """Compact single-line JSON, the encoding of every JSONL line kforge writes."""
+    return "".join(_iterencode(obj, 0))
+
+
+def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]:
+    """``from_obj`` of each non-blank line of a JSONL file, in file order."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield from_obj(json.loads(line))
 
 
 def record_from_obj(obj: dict, line: int | None = None) -> Record:
@@ -242,7 +262,7 @@ def read_shard(path: str | Path,
                         continue
                     try:
                         obj = json.loads(raw)
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:  # invalid, or too deep
                         raise ParseError(lineno, str(exc)) from exc
                 yield record_from_obj(obj, lineno)
             except (ParseError, ValidationError) as exc:

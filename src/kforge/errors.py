@@ -11,9 +11,6 @@ class KforgeError(Exception):
 
     code = "error"
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": str(self)}
-
 
 class ShardIoError(KforgeError):
     code = "io"

@@ -2,8 +2,10 @@
 
 Provides the request/retry contract, a token-bucket rate limiter with an
 in-flight cap, a fully deterministic mock backend (the basis of all golden
-tests), a replay backend for scripted fixtures, and a generic HTTP backend
-speaking the common chat-completions wire shape. The HTTP backend uses only
+tests), and a generic HTTP backend speaking the common chat-completions
+wire shape. Any object with a ``complete(request, prompt) -> str`` method
+can serve as a backend; ``name`` and ``close`` are optional. The HTTP
+backend uses only
 the standard library: one keep-alive connection per worker thread, proxies
 read once from the environment, HTTPS verified against the system trust
 store. Timeouts, 429s, 5xx replies and connections dropped before a
@@ -255,27 +257,6 @@ class MockBackend:
             f"Taken together, the views show how {concepts[0]} connects each scene to the next."
         )
         return "\n\n".join(paragraphs)
-
-
-class ReplayBackend:
-    """Serves scripted outputs in order; entries may be exceptions to raise."""
-
-    name = "replay"
-
-    def __init__(self, outputs: list):
-        self.outputs = list(outputs)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request: LlmRequest, prompt: str) -> str:
-        with self._lock:
-            if not self.outputs:
-                raise BackendError("http_status", 500, "replay script exhausted")
-            self.calls += 1
-            item = self.outputs.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
 
 
 class HttpBackend:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from kforge import jsonx
 from kforge.annotation import SemanticDescriptor
 from kforge.corpus import (KIND_CAPTION, KIND_INTERLEAVED, KIND_PAIR_CAPTION,
-                           KIND_VQA, MARKER, Record, validate_record)
+                           KIND_VQA, Record, marker_problems, validate_record)
 from kforge.errors import (EmptyGeneration, FilterNotPassed, GroundingFailure,
                            MarkerViolation, PolicyViolation, SchemaMismatch,
                            ValidationError)
@@ -173,15 +173,6 @@ def group_for_interleave(selected: list[PairCandidate],
     return groups
 
 
-def _marker_problems(text: str, n: int):
-    ks = [int(m.group(1)) for m in MARKER.finditer(text)]
-    expected = set(range(1, n + 1))
-    missing = sorted(expected - set(ks))
-    duplicated = sorted({k for k in ks if ks.count(k) > 1})
-    out_of_range = sorted({k for k in ks if k not in expected})
-    return missing, duplicated, out_of_range
-
-
 _INTERLEAVE_REASK = ("\nEvery marker <Image_1> through <Image_{n}> must appear exactly once.")
 
 
@@ -203,13 +194,11 @@ def generate_interleaved(group: list[GroupMember], gateway: Gateway) -> Record:
     )
     n = len(group)
     text = gateway.complete(request).strip()
-    missing, duplicated, out_of_range = _marker_problems(text, n)
-    if missing or duplicated or out_of_range:
+    if any(marker_problems(text, n)):
         text = gateway.reask(request, _INTERLEAVE_REASK.replace("{n}", str(n))).strip()
-        missing, duplicated, out_of_range = _marker_problems(text, n)
-        if missing or duplicated or out_of_range:
-            raise MarkerViolation(missing=missing, duplicated=duplicated,
-                                  out_of_range=out_of_range)
+        problems = marker_problems(text, n)
+        if any(problems):
+            raise MarkerViolation(*problems)
     if not text:
         raise EmptyGeneration("empty interleaved description")
 

@@ -12,7 +12,7 @@ import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from kforge.corpus import KIND_OTHER, Record, publish
 from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
@@ -96,19 +96,14 @@ def extract_elements(text: str, gateway: Gateway) -> tuple[KnowledgeElement, ...
 
     seen: set[str] = set()
     out: list[KnowledgeElement] = []
-    for entry in raw["Fact"]:
-        if isinstance(entry, dict):
-            element = _element(str(entry.get("fact", "")), FACT)
-        else:
-            element = _element(str(entry), FACT)
-        if element and element.text not in seen:
-            seen.add(element.text)
-            out.append(element)
-    for entry in raw["Abstract"]:
-        element = _element(str(entry), ABSTRACT)
-        if element and element.text not in seen:
-            seen.add(element.text)
-            out.append(element)
+    for kind, entries in ((FACT, raw["Fact"]), (ABSTRACT, raw["Abstract"])):
+        for entry in entries:
+            if kind == FACT and isinstance(entry, dict):
+                entry = entry.get("fact", "")
+            element = _element(str(entry), kind)
+            if element and element.text not in seen:
+                seen.add(element.text)
+                out.append(element)
     return tuple(out)
 
 
@@ -186,6 +181,15 @@ def build_report(profiles: Iterable[KnowledgeProfile | ProfileCounts],
     }
 
 
+def publish_report(path: str | Path, profiles: Iterable[KnowledgeProfile | ProfileCounts],
+                   source_of: dict[str, str], comparisons: list[tuple[str, str]],
+                   backend_id: str) -> None:
+    """Build the density report and publish it as indented JSON."""
+    report = build_report(profiles, source_of, comparisons, backend_id=backend_id)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    publish(path, [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
+
+
 # --- JSONL persistence -----------------------------------------------------
 
 def profile_to_obj(profile: KnowledgeProfile) -> dict:
@@ -200,23 +204,3 @@ def profile_to_obj(profile: KnowledgeProfile) -> dict:
         ],
     }
 
-
-def profile_from_obj(obj: dict) -> KnowledgeProfile:
-    elements = tuple(
-        KnowledgeElement(e["text"], e["kind"], e.get("level"))
-        for e in obj["elements"])
-    return KnowledgeProfile(sample_id=obj["sample_id"], elements=elements)
-
-
-def write_profiles(profiles: Iterable[KnowledgeProfile], path: str | Path) -> int:
-    lines = [json.dumps(profile_to_obj(p), ensure_ascii=False, separators=(",", ":")) + "\n"
-             for p in profiles]
-    publish(path, lines)
-    return len(lines)
-
-
-def read_profiles(path: str | Path) -> Iterator[KnowledgeProfile]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield profile_from_obj(json.loads(line))

@@ -144,6 +144,13 @@ def builtin_spec(name: str, budget: int, seed: int, unit: str = UNIT_SAMPLES) ->
         seed=seed, pool_bindings=dict(bindings), notes=notes))
 
 
+def spec_from_ref(ref: str, budget: int, seed: int, unit: str = UNIT_SAMPLES) -> MixtureSpec:
+    """``builtin:<name>``, sized by ``budget``, ``seed`` and ``unit``, or a spec file path."""
+    if ref.startswith("builtin:"):
+        return builtin_spec(ref.split(":", 1)[1], budget=budget, seed=seed, unit=unit)
+    return load_spec(ref)
+
+
 def largest_remainder(budget: int, fractions: dict[str, float]) -> dict[str, int]:
     """Integer apportionment that conserves the budget exactly.
 
@@ -294,10 +301,9 @@ def verify_mixture(records: Iterable[Record], spec: MixtureSpec,
         amounts[category] = amounts.get(category, 0) + amount
         total += amount
 
-    measured = {c: (amounts.get(c, 0) / total if total else 0.0) for c in spec.proportions}
-    for c in amounts:
-        if c not in measured and amounts[c]:
-            measured[c] = amounts[c] / total if total else 0.0
+    # every declared category, then any other category that was drawn
+    measured = {c: (amount / total if total else 0.0) for c, amount in amounts.items()
+                if amount or c in spec.proportions}
     errors = {c: abs(measured.get(c, 0.0) - spec.proportions.get(c, 0.0))
               for c in set(measured) | set(spec.proportions)}
     max_abs_error = max(errors.values()) if errors else 0.0
@@ -329,3 +335,12 @@ def publish_mixture(out_dir: str | Path, plan: MixturePlan,
     verify = verify_mixture(records, spec)
     publish(out_dir / "mixture_verify.json", [json.dumps(verify, sort_keys=True, indent=2)])
     return verify
+
+
+def build_mixture(records: Iterable[Record], spec: MixtureSpec, out_dir: str | Path,
+                  rebalance: bool = False) -> tuple[list[Record], dict]:
+    """Resolve, plan, sample and publish a mixture; returns (sampled, verify doc)."""
+    pools = resolve_pools(records, spec)
+    plan = plan_mixture(spec, pool_sizes(pools, spec.unit), rebalance=rebalance)
+    sampled = sample_mixture(plan, pools)
+    return sampled, publish_mixture(out_dir, plan, sampled)

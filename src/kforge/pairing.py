@@ -7,14 +7,13 @@ relationship is coherent enough to explain simply.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from kforge.annotation import SemanticDescriptor
-from kforge.corpus import publish
+from kforge.corpus import json_line, publish, read_jsonl
 from kforge.errors import DuplicateImageId, MalformedOutput
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -242,17 +241,13 @@ def candidate_from_obj(obj: dict) -> PairCandidate:
 
 
 def write_candidates(candidates: Iterable[PairCandidate], path: str | Path) -> int:
-    lines = [json.dumps(candidate_to_obj(c), ensure_ascii=False, separators=(",", ":")) + "\n"
-             for c in candidates]
+    lines = [json_line(candidate_to_obj(c)) + "\n" for c in candidates]
     publish(path, lines)
     return len(lines)
 
 
 def read_candidates(path: str | Path) -> Iterator[PairCandidate]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield candidate_from_obj(json.loads(line))
+    return read_jsonl(path, candidate_from_obj)
 
 
 def verdict_to_obj(v: PairVerdict) -> dict:
@@ -263,10 +258,3 @@ def verdict_to_obj(v: PairVerdict) -> dict:
 def verdict_from_obj(obj: dict) -> PairVerdict:
     return PairVerdict(candidate_from_obj(obj["candidate"]), bool(obj["pass"]),
                        str(obj["rationale"]))
-
-
-def read_verdicts(path: str | Path) -> Iterator[PairVerdict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield verdict_from_obj(json.loads(line))

@@ -21,13 +21,14 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
-                           dedupe_by_id, publish, record_to_json)
+                           dedupe_by_id, json_line, publish, record_to_json)
 from kforge.errors import ConfigInvalid, KforgeError
 from kforge.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
@@ -56,8 +57,8 @@ class PipelineConfig:
     rps: float | None = None
     in_flight: int = 8
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    max_per_image: int = 2
-    min_contrast: float = 0.25
+    max_per_image: int = pairing.DEFAULT_MAX_PER_IMAGE
+    min_contrast: float = pairing.DEFAULT_MIN_CONTRAST
     vqa_policy: VqaValidationPolicy = field(default_factory=VqaValidationPolicy)
     interleave_min: int = 3
     interleave_max: int = 5
@@ -93,59 +94,51 @@ class PipelineConfig:
             json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+# each config section's keys -> PipelineConfig fields
+_CONFIG_KEYS = {
+    "backend": {"kind": "backend_kind", "endpoint": "endpoint", "model": "model",
+                "api_key": "api_key", "rps": "rps", "in_flight": "in_flight"},
+    "pairing": {"max_per_image": "max_per_image", "min_contrast": "min_contrast"},
+    "interleave": {"min_group": "interleave_min", "max_group": "interleave_max"},
+    "mixture": {"spec": "mixture_spec", "budget": "mixture_budget",
+                "unit": "mixture_unit", "rebalance": "rebalance"},
+    "kd": {"comparisons": "kd_comparisons"},
+}
+_TOP_LEVEL_KEYS = ("seed", "workers", "flush_every")
+
+
+def _from_values(cls, values: dict, **fixed):
+    """``cls`` with the fields ``values`` names and the ``fixed`` ones; the
+    rest keep their defaults. A value is converted to the type of a numeric
+    or boolean default and taken as it is otherwise."""
+    for f in fields(cls):
+        if f.name in values and f.name not in fixed:
+            number = isinstance(f.default, (bool, int, float))
+            fixed[f.name] = type(f.default)(values[f.name]) if number else values[f.name]
+    return cls(**fixed)
+
+
 def config_from_obj(obj: dict) -> PipelineConfig:
     """Parse the JSON config document; unknown sections are rejected."""
-    known = {"backend", "pairing", "vqa_policy", "interleave", "mixture", "kd",
-             "io", "seed", "workers", "flush_every"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {"io", "vqa_policy", *_CONFIG_KEYS, *_TOP_LEVEL_KEYS}
     if unknown:
         raise ConfigInvalid(f"unknown config sections: {sorted(unknown)}")
+    values = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
+    for section, keys in _CONFIG_KEYS.items():
+        doc = obj.get(section) or {}
+        values.update((name, doc[key]) for key, name in keys.items() if key in doc)
+    for name, env in (("endpoint", ENV_ENDPOINT), ("model", ENV_MODEL),
+                      ("api_key", ENV_API_KEY)):
+        values[name] = values.get(name) or os.environ.get(env)
     io = obj.get("io") or {}
-    backend = obj.get("backend") or {}
-    pairing_cfg = obj.get("pairing") or {}
-    vqa = obj.get("vqa_policy") or {}
-    interleave = obj.get("interleave") or {}
-    mix = obj.get("mixture") or {}
-    kd = obj.get("kd") or {}
-    retry_cfg = backend.get("retry") or {}
     try:
-        config = PipelineConfig(
-            in_dir=io["in_dir"],
-            out_dir=io["out_dir"],
-            quarantine_dir=io["quarantine_dir"],
-            backend_kind=backend.get("kind", "mock"),
-            endpoint=backend.get("endpoint") or os.environ.get(ENV_ENDPOINT),
-            model=backend.get("model") or os.environ.get(ENV_MODEL),
-            api_key=backend.get("api_key") or os.environ.get(ENV_API_KEY),
-            rps=backend.get("rps"),
-            in_flight=int(backend.get("in_flight", 8)),
-            retry=RetryPolicy(
-                max_attempts=int(retry_cfg.get("max_attempts", 3)),
-                backoff_base=float(retry_cfg.get("backoff_base", 0.5)),
-                backoff_factor=float(retry_cfg.get("backoff_factor", 2.0)),
-                reask_on_malformed=bool(retry_cfg.get("reask_on_malformed", True)),
-            ),
-            max_per_image=int(pairing_cfg.get("max_per_image", 2)),
-            min_contrast=float(pairing_cfg.get("min_contrast", 0.25)),
-            vqa_policy=VqaValidationPolicy(
-                min_items=int(vqa.get("min_items", 5)),
-                max_items=int(vqa.get("max_items", 15)),
-                min_global=int(vqa.get("min_global", 1)),
-                detail_to_global_min_ratio=float(vqa.get("detail_to_global_min_ratio", 2.0)),
-                grounding_min_overlap=float(vqa.get("grounding_min_overlap", 0.5)),
-            ),
-            interleave_min=int(interleave.get("min_group", 3)),
-            interleave_max=int(interleave.get("max_group", 5)),
-            mixture_spec=mix.get("spec", "builtin:baseline"),
-            mixture_budget=int(mix.get("budget", 1000)),
-            mixture_unit=mix.get("unit", "samples"),
-            rebalance=bool(mix.get("rebalance", False)),
-            kd_comparisons=tuple(tuple(c) for c in kd.get("comparisons",
-                                                          [["pair_caption", "caption0"]])),
-            seed=obj.get("seed"),
-            workers=int(obj.get("workers", 1)),
-            flush_every=int(obj.get("flush_every", 16)),
-        )
+        if "kd_comparisons" in values:
+            values["kd_comparisons"] = tuple(tuple(c) for c in values["kd_comparisons"])
+        config = _from_values(
+            PipelineConfig, values,
+            in_dir=io["in_dir"], out_dir=io["out_dir"], quarantine_dir=io["quarantine_dir"],
+            retry=_from_values(RetryPolicy, (obj.get("backend") or {}).get("retry") or {}),
+            vqa_policy=_from_values(VqaValidationPolicy, obj.get("vqa_policy") or {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc
     return validate_config(config)
@@ -454,42 +447,26 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
                  config.flush_every) as io:
         pending = [(work_id, payload) for work_id, payload in items
                    if work_id not in io.processed]
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = pool.map(run_one, pending)
-                for work_id, lines, exc in results:
-                    if exc is not None:
-                        quarantine.put(work_id, exc)
-                        io.append(work_id, [])
-                    else:
-                        io.append(work_id, lines)
-        else:
-            for entry in pending:
-                work_id, lines, exc = run_one(entry)
+        # results are committed in input order, whatever the number of workers
+        with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
+              else nullcontext()) as pool:
+            for work_id, lines, exc in (pool.map if pool else map)(run_one, pending):
                 if exc is not None:
                     quarantine.put(work_id, exc)
-                    io.append(work_id, [])
-                else:
-                    io.append(work_id, lines)
+                    lines = []
+                io.append(work_id, lines)
         lines = io.finalize(then)
     return len(items), len(lines)
 
 
 # --- stages --------------------------------------------------------------------
 
-def _annotatable(records: list[Record]) -> list[tuple[str, tuple[str, str]]]:
-    items = []
-    for r in records:
-        if r.kind in (KIND_CAPTION, KIND_VQA):
-            items.append((r.id, (r.id, r.image_uris[0])))
-    items.sort(key=lambda kv: kv[0])
-    return items
-
-
 def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                    ingest: Ingest):
-    records = _source_records(config, ingest, quarantine)
-    items = _annotatable(records)
+    """Extract semantic descriptors for source images."""
+    items = sorted(((r.id, (r.id, r.image_uris[0]))
+                    for r in _source_records(config, ingest, quarantine)
+                    if r.kind in (KIND_CAPTION, KIND_VQA)), key=lambda kv: kv[0])
 
     def process(payload):
         image_id, uri = payload
@@ -502,6 +479,7 @@ def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
 
 def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                ingest: Ingest):
+    """Propose aligned, contrasting image pairs from descriptors."""
     descriptors = ingest.descriptors(config)
     index = pairing.build_index(descriptors)
     candidates = pairing.propose_pairs(index, config.max_per_image, config.min_contrast)
@@ -511,6 +489,7 @@ def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
 
 def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                  ingest: Ingest):
+    """Run the semantic filter over candidate pairs."""
     descriptors = ingest.descriptor_map(config)
     candidates = list(pairing.read_candidates(_out(config, "pair_candidates.jsonl")))
     uris = ingest.uris(config, quarantine)
@@ -523,8 +502,7 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
             gateway,
             uris=(uris.get(candidate.left_id, candidate.left_id),
                   uris.get(candidate.right_id, candidate.right_id)))
-        return [json.dumps(pairing.verdict_to_obj(verdict), ensure_ascii=False,
-                           separators=(",", ":"))]
+        return [json_line(pairing.verdict_to_obj(verdict))]
 
     def select(lines):
         verdicts = [pairing.verdict_from_obj(json.loads(line)) for line in lines]
@@ -538,7 +516,7 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
 
 def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                   ingest: Ingest):
-    """Single-caption branch for images left unpaired by the filter."""
+    """Generate captions for images left unpaired."""
     descriptors = ingest.descriptor_map(config)
     paired = {image_id for pair in ingest.selected_pairs(config)
               for image_id in pair.pair_id}
@@ -558,9 +536,10 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
 
 def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                        ingest: Ingest):
+    """Generate joint captions for selected pairs."""
     descriptors = ingest.descriptor_map(config)
-    verdicts = {v.candidate.pair_id: v
-                for v in pairing.read_verdicts(_out(config, "pair_verdicts.jsonl"))}
+    verdicts = {v.candidate.pair_id: v for v in corpus.read_jsonl(
+        _out(config, "pair_verdicts.jsonl"), pairing.verdict_from_obj)}
     uris = ingest.uris(config, quarantine)
     selected = ingest.selected_pairs(config)
     items = [(f"{c.left_id}~{c.right_id}", c) for c in selected]
@@ -580,6 +559,7 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
 
 def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                      ingest: Ingest):
+    """Generate multi-image interleaved descriptions."""
     if config.seed is None:
         raise ConfigInvalid("interleave grouping samples; config needs a seed")
     descriptors = ingest.descriptor_map(config)
@@ -602,6 +582,7 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
 
 def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                     ingest: Ingest):
+    """Reconstruct VQA supervision from generated captions."""
     path = _out(config, "caption1.jsonl")
     captions = ingest.shard(path) if path.exists() else ()
     items = [(r.id, r) for r in captions]
@@ -616,6 +597,7 @@ def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quaran
 
 def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                    ingest: Ingest):
+    """Score knowledge density over the corpus and write a report."""
     records = [r for r in _source_records(config, ingest, quarantine,
                                           include_generated=True)
                if r.kind != KIND_OTHER]
@@ -624,18 +606,15 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
 
     def process(record):
         profile = knowledge.kd_score(record, gateway)
-        return [json.dumps(knowledge.profile_to_obj(profile), ensure_ascii=False,
-                           separators=(",", ":"))]
+        return [json_line(knowledge.profile_to_obj(profile))]
 
     def report(lines):
         profiles = [knowledge.ProfileCounts.from_line(line) for line in lines]
         scored_sources = {source_of.get(p.sample_id) for p in profiles}
         comparisons = [pair for pair in config.kd_comparisons
                        if all(s in scored_sources for s in pair)]
-        doc = knowledge.build_report(profiles, source_of, comparisons,
-                                     backend_id=gateway.backend_id)
-        publish(_out(config, "kd_report.json"),
-                [json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)])
+        knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
+                                 comparisons, gateway.backend_id)
 
     return _run_llm_items(config, "kd-score", items, process,
                           _out(config, "kd_profiles.jsonl"), quarantine, then=report)
@@ -643,30 +622,24 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
 
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
               ingest: Ingest):
+    """Plan, sample, and verify the configured training mixture."""
     if config.seed is None:
         raise ConfigInvalid("mix samples; config needs a seed")
-    if config.mixture_spec.startswith("builtin:"):
-        spec = mixture.builtin_spec(config.mixture_spec.split(":", 1)[1],
-                                    budget=config.mixture_budget,
-                                    seed=config.seed, unit=config.mixture_unit)
-    else:
-        spec = mixture.load_spec(config.mixture_spec)
+    spec = mixture.spec_from_ref(config.mixture_spec, config.mixture_budget,
+                                 config.seed, config.mixture_unit)
     records = _source_records(config, ingest, quarantine, include_generated=True)
-    pools = mixture.resolve_pools(records, spec)
     mix_dir = Path(config.out_dir) / "mixture"
     if not records:
         # empty corpus: publish empty outputs and report the failure via verify
         mixture.publish_mixture(mix_dir, mixture.MixturePlan(spec, {}, {}, {}), [])
         return 0, 0
-    plan = mixture.plan_mixture(spec, mixture.pool_sizes(pools, spec.unit),
-                                rebalance=config.rebalance)
-    sampled = mixture.sample_mixture(plan, pools)
-    mixture.publish_mixture(mix_dir, plan, sampled)
+    sampled, _ = mixture.build_mixture(records, spec, mix_dir, config.rebalance)
     return len(records), len(sampled)
 
 
 def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                 ingest: Ingest):
+    """Summarize corpus counts by source and kind."""
     records = _source_records(config, ingest, quarantine, include_generated=True)
     by_source: dict[str, int] = {}
     by_kind: dict[str, int] = {}
@@ -678,32 +651,26 @@ def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine
     return len(records), len(records)
 
 
-_STAGE_FUNCS = {
-    "annotate": stage_annotate,
-    "pair": stage_pair,
-    "filter": stage_filter,
-    "caption": stage_caption,
-    "pair-caption": stage_pair_caption,
-    "interleave": stage_interleave,
-    "vqa-synth": stage_vqa_synth,
-    "kd-score": stage_kd_score,
-    "mix": stage_mix,
-    "stats": stage_stats,
-}
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    run: Callable[[PipelineConfig, Gateway, Quarantine, Ingest], tuple[int, int]]
+    last_output: str  # the last file the stage publishes, under out_dir
 
-# the last file each stage publishes: run_all skips a stage once it exists
-_STAGE_OUTPUT = {
-    "annotate": "descriptors.jsonl",
-    "pair": "pair_candidates.jsonl",
-    "filter": "pairs_selected.jsonl",
-    "caption": "caption1.jsonl",
-    "pair-caption": "pair_caption.jsonl",
-    "interleave": "interleaved.jsonl",
-    "vqa-synth": "vqa1.jsonl",
-    "kd-score": "kd_report.json",
-    "mix": "mixture/mixture_verify.json",
-    "stats": "corpus_stats.json",
-}
+
+# every stage, in run_all order; a command's help is its run function's docstring
+STAGES = (
+    Stage("annotate", stage_annotate, "descriptors.jsonl"),
+    Stage("pair", stage_pair, "pair_candidates.jsonl"),
+    Stage("filter", stage_filter, "pairs_selected.jsonl"),
+    Stage("pair-caption", stage_pair_caption, "pair_caption.jsonl"),
+    Stage("caption", stage_caption, "caption1.jsonl"),
+    Stage("interleave", stage_interleave, "interleaved.jsonl"),
+    Stage("vqa-synth", stage_vqa_synth, "vqa1.jsonl"),
+    Stage("kd-score", stage_kd_score, "kd_report.json"),
+    Stage("mix", stage_mix, "mixture/mixture_verify.json"),
+    Stage("stats", stage_stats, "corpus_stats.json"),
+)
 
 
 def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None,
@@ -713,14 +680,15 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     ``ingest`` is the run's shared reader; without one the stage reads its
     inputs through a fresh ``Ingest``.
     """
-    if stage not in _STAGE_FUNCS:
+    run = next((s.run for s in STAGES if s.name == stage), None)
+    if run is None:
         raise ConfigInvalid(f"unknown stage {stage!r}")
     validate_config(config)
     with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
         quarantine = Quarantine(Path(config.quarantine_dir), stage)
         before = gateway.stats.snapshot()
-        n_in, n_out = _STAGE_FUNCS[stage](config, gateway, quarantine,
-                                          ingest if ingest is not None else Ingest())
+        n_in, n_out = run(config, gateway, quarantine,
+                          ingest if ingest is not None else Ingest())
         after = gateway.stats.snapshot()
     stats = {
         "stage": stage,
@@ -735,10 +703,6 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     return stats
 
 
-RUN_ALL_ORDER = ("annotate", "pair", "filter", "pair-caption", "caption",
-                 "interleave", "vqa-synth", "kd-score", "mix", "stats")
-
-
 def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
     """Run the full pipeline in order; completed stages are skipped on resume.
@@ -750,13 +714,13 @@ def run_all(config: PipelineConfig, strict: bool = False,
     work_dir = _work_dir(config)
     ingest = Ingest()
     with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
-        for stage in RUN_ALL_ORDER:
-            final = _out(config, _STAGE_OUTPUT[stage])
-            resumable = (work_dir / f"{stage}.ckpt").exists()
-            if final.exists() and not resumable:
-                logger.info("stage %s already complete, skipping", stage)
+        for stage in STAGES:
+            # done once its last file exists, unless its journal says otherwise
+            resumable = (work_dir / f"{stage.name}.ckpt").exists()
+            if _out(config, stage.last_output).exists() and not resumable:
+                logger.info("stage %s already complete, skipping", stage.name)
                 continue
-            stats = run_stage(stage, config, gateway=gateway, strict=strict,
+            stats = run_stage(stage.name, config, gateway=gateway, strict=strict,
                               ingest=ingest)
             all_stats.append(stats)
             if stats["strict_failure"]:

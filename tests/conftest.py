@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from kforge.annotation import SemanticDescriptor
 from kforge.corpus import Record
-from kforge.gateway import Gateway, ReplayBackend, RetryPolicy
+from kforge.errors import BackendError
+from kforge.gateway import Gateway, LlmRequest, RetryPolicy
 
 _NOUNS = ["harbor", "orchard", "workshop", "terrace", "canal", "quarry",
           "pavilion", "meadow", "depot", "attic", "cellar", "plaza"]
@@ -95,6 +97,27 @@ def random_descriptors(rng: random.Random, n: int) -> list[SemanticDescriptor]:
             keys=rng.sample(keys, rng.randint(0, 4)),
         ))
     return out
+
+
+class ReplayBackend:
+    """Serves scripted outputs in order; entries may be exceptions to raise."""
+
+    name = "replay"
+
+    def __init__(self, outputs: list):
+        self.outputs = list(outputs)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: LlmRequest, prompt: str) -> str:
+        with self._lock:
+            if not self.outputs:
+                raise BackendError("http_status", 500, "replay script exhausted")
+            self.calls += 1
+            item = self.outputs.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
 
 
 def replay_gateway(outputs: list, **kwargs) -> Gateway:

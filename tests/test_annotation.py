@@ -7,7 +7,8 @@ import pytest
 from kforge.annotation import (SemanticDescriptor, annotate_image,
                                canonical_list, descriptor_from_obj,
                                descriptor_to_json, read_descriptors,
-                               validate_descriptor, write_descriptors)
+                               validate_descriptor)
+from kforge.corpus import publish
 from kforge.errors import SchemaMismatch
 from kforge.gateway import mock_gateway
 
@@ -99,7 +100,7 @@ def test_descriptor_roundtrip(tmp_path):
     gw = mock_gateway()
     descriptors = [annotate_image(f"img-{i}", f"file:///{i}.jpg", gw) for i in range(6)]
     path = tmp_path / "d.jsonl"
-    assert write_descriptors(descriptors, path) == 6
+    publish(path, [descriptor_to_json(d) + "\n" for d in descriptors])
     assert list(read_descriptors(path)) == descriptors
 
 

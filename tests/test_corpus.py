@@ -452,14 +452,19 @@ def test_read_shard_decodes_like_json_loads(tmp_path, seed):
     assert got and any(kind == "ParseError" for _, kind, _ in errors)
 
 
-def test_read_shard_too_deep_raises_like_json_loads(tmp_path):
-    line = "[" * 100000 + "]" * 100000
-    with pytest.raises(Exception) as oracle:
-        oracle_json_line(line)
+def test_read_shard_too_deep_is_a_parse_error(tmp_path, corpus30):
+    # json.loads raises RecursionError here; the line is reported, not raised
+    deep = "[" * 100000 + "]" * 100000
     path = tmp_path / "s.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(type(oracle.value)):
-        list(read_shard(path, on_error=lambda exc, n, raw: None))
+    path.write_text("\n".join([record_to_json(corpus30[0]), deep,
+                               record_to_json(corpus30[1])]) + "\n", encoding="utf-8")
+    errors = []
+    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    assert [r.id for r in records] == [corpus30[0].id, corpus30[1].id]
+    assert [(type(exc), n, exc.line) for exc, n in errors] == [(ParseError, 2, 2)]
+    with pytest.raises(ParseError) as err:
+        list(read_shard(path))
+    assert err.value.line == 2
 
 
 # --- dedupe -------------------------------------------------------------------

@@ -11,12 +11,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from kforge.errors import BackendError, MalformedOutput, ValidationError
-from kforge.gateway import (Gateway, HttpBackend, LlmRequest, ReplayBackend,
-                            RetryPolicy, TokenBucket, mock_gateway)
+from kforge.gateway import (Gateway, HttpBackend, LlmRequest, RetryPolicy,
+                            TokenBucket, mock_gateway)
 from kforge.jsonx import extract_json
 from kforge.prompts import REGISTRY, render_prompt
 
-from conftest import replay_gateway
+from conftest import ReplayBackend, replay_gateway
 
 # a socket or server left open on any exit path fails the test
 pytestmark = pytest.mark.filterwarnings(

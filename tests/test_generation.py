@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -130,6 +131,17 @@ def test_interleaved_missing_marker_after_reask():
     with pytest.raises(MarkerViolation) as err:
         generate_interleaved(_group(3), gw)
     assert err.value.missing == [3]
+
+
+def test_interleaved_many_duplicate_markers_fail_fast():
+    text = "<Image_2> <Image_3> " + "<Image_1> " * 20000
+    gw = replay_gateway([text, text])
+    start = time.perf_counter()
+    with pytest.raises(MarkerViolation) as err:
+        generate_interleaved(_group(3), gw)
+    # one linear pass takes milliseconds; a count per marker took over a second
+    assert time.perf_counter() - start < 0.25
+    assert (err.value.missing, err.value.duplicated, err.value.out_of_range) == ([], [1], [])
 
 
 def test_interleaved_reask_can_fix_markers():

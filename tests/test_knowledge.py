@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from kforge.corpus import Record
+from kforge.corpus import Record, json_line, publish, read_jsonl
 from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
 from kforge.gateway import mock_gateway
 from kforge.knowledge import (KnowledgeElement, KnowledgeProfile, ProfileCounts,
                               build_report, extract_elements, kd_score,
-                              profile_from_obj, profile_to_obj, read_profiles,
-                              write_profiles)
+                              profile_to_obj)
 
 from conftest import replay_gateway
 from fixtures_text import (INTERLEAVE_CONSTITUENTS, INTERLEAVE_TEXT,
@@ -178,9 +177,16 @@ def test_profile_roundtrip(tmp_path):
     gw = mock_gateway()
     profiles = [kd_score(_text_record(f"r{i}", PAIR_SINGLE_A), gw) for i in range(3)]
     path = tmp_path / "p.jsonl"
-    write_profiles(profiles, path)
-    assert list(read_profiles(path)) == profiles
-    assert profile_from_obj(profile_to_obj(profiles[0])) == profiles[0]
+    publish(path, [json_line(profile_to_obj(p)) + "\n" for p in profiles])
+
+    def profile_from_obj(obj):
+        return KnowledgeProfile(obj["sample_id"], tuple(
+            KnowledgeElement(e["text"], e["kind"], e.get("level")) for e in obj["elements"]))
+
+    assert list(read_jsonl(path, profile_from_obj)) == profiles
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [ProfileCounts.from_line(line) for line in lines] == [
+        (p.sample_id, p.kd, p.n_facts, p.n_abstract) for p in profiles]
 
 
 def test_report_from_stored_counts_matches_full_profiles():

@@ -13,6 +13,7 @@ from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
 from kforge.errors import ConfigInvalid, ParseError
 from kforge.gateway import Gateway, MockBackend, RetryPolicy
+from kforge.generation import VqaValidationPolicy
 from kforge.pipeline import (PipelineConfig, Quarantine, StageIO, config_from_obj,
                              run_all, run_stage)
 
@@ -110,6 +111,48 @@ def test_unknown_config_section_rejected(tmp_path):
                          "surprise": {}})
 
 
+def test_minimal_config_takes_every_default(monkeypatch):
+    for name in ("KF_LLM_ENDPOINT", "KF_LLM_MODEL", "KF_LLM_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    config = config_from_obj({"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}})
+    assert config == PipelineConfig("a", "b", "c")
+
+
+def test_config_keys_are_converted_and_digest_is_stable():
+    config = config_from_obj({
+        "io": {"in_dir": "in", "out_dir": "out", "quarantine_dir": "q"},
+        "backend": {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
+                    "api_key": "k", "rps": "2.5", "in_flight": "3",
+                    "retry": {"max_attempts": "4", "backoff_base": 1, "backoff_factor": 3,
+                              "reask_on_malformed": 0}},
+        "pairing": {"max_per_image": "1", "min_contrast": "0.5"},
+        "vqa_policy": {"min_items": "2", "max_items": 9, "min_global": 2,
+                       "detail_to_global_min_ratio": 1, "grounding_min_overlap": "0.75"},
+        "interleave": {"min_group": 4, "max_group": "6"},
+        "mixture": {"spec": "builtin:caption_only", "budget": "500", "unit": "tokens",
+                    "rebalance": 1},
+        "kd": {"comparisons": [["a", "b"], ["c", "d"]]},
+        "seed": 7, "workers": "2", "flush_every": "4",
+    })
+    assert config == PipelineConfig(
+        "in", "out", "q", backend_kind="http", endpoint="http://localhost:9/v1", model="m",
+        api_key="k", rps="2.5", in_flight=3,
+        retry=RetryPolicy(max_attempts=4, backoff_base=1.0, backoff_factor=3.0,
+                          reask_on_malformed=False),
+        max_per_image=1, min_contrast=0.5,
+        vqa_policy=VqaValidationPolicy(min_items=2, max_items=9, min_global=2,
+                                       detail_to_global_min_ratio=1.0,
+                                       grounding_min_overlap=0.75),
+        interleave_min=4, interleave_max=6, mixture_spec="builtin:caption_only",
+        mixture_budget=500, mixture_unit="tokens", rebalance=True,
+        kd_comparisons=(("a", "b"), ("c", "d")), seed=7, workers=2, flush_every=4)
+    # journals written by earlier versions carry these digests and must still resume
+    assert config.digest() == (
+        "be26b84a41e5a0658ff2ee467b640ea0f9a6cf4aa5be34bced5a850d91bb3e8a")
+    assert PipelineConfig("a", "b", "c").digest() == (
+        "f6072ef6ce73dbf53ec9e9ac5d26a6c1d859214fe4ba91ed73cafb39f650fa9a")
+
+
 def test_digest_changes_with_settings(tmp_path):
     config = make_workspace(tmp_path)
     d1 = config.digest()
@@ -168,6 +211,49 @@ def test_dirty_corpus_survives_full_run(tmp_path):
     assert [(name, row["work_id"], row["error_code"]) for name, row in rows] == [
         ("annotate.jsonl", "corpus.jsonl:31", "parse")]
     assert [s["stage"] for s in all_stats if s["quarantined"]] == ["annotate"]
+
+
+def _quarantine_rows(config: PipelineConfig) -> list[tuple[str, dict]]:
+    return [(path.name, json.loads(line))
+            for path in sorted(Path(config.quarantine_dir).glob("*.jsonl"))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_too_deeply_nested_line_quarantined_in_full_run(tmp_path):
+    config = make_workspace(tmp_path)
+    with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("[" * 100000 + "]" * 100000 + "\n")
+    code, _ = run_all(config)
+    assert code == 0
+    assert [(row["work_id"], row["error_code"]) for _, row in _quarantine_rows(config)] == [
+        ("corpus.jsonl:31", "parse")]
+
+
+class _NoCaptionFor(MockBackend):
+    """Mock backend that returns an empty caption for one image."""
+
+    def __init__(self, image_id: str):
+        self.image_id = image_id
+
+    def complete(self, request, prompt):
+        if request.template_id == "single_caption" and self.image_id in prompt:
+            return ""
+        return super().complete(request, prompt)
+
+
+def test_run_all_same_bytes_at_one_and_three_workers(tmp_path):
+    trees = []
+    for workers in (1, 3):
+        config = make_workspace(tmp_path, f"workers{workers}")
+        with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("this is not json\n")
+        config.workers = workers
+        gateway = Gateway(_NoCaptionFor("c0-001"), retry=RetryPolicy(backoff_base=0.001))
+        assert run_all(config, gateway=gateway)[0] == 0
+        trees.append((_tree_bytes(config.out_dir), _tree_bytes(config.quarantine_dir)))
+    assert trees[0] == trees[1]
+    # both the bad input line and the failed model item are quarantined
+    assert set(trees[0][1]) == {"annotate.jsonl", "caption.jsonl"}
 
 
 def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
@@ -249,7 +335,7 @@ def test_stage_sequence_produces_all_outputs(tmp_path):
     assert verify["pass"] is True
     report = json.loads((out / "kd_report.json").read_text())
     assert report["metadata"]["backend_id"] == "mock"
-    assert {s["stage"] for s in all_stats} == set(pipeline.RUN_ALL_ORDER)
+    assert [s["stage"] for s in all_stats] == [stage.name for stage in pipeline.STAGES]
 
 
 def test_generated_records_validate_and_mixture_has_no_dupes(tmp_path):
@@ -580,6 +666,26 @@ def test_cli_kd_score_standalone(tmp_path, shard_dir):
     report = json.loads(report_path.read_text())
     assert report["comparisons"][0]["source_a"] == "caption0"
     assert set(report["per_source"]) == {"caption0", "vqa0", "pure_text"}
+
+
+def test_cli_surface():
+    result = CliRunner().invoke(cli_main, ["--help"])
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.output.split("Commands:")[1].splitlines()
+              if line.strip()]
+    assert listed == ["annotate", "caption", "filter", "interleave", "kd-score", "mix",
+                      "pair", "pair-caption", "run-all", "stats", "vqa-synth"]
+    common = {"--config", "--strict", "--seed"}
+    expected = {
+        "annotate": common, "filter": common, "caption": common, "pair-caption": common,
+        "interleave": common, "stats": common, "run-all": common,
+        "pair": common | {"--max-per-image", "--min-contrast"},
+        "vqa-synth": common | {"--min-items", "--max-items", "--ratio", "--grounding"},
+        "kd-score": {"--in", "--report", "--compare", "--config"},
+        "mix": {"--spec", "--pools", "--out", "--rebalance", "--budget", "--unit", "--seed"},
+    }
+    assert {name: {opt for param in command.params for opt in param.opts}
+            for name, command in cli_main.commands.items()} == expected
 
 
 def test_cli_pair_flag_overrides(tmp_path):
