@@ -93,8 +93,7 @@ def annotate_image(image_id: str, image_uri: str, gateway: Gateway) -> SemanticD
         bindings={"image": f"{image_id} {image_uri}"},
         image_uris=(image_uri,),
     )
-    raw = gateway.complete_json(request)
-    return validate_descriptor(raw, image_id=image_id)
+    return validate_descriptor(gateway.complete(request), image_id=image_id)
 
 
 def descriptor_to_json(descriptor: SemanticDescriptor) -> str:

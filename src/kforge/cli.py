@@ -108,7 +108,7 @@ def mix_cmd(spec_ref, pools_dir, out_dir, rebalance, budget, unit, seed):
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--strict", is_flag=True)
 @click.option("--seed", type=int, default=None)
-@_exit_codes(ConfigInvalid)
+@_exit_codes(ConfigInvalid, SpecInvalid)
 def run_all(config_path, strict, seed):
     """Run every stage in pipeline order."""
     code, all_stats = pipeline.run_all(_load_config(config_path, seed), strict=strict)

@@ -9,11 +9,13 @@ backend uses only
 the standard library: one keep-alive connection per worker thread, proxies
 read once from the environment, HTTPS verified against the system trust
 store. Timeouts, 429s, 5xx replies and connections dropped before a
-response are retried with backoff.
+response are retried with backoff. ``Gateway.complete`` is the one reply
+path: it checks each reply, re-asks at most once and returns the parsed value.
 """
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import http.client
 import json
@@ -30,7 +32,7 @@ from urllib.request import getproxies, proxy_bypass
 from kforge import jsonx
 from kforge.errors import (BackendError, ConfigInvalid, KforgeError, MalformedOutput,
                            ValidationError)
-from kforge.prompts import JSON_LIST, JSON_OBJECT, REGISTRY, PromptTemplate, render_prompt
+from kforge.prompts import REGISTRY, PromptTemplate, render_prompt
 from kforge.textnorm import distinct_content_words, tokenize
 
 logger = logging.getLogger(__name__)
@@ -433,8 +435,9 @@ class Gateway:
     """Thread-safe front door to one backend.
 
     Applies the retry policy to transport failures, enforces the in-flight
-    cap and rate limit, and, for templates that must return JSON, performs
-    the single re-ask on malformed output before failing.
+    cap and rate limit, and checks each reply once: a reply that breaks its
+    contract is re-asked at most once before failing, and the checked reply
+    is returned parsed, so nothing decodes it again.
     """
 
     def __init__(self, backend, retry: RetryPolicy | None = None,
@@ -504,39 +507,40 @@ class Gateway:
         assert last is not None
         raise last
 
-    def complete(self, request: LlmRequest) -> str:
-        """Run one request, returning raw text that honors the template contract."""
+    def complete(self, request: LlmRequest, parse=None, reask: str = ""):
+        """Send one request and return its reply as ``parse`` returns it.
+
+        ``parse`` raises a ``KforgeError`` for a reply that breaks the
+        caller's contract; if ``reask`` is set the prompt is then sent once
+        more with ``reask`` appended, and the second reply's error propagates.
+        JSON templates default to ``jsonx.extract_json`` and, when
+        ``retry.reask_on_malformed`` is set, to ``REASK_SUFFIX`` and a
+        ``MalformedOutput`` after a failed re-ask. Other replies are text.
+        """
         template = self._template(request)
         prompt = render_prompt(template, request.bindings)
         text = self._attempt(request, prompt)
-        if template.expected_output in (JSON_LIST, JSON_OBJECT) and self.retry.reask_on_malformed:
-            try:
-                jsonx.extract_json(text, template.expected_output)
-                return text
-            except KforgeError:
-                pass
-            self.stats.bump("reasks")
-            text = self._attempt(request, prompt + REASK_SUFFIX)
-            try:
-                jsonx.extract_json(text, template.expected_output)
-            except KforgeError as exc:
-                raise MalformedOutput(
-                    f"{request.template_id}: output not valid {template.expected_output} after re-ask") from exc
-        return text
-
-    def complete_json(self, request: LlmRequest):
-        """complete() plus JSON extraction for structured templates."""
-        template = self._template(request)
-        if template.expected_output not in (JSON_LIST, JSON_OBJECT):
-            raise ValidationError("template_id", f"{request.template_id} is not a JSON template")
-        return jsonx.extract_json(self.complete(request), template.expected_output)
-
-    def reask(self, request: LlmRequest, suffix: str) -> str:
-        """One follow-up attempt with extra instructions appended to the prompt."""
-        template = self._template(request)
-        prompt = render_prompt(template, request.bindings) + suffix
+        shape = template.expected_output
+        json_reply = parse is None and shape in (jsonx.JSON_LIST, jsonx.JSON_OBJECT)
+        if json_reply:
+            parse = functools.partial(jsonx.extract_json, expected=shape)
+            reask = REASK_SUFFIX if self.retry.reask_on_malformed else ""
+        elif parse is None:
+            return text
+        try:
+            return parse(text)
+        except KforgeError:
+            if not reask:
+                raise
         self.stats.bump("reasks")
-        return self._attempt(request, prompt)
+        text = self._attempt(request, prompt + reask)
+        try:
+            return parse(text)
+        except KforgeError as exc:
+            if not json_reply:
+                raise
+            raise MalformedOutput(
+                f"{request.template_id}: output not valid {shape} after re-ask") from exc
 
 
 def mock_gateway(**kwargs) -> Gateway:

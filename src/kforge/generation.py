@@ -7,7 +7,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from kforge import jsonx
 from kforge.annotation import SemanticDescriptor
 from kforge.corpus import (KIND_CAPTION, KIND_INTERLEAVED, KIND_PAIR_CAPTION,
                            KIND_VQA, Record, marker_problems, validate_record)
@@ -192,15 +191,16 @@ def generate_interleaved(group: list[GroupMember], gateway: Gateway) -> Record:
         bindings={"group": listing},
         image_uris=tuple(m.image_uri for m in group),
     )
-    n = len(group)
-    text = gateway.complete(request).strip()
-    if any(marker_problems(text, n)):
-        text = gateway.reask(request, _INTERLEAVE_REASK.replace("{n}", str(n))).strip()
-        problems = marker_problems(text, n)
+
+    def checked(text: str) -> str:
+        text = text.strip()
+        problems = marker_problems(text, len(group))
         if any(problems):
             raise MarkerViolation(*problems)
-    if not text:
-        raise EmptyGeneration("empty interleaved description")
+        return text
+
+    text = gateway.complete(request, checked,
+                            _INTERLEAVE_REASK.replace("{n}", str(len(group))))
 
     record = Record(
         id=make_child_id("ilv", *(m.image_id for m in group)),
@@ -268,7 +268,7 @@ def synthesize_vqa(caption_record: Record, policy: VqaValidationPolicy,
         raise ValidationError("payload", "caption is empty")
 
     request = LlmRequest(template_id="caption_to_vqa", bindings={"cap": caption})
-    raw_items = jsonx.extract_json(gateway.complete(request), jsonx.JSON_LIST)
+    raw_items = gateway.complete(request)
 
     items: list[tuple[str, str]] = []
     for raw in raw_items:

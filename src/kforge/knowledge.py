@@ -86,10 +86,8 @@ def extract_elements(text: str, gateway: Gateway) -> tuple[KnowledgeElement, ...
     """
     if not text.strip():
         raise ValidationError("text", "cannot extract knowledge from empty text")
-    raw = gateway.complete_json(LlmRequest(template_id="knowledge_extract",
-                                           bindings={"text": text}))
-    if not isinstance(raw, dict):
-        raise SchemaMismatch("knowledge", "not a JSON object")
+    raw = gateway.complete(LlmRequest(template_id="knowledge_extract",
+                                      bindings={"text": text}))
     for key in ("Fact", "Abstract"):
         if key not in raw or not isinstance(raw[key], list):
             raise SchemaMismatch(key)

@@ -7,6 +7,7 @@ relationship is coherent enough to explain simply.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,15 +171,13 @@ def _cap(scored: list[tuple[float, str, str, str]],
 _FILTER_REASK = ('\nAnswer with a single line starting with "PASS:" or "FAIL:".')
 
 
-def _parse_verdict(candidate: PairCandidate, text: str) -> PairVerdict | None:
+def _parse_verdict(candidate: PairCandidate, text: str) -> PairVerdict:
     lines = text.strip().splitlines() or [""]
     first = lines[0].strip()
-    if first.startswith("PASS"):
-        passed = True
-    elif first.startswith("FAIL"):
-        passed = False
-    else:
-        return None
+    if not first.startswith(("PASS", "FAIL")):
+        raise MalformedOutput(f"pair {candidate.left_id}/{candidate.right_id}: "
+                              "filter did not answer PASS or FAIL")
+    passed = first.startswith("PASS")
     rationale = first[4:].lstrip(" :").strip()
     if not rationale:
         rationale = " ".join(ln.strip() for ln in lines[1:] if ln.strip()) or "unspecified"
@@ -195,14 +194,8 @@ def filter_pair(candidate: PairCandidate, left: SemanticDescriptor,
                   "right": f"{right.image_id}: {right.summary()}"},
         image_uris=uris or (candidate.left_id, candidate.right_id),
     )
-    verdict = _parse_verdict(candidate, gateway.complete(request))
-    if verdict is not None:
-        return verdict
-    verdict = _parse_verdict(candidate, gateway.reask(request, _FILTER_REASK))
-    if verdict is not None:
-        return verdict
-    raise MalformedOutput(
-        f"pair {candidate.left_id}/{candidate.right_id}: filter did not answer PASS or FAIL")
+    return gateway.complete(request, functools.partial(_parse_verdict, candidate),
+                            _FILTER_REASK)
 
 
 def select_pairs(verdicts: Iterable[PairVerdict]) -> list[PairCandidate]:

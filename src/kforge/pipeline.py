@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -118,27 +119,43 @@ def _from_values(cls, values: dict, **fixed):
     return cls(**fixed)
 
 
+def _section(doc, label: str, keys) -> dict:
+    """One config section's object, empty when absent; unknown keys are rejected."""
+    doc = doc or {}
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"config section {label} must be an object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigInvalid(f"unknown keys in config section {label}: {sorted(unknown)}")
+    return doc
+
+
 def config_from_obj(obj: dict) -> PipelineConfig:
-    """Parse the JSON config document; unknown sections are rejected."""
+    """Parse the JSON config document; unknown sections and keys are rejected."""
     unknown = set(obj) - {"io", "vqa_policy", *_CONFIG_KEYS, *_TOP_LEVEL_KEYS}
     if unknown:
         raise ConfigInvalid(f"unknown config sections: {sorted(unknown)}")
     values = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
     for section, keys in _CONFIG_KEYS.items():
-        doc = obj.get(section) or {}
+        doc = _section(obj.get(section), section,
+                       [*keys, "retry"] if section == "backend" else keys)
         values.update((name, doc[key]) for key, name in keys.items() if key in doc)
     for name, env in (("endpoint", ENV_ENDPOINT), ("model", ENV_MODEL),
                       ("api_key", ENV_API_KEY)):
         values[name] = values.get(name) or os.environ.get(env)
-    io = obj.get("io") or {}
+    io = _section(obj.get("io"), "io", ("in_dir", "out_dir", "quarantine_dir"))
+    retry = _section((obj.get("backend") or {}).get("retry"), "backend.retry",
+                     [f.name for f in fields(RetryPolicy)])
+    vqa_policy = _section(obj.get("vqa_policy"), "vqa_policy",
+                          [f.name for f in fields(VqaValidationPolicy)])
     try:
         if "kd_comparisons" in values:
             values["kd_comparisons"] = tuple(tuple(c) for c in values["kd_comparisons"])
         config = _from_values(
             PipelineConfig, values,
             in_dir=io["in_dir"], out_dir=io["out_dir"], quarantine_dir=io["quarantine_dir"],
-            retry=_from_values(RetryPolicy, (obj.get("backend") or {}).get("retry") or {}),
-            vqa_policy=_from_values(VqaValidationPolicy, obj.get("vqa_policy") or {}))
+            retry=_from_values(RetryPolicy, retry),
+            vqa_policy=_from_values(VqaValidationPolicy, vqa_policy))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc
     return validate_config(config)
@@ -164,6 +181,13 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
                             f"(config or {ENV_ENDPOINT}/{ENV_MODEL})")
     if config.workers < 1:
         raise ConfigInvalid("workers must be >= 1")
+    if config.in_flight < 1:
+        raise ConfigInvalid("backend.in_flight must be >= 1")
+    rps = config.rps
+    # a bool is an int to Python but not a rate; inf and nan are no rate either
+    if rps is not None and (isinstance(rps, bool) or not isinstance(rps, (int, float))
+                            or not 0 < rps < math.inf):
+        raise ConfigInvalid(f"backend.rps must be null or a number > 0, got {rps!r}")
     return config
 
 
@@ -557,17 +581,26 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
                           _out(config, "pair_caption.jsonl"), quarantine)
 
 
+def _seed(config: PipelineConfig, what: str) -> int:
+    if config.seed is None:
+        raise ConfigInvalid(f"{what} samples; config needs a seed")
+    return config.seed
+
+
+def _mixture_spec(config: PipelineConfig) -> mixture.MixtureSpec:
+    return mixture.spec_from_ref(config.mixture_spec, config.mixture_budget,
+                                 _seed(config, "mix"), config.mixture_unit)
+
+
 def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                      ingest: Ingest):
     """Generate multi-image interleaved descriptions."""
-    if config.seed is None:
-        raise ConfigInvalid("interleave grouping samples; config needs a seed")
+    seed = _seed(config, "interleave grouping")
     descriptors = ingest.descriptor_map(config)
     uris = ingest.uris(config, quarantine)
     groups = generation.group_for_interleave(
         ingest.selected_pairs(config), descriptors,
-        min_size=config.interleave_min, max_size=config.interleave_max,
-        seed=config.seed)
+        min_size=config.interleave_min, max_size=config.interleave_max, seed=seed)
     items = [("g~" + "~".join(group),
               [GroupMember(i, uris.get(i, i), descriptors[i]) for i in group])
              for group in groups]
@@ -623,10 +656,7 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
               ingest: Ingest):
     """Plan, sample, and verify the configured training mixture."""
-    if config.seed is None:
-        raise ConfigInvalid("mix samples; config needs a seed")
-    spec = mixture.spec_from_ref(config.mixture_spec, config.mixture_budget,
-                                 config.seed, config.mixture_unit)
+    spec = _mixture_spec(config)
     records = _source_records(config, ingest, quarantine, include_generated=True)
     mix_dir = Path(config.out_dir) / "mixture"
     if not records:
@@ -707,21 +737,29 @@ def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
     """Run the full pipeline in order; completed stages are skipped on resume.
 
-    All stages share one ``Ingest``, so each input file is read once.
+    All stages share one ``Ingest``, so each input file is read once. The
+    settings a later stage would reject are checked before the first stage
+    runs, so a bad seed or mixture spec costs no model call.
     """
     validate_config(config)
-    all_stats = []
     work_dir = _work_dir(config)
+    todo = []
+    for stage in STAGES:
+        # done once its last file exists, unless its journal says otherwise
+        resumable = (work_dir / f"{stage.name}.ckpt").exists()
+        if _out(config, stage.last_output).exists() and not resumable:
+            logger.info("stage %s already complete, skipping", stage.name)
+        else:
+            todo.append(stage.name)
+    if "interleave" in todo:
+        _seed(config, "interleave grouping")
+    if "mix" in todo:
+        _mixture_spec(config)
+    all_stats = []
     ingest = Ingest()
     with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
-        for stage in STAGES:
-            # done once its last file exists, unless its journal says otherwise
-            resumable = (work_dir / f"{stage.name}.ckpt").exists()
-            if _out(config, stage.last_output).exists() and not resumable:
-                logger.info("stage %s already complete, skipping", stage.name)
-                continue
-            stats = run_stage(stage.name, config, gateway=gateway, strict=strict,
-                              ingest=ingest)
+        for stage in todo:
+            stats = run_stage(stage, config, gateway=gateway, strict=strict, ingest=ingest)
             all_stats.append(stats)
             if stats["strict_failure"]:
                 return 1, all_stats

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from kforge.errors import MissingBinding
+from kforge.jsonx import JSON_LIST, JSON_OBJECT
 
 FREE_TEXT = "free_text"
-JSON_LIST = "json_list"
-JSON_OBJECT = "json_object"
 VERDICT = "verdict"
 
 

@@ -100,17 +100,22 @@ def random_descriptors(rng: random.Random, n: int) -> list[SemanticDescriptor]:
 
 
 class ReplayBackend:
-    """Serves scripted outputs in order; entries may be exceptions to raise."""
+    """Serves scripted outputs in order; entries may be exceptions to raise.
+
+    ``prompts`` records every prompt received, in order.
+    """
 
     name = "replay"
 
     def __init__(self, outputs: list):
         self.outputs = list(outputs)
         self.calls = 0
+        self.prompts: list[str] = []
         self._lock = threading.Lock()
 
     def complete(self, request: LlmRequest, prompt: str) -> str:
         with self._lock:
+            self.prompts.append(prompt)
             if not self.outputs:
                 raise BackendError("http_status", 500, "replay script exhausted")
             self.calls += 1

@@ -10,10 +10,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from kforge.errors import BackendError, MalformedOutput, ValidationError
-from kforge.gateway import (Gateway, HttpBackend, LlmRequest, RetryPolicy,
-                            TokenBucket, mock_gateway)
-from kforge.jsonx import extract_json
+from kforge.errors import (BackendError, JsonSyntax, KforgeError, MalformedOutput,
+                           NoJsonFound, ValidationError, WrongShape)
+from kforge.gateway import (REASK_SUFFIX, Gateway, HttpBackend, LlmRequest, MockBackend,
+                            RetryPolicy, TokenBucket, mock_gateway)
 from kforge.prompts import REGISTRY, render_prompt
 
 from conftest import ReplayBackend, replay_gateway
@@ -27,6 +27,10 @@ FAST = RetryPolicy(backoff_base=0.001)
 
 def _vqa_request(cap="A quiet harbor with two red boats and a long stone pier."):
     return LlmRequest("caption_to_vqa", {"cap": cap})
+
+
+def _prompt(request: LlmRequest) -> str:
+    return render_prompt(REGISTRY[request.template_id], request.bindings)
 
 
 # --- mock determinism ---------------------------------------------------------
@@ -50,29 +54,34 @@ MOCK_BATTERY_SHA256 = "162e69a0af849eb5d5d86af8886dcded5049b54dd229003ed66f7f159
 
 
 def test_mock_determinism_across_process_restarts():
-    gw = mock_gateway()
-    outputs = [
-        gw.complete(LlmRequest("single_caption", {"image": "img-1 file:///1.jpg"}, ("file:///1.jpg",))),
-        gw.complete(_vqa_request()),
-        gw.complete(LlmRequest("hier_semantic", {"image": "img-2 file:///2.jpg"}, ("file:///2.jpg",))),
-        gw.complete(LlmRequest("pair_filter", {"left": "a: summary", "right": "b: summary"},
-                               ("file:///a.jpg", "file:///b.jpg"))),
-        gw.complete(LlmRequest("knowledge_extract", {"text": "A black cat sits on the warm windowsill."})),
-        gw.complete(LlmRequest("pair_caption",
-                               {"left": "a: reef", "right": "b: dune",
-                                "shared": "coastlines", "differing": "texture"},
-                               ("file:///a.jpg", "file:///b.jpg"))),
-        gw.complete(LlmRequest("interleave", {"group": "Image 1: a\nImage 2: b\nImage 3: c"},
-                               ("file:///a.jpg", "file:///b.jpg", "file:///c.jpg"))),
+    battery = [
+        LlmRequest("single_caption", {"image": "img-1 file:///1.jpg"}, ("file:///1.jpg",)),
+        _vqa_request(),
+        LlmRequest("hier_semantic", {"image": "img-2 file:///2.jpg"}, ("file:///2.jpg",)),
+        LlmRequest("pair_filter", {"left": "a: summary", "right": "b: summary"},
+                   ("file:///a.jpg", "file:///b.jpg")),
+        LlmRequest("knowledge_extract", {"text": "A black cat sits on the warm windowsill."}),
+        LlmRequest("pair_caption",
+                   {"left": "a: reef", "right": "b: dune",
+                    "shared": "coastlines", "differing": "texture"},
+                   ("file:///a.jpg", "file:///b.jpg")),
+        LlmRequest("interleave", {"group": "Image 1: a\nImage 2: b\nImage 3: c"},
+                   ("file:///a.jpg", "file:///b.jpg", "file:///c.jpg")),
     ]
+    # the raw texts: the gateway returns JSON templates' replies parsed
+    outputs = [MockBackend().complete(request, _prompt(request)) for request in battery]
     digest = hashlib.sha256("\x00".join(outputs).encode("utf-8")).hexdigest()
     assert digest == MOCK_BATTERY_SHA256
+    gw = mock_gateway()
+    assert [gw.complete(request) for request in battery] == [
+        json.loads(text) if REGISTRY[request.template_id].expected_output.startswith("json")
+        else text for request, text in zip(battery, outputs)]
 
 
 def test_mock_hier_semantic_is_schema_valid():
     gw = mock_gateway()
-    raw = gw.complete_json(LlmRequest("hier_semantic", {"image": "i file:///i.jpg"},
-                                      ("file:///i.jpg",)))
+    raw = gw.complete(LlmRequest("hier_semantic", {"image": "i file:///i.jpg"},
+                                 ("file:///i.jpg",)))
     inner = raw["hierarchical_semantic_information"]
     assert inner["type_theme"] and inner["semantic_subcategory"]
     assert isinstance(inner["distinguishing_key_information"], list)
@@ -80,7 +89,7 @@ def test_mock_hier_semantic_is_schema_valid():
 
 def test_mock_vqa_shape():
     gw = mock_gateway()
-    items = extract_json(gw.complete(_vqa_request()), "json_list")
+    items = gw.complete(_vqa_request())
     assert 5 <= len(items) <= 15
     assert all(set(item) == {"question", "answer"} for item in items)
 
@@ -124,7 +133,7 @@ def test_negative_temperature_rejected():
 def test_transport_retry_then_success():
     gw = replay_gateway([BackendError("timeout"), '[{"question":"q","answer":"a"}]'])
     out = gw.complete(_vqa_request())
-    assert out.startswith("[")
+    assert out == [{"question": "q", "answer": "a"}]
     assert gw.stats.llm_calls == 2
     assert gw.stats.retries == 1
 
@@ -146,34 +155,95 @@ def test_non_retryable_status_fails_fast():
     assert gw.stats.llm_calls == 1
 
 
+def _replay(outputs, reask_on_malformed=True):
+    backend = ReplayBackend(outputs)
+    return backend, Gateway(backend, retry=RetryPolicy(
+        backoff_base=0.001, reask_on_malformed=reask_on_malformed))
+
+
+def test_valid_json_is_parsed_once_without_reask():
+    backend, gw = _replay(['Here: [{"question":"q","answer":"a"}] done'])
+    assert gw.complete(_vqa_request()) == [{"question": "q", "answer": "a"}]
+    assert backend.prompts == [_prompt(_vqa_request())]
+    assert gw.stats.snapshot() == {"llm_calls": 1, "retries": 0, "reasks": 0}
+
+
 def test_malformed_json_single_reask_then_success():
-    gw = replay_gateway(["not json at all", '[{"question":"q","answer":"a"}]'])
-    out = gw.complete(_vqa_request())
-    assert extract_json(out, "json_list")
-    assert gw.stats.reasks == 1
+    backend, gw = _replay(["not json at all", '[{"question":"q","answer":"a"}]'])
+    assert gw.complete(_vqa_request()) == [{"question": "q", "answer": "a"}]
+    prompt = _prompt(_vqa_request())
+    assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_malformed_json_reask_appends_suffix():
-    prompts = []
+    prompt = _prompt(_vqa_request())
+    for second, cause in (("still not json", NoJsonFound), ('{"question": "q"}', WrongShape),
+                          ("[1, 2,", JsonSyntax)):
+        backend, gw = _replay(['{"a": 1}', second])
+        with pytest.raises(MalformedOutput) as err:
+            gw.complete(_vqa_request())
+        assert type(err.value) is MalformedOutput
+        assert err.value.code == "malformed_output"
+        assert str(err.value) == "caption_to_vqa: output not valid json_list after re-ask"
+        assert type(err.value.__cause__) is cause
+        assert backend.prompts == [prompt, prompt + REASK_SUFFIX]
+        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
-    class Spy:
-        name = "spy"
 
-        def complete(self, request, prompt):
-            prompts.append(prompt)
-            return "still not json"
-
-    gw = Gateway(Spy(), retry=FAST)
-    with pytest.raises(MalformedOutput):
+def test_transport_failure_on_reask_is_not_malformed_output():
+    backend, gw = _replay(["not json", BackendError("http_status", 401)])
+    with pytest.raises(BackendError) as err:
         gw.complete(_vqa_request())
-    assert len(prompts) == 2
-    assert prompts[1] == prompts[0] + "\nReturn only valid JSON."
+    assert err.value.status == 401
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
-def test_reask_disabled_returns_raw():
-    gw = Gateway(ReplayBackend(["not json"]),
-                 retry=RetryPolicy(backoff_base=0.001, reask_on_malformed=False))
-    assert gw.complete(_vqa_request()) == "not json"
+def test_reask_disabled_raises_the_parse_error():
+    for reply, error, code, message in (
+            ("not json", NoJsonFound, "no_json", "no JSON list in output"),
+            ('{"a": 1}', WrongShape, "wrong_shape",
+             "found a JSON json_object where the other shape was expected"),
+            ("[1, 2,", JsonSyntax, "json_syntax",
+             "invalid JSON at offset 0: Expecting value: line 1 column 7 (char 6)")):
+        backend, gw = _replay([reply, "[]"], reask_on_malformed=False)
+        with pytest.raises(KforgeError) as err:
+            gw.complete(_vqa_request())
+        assert type(err.value) is error
+        assert (err.value.code, str(err.value)) == (code, message)
+        assert backend.prompts == [_prompt(_vqa_request())]
+        assert gw.stats.snapshot() == {"llm_calls": 1, "retries": 0, "reasks": 0}
+
+
+def _upper(text: str) -> str:
+    if not text.isupper():
+        raise MalformedOutput(f"not upper case: {text}")
+    return text.lower()
+
+
+def test_caller_parse_reasks_once_whatever_the_policy():
+    request = LlmRequest("single_caption", {"image": "x"}, ("file:///x.jpg",))
+    for reask_on_malformed in (True, False):
+        backend, gw = _replay(["no", "YES"], reask_on_malformed=reask_on_malformed)
+        assert gw.complete(request, _upper, " SHOUT") == "yes"
+        assert backend.prompts == [_prompt(request), _prompt(request) + " SHOUT"]
+        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+
+
+def test_caller_parse_error_of_second_reply_propagates():
+    backend, gw = _replay(["no", "still no"])
+    request = LlmRequest("single_caption", {"image": "x"}, ("file:///x.jpg",))
+    with pytest.raises(MalformedOutput, match="^not upper case: still no$"):
+        gw.complete(request, _upper, " SHOUT")
+    assert gw.stats.reasks == 1
+
+
+def test_caller_parse_without_reask_raises_first_error():
+    backend, gw = _replay(["no", "YES"])
+    with pytest.raises(MalformedOutput, match="^not upper case: no$"):
+        gw.complete(_vqa_request(), _upper)
+    assert backend.prompts == [_prompt(_vqa_request())]
+    assert gw.stats.snapshot() == {"llm_calls": 1, "retries": 0, "reasks": 0}
 
 
 # --- rate limiting / concurrency -------------------------------------------------

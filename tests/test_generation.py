@@ -7,17 +7,19 @@ import time
 import pytest
 
 from kforge.errors import (EmptyGeneration, FilterNotPassed, GroundingFailure,
-                           MarkerViolation, PolicyViolation, ValidationError)
-from kforge.gateway import mock_gateway
+                           MalformedOutput, MarkerViolation, NoJsonFound,
+                           PolicyViolation, ValidationError)
+from kforge.gateway import Gateway, RetryPolicy, mock_gateway
 from kforge.generation import (GroupMember, VqaValidationPolicy,
                                classify_scopes, generate_caption,
                                generate_interleaved, generate_pair_caption,
                                group_for_interleave, grounding_fraction,
                                synthesize_vqa)
 from kforge.pairing import PairCandidate, PairVerdict
+from kforge.prompts import REGISTRY, render_prompt
 from kforge.textnorm import tokenize
 
-from conftest import make_descriptor, replay_gateway
+from conftest import ReplayBackend, make_descriptor, replay_gateway
 from fixtures_text import (INTERLEAVE_TEXT, PAIR_JOINT, SHIBA_CAPTION,
                            SHIBA_QA)
 
@@ -109,12 +111,24 @@ def _group(n=5, domain="food and cooking"):
             for i in range(n)]
 
 
+def _interleave_prompts(group):
+    listing = "\n".join(f"Image {k}: {m.image_id}: {m.descriptor.summary()}"
+                        for k, m in enumerate(group, start=1))
+    prompt = render_prompt(REGISTRY["interleave"], {"group": listing})
+    suffix = (f"\nEvery marker <Image_1> through <Image_{len(group)}> "
+              "must appear exactly once.")
+    return [prompt, prompt + suffix]
+
+
 def test_interleaved_fixture_passes_marker_check():
-    gw = replay_gateway([INTERLEAVE_TEXT])
+    backend = ReplayBackend([INTERLEAVE_TEXT, "never asked"])
+    gw = Gateway(backend)
     record = generate_interleaved(_group(5), gw)
     assert record.payload["text"] == INTERLEAVE_TEXT
     markers = re.findall(r"<Image_(\d+)>", record.payload["text"])
     assert sorted(map(int, markers)) == [1, 2, 3, 4, 5]
+    assert backend.prompts == _interleave_prompts(_group(5))[:1]
+    assert gw.stats.reasks == 0
 
 
 def test_interleaved_mock_markers_exactly_once():
@@ -126,11 +140,30 @@ def test_interleaved_mock_markers_exactly_once():
 
 
 def test_interleaved_missing_marker_after_reask():
-    bad = "start <Image_1> then <Image_2> end"  # no <Image_3>
-    gw = replay_gateway([bad, bad])
+    first = "start <Image_1> <Image_1> then <Image_2> end"
+    second = "start <Image_1> then <Image_2> <Image_7> end"  # no <Image_3>
+    # the marker check re-asks once whatever the JSON re-ask policy says
+    for reask_on_malformed in (True, False):
+        backend = ReplayBackend([first, second, "never asked"])
+        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
+        with pytest.raises(MarkerViolation) as err:
+            generate_interleaved(_group(3), gw)
+        # the second reply's problems
+        assert (err.value.missing, err.value.duplicated, err.value.out_of_range) == (
+            [3], [], [7])
+        assert err.value.code == "marker_violation"
+        assert str(err.value) == "missing=[3], out_of_range=[7]"
+        assert backend.prompts == _interleave_prompts(_group(3))
+        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+
+
+def test_interleaved_empty_replies_are_marker_violations():
+    backend = ReplayBackend(["", "  \n "])
+    gw = Gateway(backend)
     with pytest.raises(MarkerViolation) as err:
         generate_interleaved(_group(3), gw)
-    assert err.value.missing == [3]
+    assert err.value.missing == [1, 2, 3]
+    assert gw.stats.reasks == 1
 
 
 def test_interleaved_many_duplicate_markers_fail_fast():
@@ -147,9 +180,12 @@ def test_interleaved_many_duplicate_markers_fail_fast():
 def test_interleaved_reask_can_fix_markers():
     bad = "start <Image_1> then <Image_2> end"
     good = "start <Image_1> then <Image_2> and <Image_3> end"
-    gw = replay_gateway([bad, good])
+    backend = ReplayBackend([bad, f"\n  {good} \n"])
+    gw = Gateway(backend)
     record = generate_interleaved(_group(3), gw)
-    assert record.payload["text"] == good
+    assert record.payload["text"] == good  # stripped
+    assert backend.prompts == _interleave_prompts(_group(3))
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_interleaved_group_too_small():
@@ -234,6 +270,41 @@ def test_vqa_mock_satisfies_policy():
     for item in qa:
         if item["scope"] == "detail":
             assert grounding_fraction(item["answer"], vocab) >= 0.5
+
+
+def test_vqa_json_reply_reasked_then_parsed():
+    caption = "A weathered rowboat rests on a pebble shore beside folded nets."
+    items = [{"question": "What kind of scene does this image show overall?",
+              "answer": "A weathered rowboat rests on a pebble shore"}]
+    items += [{"question": f"Which element appears (detail {i})?", "answer": word}
+              for i, word in enumerate(["rowboat", "shore", "nets", "pebble"], start=1)]
+    prompt = render_prompt(REGISTRY["caption_to_vqa"], {"cap": caption})
+    backend = ReplayBackend(["no list here", f"```json\n{json.dumps(items)}\n```"])
+    gw = Gateway(backend)
+    record = synthesize_vqa(_caption_record(caption), VqaValidationPolicy(), gw)
+    assert [item["answer"] for item in record.payload["qa"]] == [
+        item["answer"] for item in items]
+    assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+
+
+def test_vqa_malformed_json_reply():
+    caption = "A quiet pebble shore."
+    prompt = render_prompt(REGISTRY["caption_to_vqa"], {"cap": caption})
+    backend = ReplayBackend(["no list here", "still none"])
+    gw = Gateway(backend)
+    with pytest.raises(MalformedOutput) as err:
+        synthesize_vqa(_caption_record(caption), VqaValidationPolicy(), gw)
+    assert str(err.value) == "caption_to_vqa: output not valid json_list after re-ask"
+    assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
+    # with re-ask off the one reply's parse error is the record's error
+    backend = ReplayBackend(["no list here", "[]"])
+    gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=False))
+    with pytest.raises(NoJsonFound) as err:
+        synthesize_vqa(_caption_record(caption), VqaValidationPolicy(), gw)
+    assert (err.value.code, str(err.value)) == ("no_json", "no JSON list in output")
+    assert backend.prompts == [prompt]
+    assert gw.stats.reasks == 0
 
 
 def test_vqa_three_items_rejected():

@@ -6,14 +6,15 @@ import random
 import pytest
 
 from kforge.errors import DuplicateImageId, MalformedOutput
-from kforge.gateway import mock_gateway
+from kforge.gateway import Gateway, RetryPolicy, mock_gateway
 from kforge.pairing import (PairCandidate, PairVerdict,
                             build_index, candidate_from_obj, candidate_to_obj,
                             filter_pair, propose_pairs, read_candidates,
                             select_pairs, verdict_from_obj, verdict_to_obj,
                             write_candidates)
+from kforge.prompts import REGISTRY, render_prompt
 
-from conftest import make_descriptor, random_descriptors, replay_gateway
+from conftest import ReplayBackend, make_descriptor, random_descriptors
 from oracles import oracle_propose_pairs
 
 
@@ -208,26 +209,52 @@ def test_filter_pair_mock_verdict_follows_digest_parity():
     assert verdict.passed == (digest[0] % 2 == 0)
 
 
+def _filter_prompt(left, right) -> str:
+    return render_prompt(REGISTRY["pair_filter"],
+                         {"left": f"{left.image_id}: {left.summary()}",
+                          "right": f"{right.image_id}: {right.summary()}"})
+
+
+_FILTER_SUFFIX = '\nAnswer with a single line starting with "PASS:" or "FAIL:".'
+
+
 def test_filter_pair_fail_parsing():
-    gw = replay_gateway(["FAIL: relationship is incidental"])
+    backend = ReplayBackend(["FAIL: relationship is incidental", "PASS: never asked"])
+    gw = Gateway(backend)
     left, right = _descs()
     v = filter_pair(_candidate(), left, right, gw)
     assert v.passed is False
     assert v.rationale == "relationship is incidental"
+    assert backend.prompts == [_filter_prompt(left, right)]
+    assert gw.stats.reasks == 0
 
 
 def test_filter_pair_malformed_after_reask():
-    gw = replay_gateway(["maybe", "maybe"])
     left, right = _descs()
-    with pytest.raises(MalformedOutput):
-        filter_pair(_candidate(), left, right, gw)
+    prompt = _filter_prompt(left, right)
+    # the filter re-asks once whatever the JSON re-ask policy says
+    for reask_on_malformed in (True, False):
+        backend = ReplayBackend(["maybe", "maybe", "PASS: never asked"])
+        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
+        with pytest.raises(MalformedOutput) as err:
+            filter_pair(_candidate(), left, right, gw)
+        assert type(err.value) is MalformedOutput
+        assert err.value.code == "malformed_output"
+        assert str(err.value) == "pair a/b: filter did not answer PASS or FAIL"
+        assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
+        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_filter_pair_recovers_on_reask():
-    gw = replay_gateway(["hmm let me think", "PASS: same theme, distinct details"])
     left, right = _descs()
-    v = filter_pair(_candidate(), left, right, gw)
-    assert v.passed is True
+    prompt = _filter_prompt(left, right)
+    for reask_on_malformed in (True, False):
+        backend = ReplayBackend(["hmm let me think", "PASS: same theme, distinct details"])
+        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
+        v = filter_pair(_candidate(), left, right, gw)
+        assert v == PairVerdict(_candidate(), True, "same theme, distinct details")
+        assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
+        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 # --- selection -------------------------------------------------------------------

@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kforge import annotation, corpus, pairing, pipeline
+from kforge import annotation, corpus, jsonx, mixture, pairing, pipeline
 from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
-from kforge.errors import ConfigInvalid, ParseError
+from kforge.errors import ConfigInvalid, KforgeError, ParseError
 from kforge.gateway import Gateway, MockBackend, RetryPolicy
 from kforge.generation import VqaValidationPolicy
 from kforge.pipeline import (PipelineConfig, Quarantine, StageIO, config_from_obj,
                              run_all, run_stage)
+from kforge.prompts import REGISTRY
 
 from conftest import make_corpus
 
@@ -105,10 +106,43 @@ def test_http_backend_from_env(tmp_path, monkeypatch):
     assert config.endpoint == "http://example.test/v1"
 
 
-def test_unknown_config_section_rejected(tmp_path):
-    with pytest.raises(ConfigInvalid):
+@pytest.mark.parametrize("extra, message", [
+    ({"surprise": {}}, "unknown config sections: ['surprise']"),
+    ({"backend": {"in_fligth": 2}}, "unknown keys in config section backend: ['in_fligth']"),
+    ({"backend": {"retry": {"max_attempt": 5}}},
+     "unknown keys in config section backend.retry: ['max_attempt']"),
+    ({"vqa_policy": {"min_item": 3}}, "unknown keys in config section vqa_policy: ['min_item']"),
+    ({"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c", "tmp_dir": "d"}},
+     "unknown keys in config section io: ['tmp_dir']"),
+    ({"backend": 5}, "config section backend must be an object"),
+], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object"])
+def test_unknown_config_section_rejected(tmp_path, extra, message):
+    doc = {"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}, **extra}
+    with pytest.raises(ConfigInvalid) as err:
+        config_from_obj(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("backend, message", [
+    ({"in_flight": 0}, "backend.in_flight must be >= 1"),
+    ({"rps": 0}, "backend.rps must be null or a number > 0, got 0"),
+    ({"rps": -1}, "backend.rps must be null or a number > 0, got -1"),
+    ({"rps": "2.5"}, "backend.rps must be null or a number > 0, got '2.5'"),
+    ({"rps": True}, "backend.rps must be null or a number > 0, got True"),
+    ({"rps": float("inf")}, "backend.rps must be null or a number > 0, got inf"),
+], ids=["in_flight-0", "rps-0", "rps-negative", "rps-string", "rps-bool", "rps-inf"])
+def test_gateway_settings_out_of_range_rejected(backend, message):
+    with pytest.raises(ConfigInvalid) as err:
         config_from_obj({"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"},
-                         "surprise": {}})
+                         "backend": backend})
+    assert str(err.value) == message
+
+
+def test_numeric_rps_kept_as_given():
+    io = {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}
+    for rps in (2, 0.5, None):
+        config = config_from_obj({"io": io, "backend": {"rps": rps, "in_flight": 1}})
+        assert config.rps == rps and type(config.rps) is type(rps)
 
 
 def test_minimal_config_takes_every_default(monkeypatch):
@@ -122,7 +156,7 @@ def test_config_keys_are_converted_and_digest_is_stable():
     config = config_from_obj({
         "io": {"in_dir": "in", "out_dir": "out", "quarantine_dir": "q"},
         "backend": {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
-                    "api_key": "k", "rps": "2.5", "in_flight": "3",
+                    "api_key": "k", "rps": 2.5, "in_flight": "3",
                     "retry": {"max_attempts": "4", "backoff_base": 1, "backoff_factor": 3,
                               "reask_on_malformed": 0}},
         "pairing": {"max_per_image": "1", "min_contrast": "0.5"},
@@ -136,7 +170,7 @@ def test_config_keys_are_converted_and_digest_is_stable():
     })
     assert config == PipelineConfig(
         "in", "out", "q", backend_kind="http", endpoint="http://localhost:9/v1", model="m",
-        api_key="k", rps="2.5", in_flight=3,
+        api_key="k", rps=2.5, in_flight=3,
         retry=RetryPolicy(max_attempts=4, backoff_base=1.0, backoff_factor=3.0,
                           reask_on_malformed=False),
         max_per_image=1, min_contrast=0.5,
@@ -148,7 +182,7 @@ def test_config_keys_are_converted_and_digest_is_stable():
         kd_comparisons=(("a", "b"), ("c", "d")), seed=7, workers=2, flush_every=4)
     # journals written by earlier versions carry these digests and must still resume
     assert config.digest() == (
-        "be26b84a41e5a0658ff2ee467b640ea0f9a6cf4aa5be34bced5a850d91bb3e8a")
+        "0649df2eee0785356289104cf0504f35c2adf4d5e331aa0646accd23638bee69")
     assert PipelineConfig("a", "b", "c").digest() == (
         "f6072ef6ce73dbf53ec9e9ac5d26a6c1d859214fe4ba91ed73cafb39f650fa9a")
 
@@ -276,6 +310,32 @@ def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
         "corpus.jsonl", "descriptors.jsonl", "pair_candidates.jsonl",
         "pairs_selected.jsonl", "caption1.jsonl", "pair_caption.jsonl",
         "interleaved.jsonl", "vqa1.jsonl"])
+
+
+def test_run_all_parses_each_json_reply_once(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    json_requests: list[str] = []
+    parses: list[str] = []
+    complete, extract_json = Gateway.complete, jsonx.extract_json
+
+    def counting_complete(self, request, *args, **kwargs):
+        if REGISTRY[request.template_id].expected_output in (jsonx.JSON_LIST,
+                                                             jsonx.JSON_OBJECT):
+            json_requests.append(request.template_id)
+        return complete(self, request, *args, **kwargs)
+
+    def counting_extract(text, expected):
+        parses.append(expected)
+        return extract_json(text, expected)
+
+    monkeypatch.setattr(Gateway, "complete", counting_complete)
+    monkeypatch.setattr(jsonx, "extract_json", counting_extract)
+    code, stats = run_all(config)
+    assert code == 0
+    assert sum(s["quarantined"] for s in stats) == 0
+    # every JSON reply is decoded once, by the gateway's check
+    assert len(json_requests) == 62
+    assert len(parses) == len(json_requests)
 
 
 def test_ingest_rereads_republished_shard(tmp_path, monkeypatch):
@@ -644,6 +704,70 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch):
     }), encoding="utf-8")
     result = CliRunner().invoke(cli_main, ["run-all", "--config", str(bad)])
     assert result.exit_code == 2
+
+
+def _run_all_rejected_up_front(tmp_path, config, message):
+    """``run_all`` raises before any model call, and ``kforge run-all`` exits 2
+    with nothing published and no stats line."""
+    gateway = Gateway(MockBackend())
+    with pytest.raises(KforgeError) as err:
+        run_all(config, gateway=gateway)
+    assert str(err.value) == message
+    assert gateway.stats.snapshot() == {"llm_calls": 0, "retries": 0, "reasks": 0}
+    doc = json.loads(_write_config(tmp_path, config).read_text(encoding="utf-8"))
+    doc["seed"], doc["mixture"]["spec"] = config.seed, config.mixture_spec
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"config error: {message}\n"
+    assert [p for p in Path(config.out_dir).rglob("*") if p.is_file()] == []
+
+
+def test_run_all_without_seed_fails_before_any_stage(tmp_path):
+    config = make_workspace(tmp_path)
+    config.seed = None
+    _run_all_rejected_up_front(tmp_path, config,
+                               "interleave grouping samples; config needs a seed")
+
+
+def test_run_all_with_bad_mixture_spec_fails_before_any_stage(tmp_path):
+    config = make_workspace(tmp_path)
+    config.mixture_spec = "builtin:nope"
+    _run_all_rejected_up_front(
+        tmp_path, config,
+        "unknown builtin mixture 'nope'; known: " + ", ".join(mixture.BUILTIN_NAMES))
+
+
+def test_run_all_checks_only_the_stages_it_will_run(tmp_path):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    (Path(config.out_dir) / "mixture" / "mixture_verify.json").unlink()
+    config.seed = None
+    with pytest.raises(ConfigInvalid, match="^mix samples; config needs a seed$"):
+        run_all(config)
+    config.seed = 5
+    code, stats = run_all(config)
+    assert code == 0 and [s["stage"] for s in stats] == ["mix"]
+    # every stage done: nothing is left to reject
+    config.seed, config.mixture_spec = None, "builtin:nope"
+    assert run_all(config) == (0, [])
+
+
+@pytest.mark.parametrize("backend", [
+    {"in_flight": 0}, {"rps": 0}, {"rps": -1}, {"rps": "2.5"}, {"in_fligth": 2},
+], ids=["in_flight-0", "rps-0", "rps-negative", "rps-string", "unknown-key"])
+def test_cli_gateway_config_errors_exit_two(tmp_path, backend):
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["backend"].update(backend)
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
+    assert not Path(config.out_dir).exists()
 
 
 def test_cli_mix_standalone(tmp_path, shard_dir):
