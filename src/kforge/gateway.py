@@ -5,12 +5,12 @@ in-flight cap, a fully deterministic mock backend (the basis of all golden
 tests), and a generic HTTP backend speaking the common chat-completions
 wire shape. Any object with a ``complete(request, prompt) -> str`` method
 can serve as a backend; ``name`` and ``close`` are optional. The HTTP
-backend uses only
-the standard library: one keep-alive connection per worker thread, proxies
-read once from the environment, HTTPS verified against the system trust
-store. Timeouts, 429s, 5xx replies and connections dropped before a
-response are retried with backoff. ``Gateway.complete`` is the one reply
-path: it checks each reply, re-asks at most once and returns the parsed value.
+backend uses only the standard library: one pool of keep-alive connections
+shared by every thread and stage, proxies read once from the environment,
+HTTPS verified against the system trust store. Timeouts, 429s, 5xx replies
+and connections dropped before a response are retried with backoff.
+``Gateway.complete`` is the one reply path: it checks each reply, re-asks at
+most once and returns the parsed value.
 """
 from __future__ import annotations
 
@@ -269,9 +269,11 @@ class HttpBackend:
     as ``image_url`` content parts. Reads the reply from
     ``choices[0].message.content``.
 
-    Each worker thread keeps one keep-alive connection and reuses it across
-    calls; one the server closed while idle is reopened before the next
-    request, and one that failed is closed. Proxies come from the
+    Keep-alive connections are pooled: a call takes the most recently used
+    idle one or opens a new one, and returns it after a complete response of
+    any status, so no more are open than calls were ever in flight at once.
+    One the server closed while idle is reopened before the next request,
+    and one that failed in transport is closed. Proxies come from the
     environment (``http_proxy``, ``https_proxy``, ``no_proxy``), read once
     here: plain HTTP goes to the proxy with the absolute URL as the target,
     HTTPS through a CONNECT tunnel. HTTPS verifies against the system trust
@@ -317,13 +319,14 @@ class HttpBackend:
                 self._target = urlunsplit(url._replace(fragment=""))
                 self._headers.update(proxy_headers)
         self._ssl = ssl.create_default_context() if url.scheme == "https" else None
-        self._local = threading.local()
+        self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
-        self._opened: list[tuple[threading.Thread, http.client.HTTPConnection]] = []
 
     def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; http.client connects it on first use."""
-        conn = getattr(self._local, "conn", None)
+        """The most recently used idle connection, or a new one that
+        http.client connects on first use."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
         if conn is None:
             host, port = self._address
             if self._ssl is not None:
@@ -334,17 +337,6 @@ class HttpBackend:
             if self._tunnel is not None:
                 tunnel_host, tunnel_port, tunnel_headers = self._tunnel
                 conn.set_tunnel(tunnel_host, tunnel_port, headers=tunnel_headers)
-            self._local.conn = conn
-            with self._lock:
-                # a finished worker thread's connection is never used again
-                kept = []
-                for thread, opened in self._opened:
-                    if thread.is_alive():
-                        kept.append((thread, opened))
-                    else:
-                        opened.close()
-                kept.append((threading.current_thread(), conn))
-                self._opened = kept
         elif conn.sock is not None and _readable(conn.sock):
             # an idle keep-alive socket reads as ready only once the server
             # has closed it; drop it so http.client reconnects
@@ -352,12 +344,10 @@ class HttpBackend:
         return conn
 
     def close(self) -> None:
-        """Close every connection this backend opened, in any thread."""
+        """Close the idle connections."""
         with self._lock:
-            opened, self._opened = self._opened, []
-            # threads still holding a closed connection open a fresh one
-            self._local = threading.local()
-        for _, conn in opened:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
     def complete(self, request: LlmRequest, prompt: str) -> str:
@@ -391,6 +381,8 @@ class HttpBackend:
             else:
                 kind = "http_status"
             raise BackendError(kind, message=f"{type(exc).__name__}: {exc}") from exc
+        with self._lock:
+            self._idle.append(conn)
         if resp.status == 429:
             raise BackendError("rate_limited", 429)
         if resp.status >= 400:
@@ -443,6 +435,8 @@ class Gateway:
     def __init__(self, backend, retry: RetryPolicy | None = None,
                  rps: float | None = None, in_flight: int = 8,
                  sleep=time.sleep):
+        if in_flight < 1:
+            raise ValueError("in_flight must be >= 1")
         self.backend = backend
         self.retry = retry or RetryPolicy()
         self.bucket = TokenBucket(rps)

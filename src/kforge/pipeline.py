@@ -4,7 +4,7 @@ Every stage publishes its outputs through ``corpus.publish`` (temp file,
 fsync, rename, directory fsync) and sends failing records to the quarantine
 directory with their error code. LLM-backed stages keep one append-only
 journal per stage (see ``StageIO``), which gives two guarantees: a killed
-process loses nothing that was flushed, and an OS crash loses at most about
+process loses no committed item, and an OS crash loses at most about
 ``SYNC_INTERVAL_S`` of journal writes and never a published file. A killed
 stage resumes where it left off as long as the config digest matches.
 
@@ -40,8 +40,8 @@ ENV_ENDPOINT = "KF_LLM_ENDPOINT"
 ENV_API_KEY = "KF_LLM_API_KEY"
 ENV_MODEL = "KF_LLM_MODEL"
 
-# a stage journal is fsynced at most this often; flushes in between only
-# reach the kernel
+# a stage journal is fsynced at most this often; each committed item reaches
+# the kernel at once
 SYNC_INTERVAL_S = 1.0
 JOURNAL_FORMAT = "journal/1"
 
@@ -70,7 +70,6 @@ class PipelineConfig:
     kd_comparisons: tuple[tuple[str, str], ...] = (("pair_caption", "caption0"),)
     seed: int | None = None
     workers: int = 1
-    flush_every: int = 16
 
     def digest(self) -> str:
         doc = {
@@ -105,7 +104,7 @@ _CONFIG_KEYS = {
                 "unit": "mixture_unit", "rebalance": "rebalance"},
     "kd": {"comparisons": "kd_comparisons"},
 }
-_TOP_LEVEL_KEYS = ("seed", "workers", "flush_every")
+_TOP_LEVEL_KEYS = ("seed", "workers")
 
 
 def _from_values(cls, values: dict, **fixed):
@@ -132,6 +131,8 @@ def _section(doc, label: str, keys) -> dict:
 
 def config_from_obj(obj: dict) -> PipelineConfig:
     """Parse the JSON config document; unknown sections and keys are rejected."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"config must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - {"io", "vqa_policy", *_CONFIG_KEYS, *_TOP_LEVEL_KEYS}
     if unknown:
         raise ConfigInvalid(f"unknown config sections: {sorted(unknown)}")
@@ -171,8 +172,20 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
-    paths = [config.in_dir, config.out_dir, config.quarantine_dir]
-    if len({str(Path(p)) for p in paths}) != 3:
+    """``config``, or a ``ConfigInvalid`` naming the first setting that a
+    stage would reject later, after model calls and publishes."""
+    paths = {"io.in_dir": config.in_dir, "io.out_dir": config.out_dir,
+             "io.quarantine_dir": config.quarantine_dir}
+    for key, value in paths.items():
+        if not isinstance(value, (str, os.PathLike)):
+            raise ConfigInvalid(f"{key} must be a string")
+    for key, value in (("backend.endpoint", config.endpoint), ("backend.model", config.model),
+                       ("backend.api_key", config.api_key)):
+        if not isinstance(value, (str, type(None))):
+            raise ConfigInvalid(f"{key} must be a string or null")
+    if not isinstance(config.mixture_spec, str):
+        raise ConfigInvalid("mixture.spec must be a string")
+    if len({str(Path(p)) for p in paths.values()}) != 3:
         raise ConfigInvalid("in_dir, out_dir, and quarantine_dir must be distinct")
     if config.backend_kind not in ("mock", "http"):
         raise ConfigInvalid(f"unknown backend kind {config.backend_kind!r}")
@@ -188,6 +201,16 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     if rps is not None and (isinstance(rps, bool) or not isinstance(rps, (int, float))
                             or not 0 < rps < math.inf):
         raise ConfigInvalid(f"backend.rps must be null or a number > 0, got {rps!r}")
+    if config.max_per_image < 1:
+        raise ConfigInvalid("pairing.max_per_image must be >= 1")
+    if not 0 <= config.min_contrast <= 1:
+        raise ConfigInvalid("pairing.min_contrast must be within [0, 1]")
+    if not 2 <= config.interleave_min <= config.interleave_max:
+        raise ConfigInvalid("interleave.min_group must be >= 2 and <= max_group")
+    for pair in config.kd_comparisons:
+        if len(pair) != 2 or not all(isinstance(source, str) for source in pair):
+            raise ConfigInvalid("kd.comparisons entries must be two source names, "
+                                f"got {list(pair)!r}")
     return config
 
 
@@ -208,29 +231,28 @@ class StageIO:
     The journal ``<work_dir>/<stage>.ckpt`` starts with a JSON header (stage,
     config digest, ``format``). Each processed item adds its output lines,
     tagged ``+``, then a commit line ``=<work_id>``; output lines are
-    single-line JSON and work ids never contain a newline. ``flush`` hands
-    the journal to the kernel every ``flush_every`` items, so a killed
-    process loses nothing flushed; the journal is fsynced at most once per
-    ``SYNC_INTERVAL_S``, so an OS crash loses at most about that much of it.
+    single-line JSON and work ids never contain a newline. The journal is
+    the only copy of the stage's output. ``append`` hands each committed
+    item to the kernel, so a killed process loses none; the journal is
+    fsynced at most once per ``SYNC_INTERVAL_S``, so an OS crash loses at
+    most about that much of it.
 
     On resume only committed items count: whatever follows the last commit,
     a torn final line included, is cut off and its item processed again, so
-    every item's lines appear exactly once. ``finalize`` publishes them with
-    ``corpus.publish``, runs the stage's later publishes, and only then
-    removes the journal, so no published file is ever lost and a kill
-    before the stage's last file never repeats its model calls.
+    every item's lines appear exactly once. ``finalize`` publishes them from
+    the journal with ``corpus.publish``. The journal stays until
+    ``run_stage`` removes it after the stage's last publish, so no published
+    file is ever lost and a kill before the stage's last file never repeats
+    its model calls.
     """
 
     def __init__(self, final_path: Path, work_dir: Path, stage: str,
-                 config_digest: str, flush_every: int = 16):
+                 config_digest: str):
         self.final_path = Path(final_path)
         self.ckpt_path = work_dir / f"{stage}.ckpt"
         self.stage = stage
         self.config_digest = config_digest
-        self.flush_every = max(1, flush_every)
         self.processed: set[str] = set()
-        self._lines: list[str] = []
-        self._unflushed = 0
         work_dir.mkdir(parents=True, exist_ok=True)
         resumed = self.ckpt_path.exists() and self._load()
         self._fh = open(self.ckpt_path, "a" if resumed else "w", encoding="utf-8",
@@ -263,26 +285,9 @@ class StageIO:
                 raise ConfigInvalid(
                     f"checkpoint for stage {self.stage} was written with a "
                     "different config; refusing to resume")
-            committed_end = pos = len(header_line)
-            uncommitted: list[str] = []
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break
-                pos += len(raw)
-                tag = raw[:1]
-                if tag not in (b"+", b"="):
-                    break
-                try:
-                    body = raw[1:-1].decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-                if tag == b"+":
-                    uncommitted.append(body)
-                else:
-                    self.processed.add(body)
-                    self._lines.extend(uncommitted)
-                    uncommitted = []
-                    committed_end = pos
+            committed_end = len(header_line)
+            for work_id, _, committed_end in _committed(fh, committed_end):
+                self.processed.add(work_id)
             fh.truncate(committed_end)
         return True
 
@@ -297,11 +302,8 @@ class StageIO:
         for line in lines:
             write(f"+{line}\n")
         write(f"={work_id}\n")
-        self._lines.extend(lines)
         self.processed.add(work_id)
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         self._fh.flush()
@@ -309,21 +311,48 @@ class StageIO:
         if now - self._synced_at >= SYNC_INTERVAL_S:
             os.fsync(self._fh.fileno())
             self._synced_at = now
-        self._unflushed = 0
 
     def close(self) -> None:
         self._fh.close()
 
-    def finalize(self, then=None) -> list[str]:
-        """Durably publish the committed output, call ``then(lines)``, then
-        remove the journal."""
-        self.flush()
-        publish(self.final_path, (line + "\n" for line in self._lines))
+    def finalize(self) -> int:
+        """Close the journal, then durably publish the committed output lines
+        it holds; returns their count."""
         self.close()
-        if then is not None:
-            then(self._lines)
-        self.ckpt_path.unlink()
-        return self._lines
+        count = 0
+
+        def committed_lines(fh):
+            nonlocal count
+            for _, lines, _ in _committed(fh, len(fh.readline())):
+                count += len(lines)
+                yield from (line + "\n" for line in lines)
+
+        with open(self.ckpt_path, "rb") as fh:
+            publish(self.final_path, committed_lines(fh))
+        return count
+
+
+def _committed(fh, pos: int):
+    """``(work_id, output lines, end offset)`` of each committed item of a
+    binary journal read from ``pos``, the end of its header, up to the first
+    torn, untagged or non-UTF-8 line."""
+    lines: list[str] = []
+    for raw in fh:
+        if not raw.endswith(b"\n"):
+            return
+        pos += len(raw)
+        tag = raw[:1]
+        if tag not in (b"+", b"="):
+            return
+        try:
+            body = raw[1:-1].decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        if tag == b"+":
+            lines.append(body)
+        else:
+            yield body, lines, pos
+            lines = []
 
 
 class Quarantine:
@@ -452,13 +481,12 @@ def _source_records(config: PipelineConfig, ingest: Ingest,
 
 
 def _run_llm_items(config: PipelineConfig, stage: str, items, process,
-                   final_path: Path, quarantine: Quarantine, then=None):
+                   final_path: Path, quarantine: Quarantine) -> tuple[int, int]:
     """Run work items through an LLM-backed processor with resume support.
 
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
-    a list of output lines or raises a KforgeError (quarantined). ``then``
-    receives the published lines and publishes the stage's remaining files
-    while the journal still exists.
+    a list of output lines or raises a KforgeError (quarantined). The lines
+    are published to ``final_path``; returns the item and line counts.
     """
     def run_one(entry):
         work_id, payload = entry
@@ -467,8 +495,7 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
         except KforgeError as exc:
             return work_id, None, exc
 
-    with StageIO(final_path, _work_dir(config), stage, config.digest(),
-                 config.flush_every) as io:
+    with StageIO(final_path, _work_dir(config), stage, config.digest()) as io:
         pending = [(work_id, payload) for work_id, payload in items
                    if work_id not in io.processed]
         # results are committed in input order, whatever the number of workers
@@ -479,8 +506,7 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
                     quarantine.put(work_id, exc)
                     lines = []
                 io.append(work_id, lines)
-        lines = io.finalize(then)
-    return len(items), len(lines)
+        return len(items), io.finalize()
 
 
 # --- stages --------------------------------------------------------------------
@@ -528,14 +554,13 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
                   uris.get(candidate.right_id, candidate.right_id)))
         return [json_line(pairing.verdict_to_obj(verdict))]
 
-    def select(lines):
-        verdicts = [pairing.verdict_from_obj(json.loads(line)) for line in lines]
-        verdicts.sort(key=lambda v: v.candidate.pair_id)
-        selected = pairing.select_pairs(verdicts)
-        pairing.write_candidates(selected, _out(config, "pairs_selected.jsonl"))
-
-    return _run_llm_items(config, "filter", items, process,
-                          _out(config, "pair_verdicts.jsonl"), quarantine, then=select)
+    verdicts_path = _out(config, "pair_verdicts.jsonl")
+    counts = _run_llm_items(config, "filter", items, process, verdicts_path, quarantine)
+    verdicts = sorted(corpus.read_jsonl(verdicts_path, pairing.verdict_from_obj),
+                      key=lambda v: v.candidate.pair_id)
+    pairing.write_candidates(pairing.select_pairs(verdicts),
+                             _out(config, "pairs_selected.jsonl"))
+    return counts
 
 
 def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -641,16 +666,16 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
         profile = knowledge.kd_score(record, gateway)
         return [json_line(knowledge.profile_to_obj(profile))]
 
-    def report(lines):
-        profiles = [knowledge.ProfileCounts.from_line(line) for line in lines]
-        scored_sources = {source_of.get(p.sample_id) for p in profiles}
-        comparisons = [pair for pair in config.kd_comparisons
-                       if all(s in scored_sources for s in pair)]
-        knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
-                                 comparisons, gateway.backend_id)
-
-    return _run_llm_items(config, "kd-score", items, process,
-                          _out(config, "kd_profiles.jsonl"), quarantine, then=report)
+    profiles_path = _out(config, "kd_profiles.jsonl")
+    counts = _run_llm_items(config, "kd-score", items, process, profiles_path, quarantine)
+    with open(profiles_path, "r", encoding="utf-8") as fh:
+        profiles = [knowledge.ProfileCounts.from_line(line) for line in fh]
+    scored_sources = {source_of.get(p.sample_id) for p in profiles}
+    comparisons = [pair for pair in config.kd_comparisons
+                   if all(s in scored_sources for s in pair)]
+    knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
+                             comparisons, gateway.backend_id)
+    return counts
 
 
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -708,7 +733,8 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     """Run one stage; returns the stats document.
 
     ``ingest`` is the run's shared reader; without one the stage reads its
-    inputs through a fresh ``Ingest``.
+    inputs through a fresh ``Ingest``. The stage's journal is removed once
+    its function has returned, with every file it publishes on disk.
     """
     run = next((s.run for s in STAGES if s.name == stage), None)
     if run is None:
@@ -720,6 +746,8 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
         n_in, n_out = run(config, gateway, quarantine,
                           ingest if ingest is not None else Ingest())
         after = gateway.stats.snapshot()
+    # every file of the stage is published, so its journal is done
+    (_work_dir(config) / f"{stage}.ckpt").unlink(missing_ok=True)
     stats = {
         "stage": stage,
         "in": n_in,

@@ -6,6 +6,7 @@ import hashlib
 import json
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -279,6 +280,13 @@ def test_gateway_thread_safe_under_mock():
     for t in threads:
         t.join()
     assert results == [expected] * 16
+
+
+@pytest.mark.parametrize("in_flight", [0, -1])
+def test_gateway_rejects_in_flight_below_one(in_flight):
+    # a semaphore with no slot would block every call forever
+    with pytest.raises(ValueError, match="^in_flight must be >= 1$"):
+        Gateway(MockBackend(), in_flight=in_flight)
 
 
 # --- http backend ------------------------------------------------------------------
@@ -583,16 +591,34 @@ def test_http_threads_never_share_a_connection():
                 for thread in threads:
                     thread.join(timeout=30)
                     assert not thread.is_alive()
-                # a new thread's first call closes the finished threads' connections
+                # a later call, in another thread, reuses an idle connection
+                opened = server.accepted
                 request = _caption_request("main")
                 assert gw.complete(request) == _expected_echo(request)
-                for _ in range(n_threads):
-                    assert server.closed.acquire(timeout=5)
+                assert server.accepted == opened
             assert gw.stats.retries == 0
-            assert server.accepted == n_threads + 1
+            assert server.accepted <= n_threads
+            # closing the gateway closed every connection it opened
+            for _ in range(server.accepted):
+                assert server.closed.acquire(timeout=5)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(results) == list(range(n_threads))
     for got in results.values():
         assert len(got) == n_calls
         assert all(reply == expected for reply, expected in got)
+
+
+def test_http_successive_worker_pools_share_connections():
+    # run_all gives each of its seven LLM-backed stages a pool of its own
+    with _serving(_EchoHandler) as (server, url):
+        with Gateway(HttpBackend(url, model="m"), retry=FAST) as gw:
+            for stage in range(7):
+                requests = [_caption_request(f"img-{stage}-{k}") for k in range(8)]
+                with ThreadPoolExecutor(2) as pool:
+                    replies = list(pool.map(gw.complete, requests))
+                assert replies == [_expected_echo(r) for r in requests]
+        assert gw.stats.retries == 0
+        assert 1 <= server.accepted <= 2
+        for _ in range(server.accepted):
+            assert server.closed.acquire(timeout=5)

@@ -38,21 +38,23 @@ def _spec_doc():
     }
 
 
+def _config_doc(root: Path) -> dict:
+    """The config document of the workspace under ``root``."""
+    return {
+        "io": {"in_dir": str(root / "in"), "out_dir": str(root / "out"),
+               "quarantine_dir": str(root / "quarantine")},
+        "backend": {"kind": "mock", "retry": {"backoff_base": 0.001}},
+        "mixture": {"spec": str(root / "mixture_spec.json")},
+        "seed": 5,
+    }
+
+
 def make_workspace(tmp_path: Path, name: str = "run", corpus=None) -> PipelineConfig:
     root = tmp_path / name
-    in_dir, out_dir, qdir = root / "in", root / "out", root / "quarantine"
-    in_dir.mkdir(parents=True)
-    write_shard(corpus if corpus is not None else make_corpus(), in_dir / "corpus.jsonl")
-    spec_path = root / "mixture_spec.json"
-    spec_path.write_text(json.dumps(_spec_doc()), encoding="utf-8")
-    return config_from_obj({
-        "io": {"in_dir": str(in_dir), "out_dir": str(out_dir),
-               "quarantine_dir": str(qdir)},
-        "backend": {"kind": "mock", "retry": {"backoff_base": 0.001}},
-        "mixture": {"spec": str(spec_path)},
-        "seed": 5,
-        "flush_every": 1,
-    })
+    (root / "in").mkdir(parents=True)
+    write_shard(corpus if corpus is not None else make_corpus(), root / "in" / "corpus.jsonl")
+    (root / "mixture_spec.json").write_text(json.dumps(_spec_doc()), encoding="utf-8")
+    return config_from_obj(_config_doc(root))
 
 
 def _tree_bytes(out_dir: str) -> dict[str, bytes]:
@@ -115,7 +117,8 @@ def test_http_backend_from_env(tmp_path, monkeypatch):
     ({"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c", "tmp_dir": "d"}},
      "unknown keys in config section io: ['tmp_dir']"),
     ({"backend": 5}, "config section backend must be an object"),
-], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object"])
+    ({"flush_every": 1}, "unknown config sections: ['flush_every']"),
+], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object", "flush_every"])
 def test_unknown_config_section_rejected(tmp_path, extra, message):
     doc = {"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}, **extra}
     with pytest.raises(ConfigInvalid) as err:
@@ -166,7 +169,7 @@ def test_config_keys_are_converted_and_digest_is_stable():
         "mixture": {"spec": "builtin:caption_only", "budget": "500", "unit": "tokens",
                     "rebalance": 1},
         "kd": {"comparisons": [["a", "b"], ["c", "d"]]},
-        "seed": 7, "workers": "2", "flush_every": "4",
+        "seed": 7, "workers": "2",
     })
     assert config == PipelineConfig(
         "in", "out", "q", backend_kind="http", endpoint="http://localhost:9/v1", model="m",
@@ -179,7 +182,7 @@ def test_config_keys_are_converted_and_digest_is_stable():
                                        grounding_min_overlap=0.75),
         interleave_min=4, interleave_max=6, mixture_spec="builtin:caption_only",
         mixture_budget=500, mixture_unit="tokens", rebalance=True,
-        kd_comparisons=(("a", "b"), ("c", "d")), seed=7, workers=2, flush_every=4)
+        kd_comparisons=(("a", "b"), ("c", "d")), seed=7, workers=2)
     # journals written by earlier versions carry these digests and must still resume
     assert config.digest() == (
         "0649df2eee0785356289104cf0504f35c2adf4d5e331aa0646accd23638bee69")
@@ -548,7 +551,8 @@ def test_resume_reprocesses_uncommitted_item_once(tmp_path, tail):
     published = [json.loads(line) for line in final.read_text().splitlines()]
     assert [p["id"] for p in published] == ["a", "b", "c"]
     assert published[0]["v"] == 1 and published[1]["v"] == 3
-    assert not (work / "demo.ckpt").exists()
+    # the journal outlives the publish; run_stage removes it after the stage
+    assert (work / "demo.ckpt").exists()
 
 
 @pytest.mark.parametrize("header", [
@@ -612,55 +616,44 @@ def test_journal_fsynced_at_most_once_per_interval(tmp_path, monkeypatch):
     clock = _Clock()
     monkeypatch.setattr(pipeline.time, "monotonic", clock)
     events = _record_durability_calls(monkeypatch)
-    with StageIO(tmp_path / "demo.jsonl", tmp_path / ".work", "demo", "d",
-                 flush_every=1) as io:
+    with StageIO(tmp_path / "demo.jsonl", tmp_path / ".work", "demo", "d") as io:
         journal = io.ckpt_path.stat().st_ino
-        io.append("a", ['{"id":"a"}'])
-        # flushed to the kernel, so a killed process keeps it, but not synced
-        assert io.ckpt_path.read_text(encoding="utf-8").endswith('+{"id":"a"}\n=a\n')
-        clock.now += pipeline.SYNC_INTERVAL_S / 2
-        io.append("b", ['{"id":"b"}'])
-        assert events == []
-        clock.now += pipeline.SYNC_INTERVAL_S / 2
-        io.append("c", ['{"id":"c"}'])
-        assert events == [("fsync", journal)]
-        clock.now += pipeline.SYNC_INTERVAL_S * 0.75
-        io.append("d", ['{"id":"d"}'])
-        assert events == [("fsync", journal)]
-        clock.now += pipeline.SYNC_INTERVAL_S * 0.25
-        io.append("e", ['{"id":"e"}'])
-        assert events == [("fsync", journal)] * 2
+        for step, work_id, fsyncs in ((0, "a", 0), (0.5, "b", 0), (0.5, "c", 1),
+                                      (0.75, "d", 1), (0.25, "e", 2)):
+            clock.now += pipeline.SYNC_INTERVAL_S * step
+            io.append(work_id, [f'{{"id":"{work_id}"}}'])
+            # each item reaches the kernel at once, so a killed process keeps it
+            assert io.ckpt_path.read_text(encoding="utf-8").endswith(
+                f'+{{"id":"{work_id}"}}\n={work_id}\n')
+            assert events == [("fsync", journal)] * fsyncs
 
 
 def test_finalize_publishes_durably_before_removing_journal(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    run_stage("annotate", config)
+    run_stage("pair", config)
     monkeypatch.setattr(pipeline.time, "monotonic", _Clock())
     events = _record_durability_calls(monkeypatch)
-    final = tmp_path / "out" / "demo.jsonl"
-    final.parent.mkdir()
-    with StageIO(final, final.parent / ".work", "demo", "d") as io:
-        io.append("a", ['{"id":"a"}'])
-        journal = io.ckpt_path
-        io.finalize()
-    published = final.stat().st_ino  # the temp file's inode, renamed into place
-    directory = final.parent.stat().st_ino
-    assert events == [("fsync", published), ("replace", final),
-                      ("fsync", directory), ("unlink", journal)]
-    assert final.read_text(encoding="utf-8") == '{"id":"a"}\n'
+    stats = run_stage("filter", config)
+    out = Path(config.out_dir)
+    directory = out.stat().st_ino
+    expected = []
+    for name in ("pair_verdicts.jsonl", "pairs_selected.jsonl"):
+        # the temp file's inode, renamed into place
+        expected += [("fsync", (out / name).stat().st_ino), ("replace", out / name),
+                     ("fsync", directory)]
+    assert events == expected + [("unlink", out / ".work" / "filter.ckpt")]
+    assert not (out / ".work" / "filter.ckpt").exists()
+    verdicts = (out / "pair_verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert stats["out"] == len(verdicts) > 0
 
 
 # --- cli --------------------------------------------------------------------------------
 
 def _write_config(tmp_path: Path, config: PipelineConfig) -> Path:
+    """Write the config document of ``make_workspace``'s workspace."""
     path = tmp_path / "config.json"
-    spec_path = Path(config.in_dir).parent / "mixture_spec.json"
-    path.write_text(json.dumps({
-        "io": {"in_dir": config.in_dir, "out_dir": config.out_dir,
-               "quarantine_dir": config.quarantine_dir},
-        "backend": {"kind": "mock", "retry": {"backoff_base": 0.001}},
-        "mixture": {"spec": str(spec_path)},
-        "seed": 5,
-        "flush_every": 1,
-    }), encoding="utf-8")
+    path.write_text(json.dumps(_config_doc(Path(config.in_dir).parent)), encoding="utf-8")
     return path
 
 
@@ -755,18 +748,35 @@ def test_run_all_checks_only_the_stages_it_will_run(tmp_path):
     assert run_all(config) == (0, [])
 
 
-@pytest.mark.parametrize("backend", [
-    {"in_flight": 0}, {"rps": 0}, {"rps": -1}, {"rps": "2.5"}, {"in_fligth": 2},
-], ids=["in_flight-0", "rps-0", "rps-negative", "rps-string", "unknown-key"])
-def test_cli_gateway_config_errors_exit_two(tmp_path, backend):
+@pytest.mark.parametrize("patch, key", [
+    ({"backend": {"in_flight": 0}}, "backend.in_flight"),
+    ({"backend": {"rps": 0}}, "backend.rps"),
+    ({"backend": {"rps": -1}}, "backend.rps"),
+    ({"backend": {"rps": "2.5"}}, "backend.rps"),
+    ({"backend": {"in_fligth": 2}}, "in_fligth"),
+    # each value below crashed with a traceback, some after model calls and publishes
+    (None, "config must be a JSON object"),  # the document is []
+    ({"io": {"in_dir": 5}}, "io.in_dir"),
+    ({"mixture": {"spec": 5}}, "mixture.spec"),
+    ({"backend": {"kind": "http", "endpoint": 5, "model": "m"}}, "backend.endpoint"),
+    ({"pairing": {"min_contrast": 2}}, "pairing.min_contrast"),
+    ({"pairing": {"max_per_image": 0}}, "pairing.max_per_image"),
+    ({"interleave": {"min_group": 1}}, "interleave.min_group"),
+    ({"kd": {"comparisons": [["caption0"]]}}, "kd.comparisons"),
+], ids=["in_flight-0", "rps-0", "rps-negative", "rps-string", "unknown-key", "not-an-object",
+        "in_dir", "mixture-spec", "endpoint", "min_contrast", "max_per_image",
+        "min_group", "kd-comparisons"])
+def test_cli_gateway_config_errors_exit_two(tmp_path, patch, key):
     config = make_workspace(tmp_path)
     config_path = _write_config(tmp_path, config)
     doc = json.loads(config_path.read_text(encoding="utf-8"))
-    doc["backend"].update(backend)
-    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    for section, values in (patch or {}).items():
+        doc.setdefault(section, {}).update(values)
+    config_path.write_text(json.dumps(doc if patch else []), encoding="utf-8")
     result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
     assert result.exit_code == 2
     assert result.output.startswith("config error: ")
+    assert key in result.output
     assert not Path(config.out_dir).exists()
 
 
