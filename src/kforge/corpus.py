@@ -85,7 +85,7 @@ class Record:
     payload: dict
     source: str
     meta: dict = field(default_factory=dict)
-    # estimate_tokens' default estimate, kept by its first call
+    # estimate_tokens' estimate, kept by its first call
     _tokens: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def text_units(self) -> list[str]:
@@ -325,24 +325,13 @@ def dedupe_by_id(records: Iterable[Record]) -> tuple[list[Record], int]:
     return out, duplicates
 
 
-def estimate_tokens(record: Record, image_token_cost: int = DEFAULT_IMAGE_TOKENS,
-                    estimator: Callable[[str], int] | None = None) -> int:
-    """Deterministic token estimate for mixture budgeting.
-
-    Default heuristic: ceil(total text chars / 4) plus a flat per-image
-    cost. A real tokenizer can be plugged in via ``estimator`` (called on
-    the concatenated text). The default estimate is kept on the record, so
-    each record is estimated once however often it is asked for.
+def estimate_tokens(record: Record) -> int:
+    """Deterministic token estimate for mixture budgeting: ceil(total text
+    chars / 4) plus a flat per-image cost. The estimate is kept on the
+    record, so each record is estimated once however often it is asked for.
     """
-    default = estimator is None and image_token_cost == DEFAULT_IMAGE_TOKENS
-    if default and record._tokens is not None:
-        return record._tokens
-    units = record.text_units()
-    if estimator is not None:
-        text_tokens = estimator("\n".join(units))
-    else:
-        text_tokens = math.ceil(sum(len(u) for u in units) / 4)
-    tokens = text_tokens + len(record.image_uris) * image_token_cost
-    if default:
+    if record._tokens is None:
+        tokens = (math.ceil(sum(len(u) for u in record.text_units()) / 4)
+                  + len(record.image_uris) * DEFAULT_IMAGE_TOKENS)
         object.__setattr__(record, "_tokens", tokens)  # derived from frozen fields
-    return tokens
+    return record._tokens

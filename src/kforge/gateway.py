@@ -64,9 +64,9 @@ class RetryPolicy:
 class TokenBucket:
     """Blocking token bucket; ``rate`` is requests per second, None disables it."""
 
-    def __init__(self, rate: float | None, burst: int | None = None):
+    def __init__(self, rate: float | None):
         self.rate = rate
-        self.capacity = float(burst if burst is not None else max(1, int(rate or 1)))
+        self.capacity = float(max(1, int(rate or 1)))
         self.tokens = self.capacity
         self.updated = time.monotonic()
         self._lock = threading.Lock()

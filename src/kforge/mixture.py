@@ -88,8 +88,12 @@ def spec_from_obj(obj: dict) -> MixtureSpec:
 
 
 def load_spec(path: str | Path) -> MixtureSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_obj(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SpecInvalid(f"cannot read mixture spec {path}: {exc}") from exc
+    return spec_from_obj(obj)
 
 
 _BUILTIN_TABLE: dict[str, tuple[dict[str, float], dict[str, tuple[str, ...]], str]] = {

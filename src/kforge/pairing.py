@@ -8,7 +8,6 @@ relationship is coherent enough to explain simply.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -115,7 +114,7 @@ def _candidate(index: DescriptorIndex, neg_score: float, left: str, right: str,
 
 
 def propose_pairs(index: DescriptorIndex,
-                  max_per_image: int | float | None = DEFAULT_MAX_PER_IMAGE,
+                  max_per_image: int | None = DEFAULT_MAX_PER_IMAGE,
                   min_contrast: float = DEFAULT_MIN_CONTRAST) -> list[PairCandidate]:
     """Propose aligned, contrasting pairs.
 
@@ -126,7 +125,7 @@ def propose_pairs(index: DescriptorIndex,
     Per image at most ``max_per_image`` pairs survive, best score first
     (``None`` means unlimited). Output is sorted by pair id.
     """
-    if max_per_image is not None and max_per_image != math.inf and max_per_image < 1:
+    if max_per_image is not None and max_per_image < 1:
         raise ValueError("max_per_image must be >= 1")
     if not 0 <= min_contrast <= 1:
         raise ValueError("min_contrast must be within [0, 1]")
@@ -152,9 +151,9 @@ def propose_pairs(index: DescriptorIndex,
 
 
 def _cap(scored: list[tuple[float, str, str, str]],
-         max_per_image: int | float | None) -> list[tuple[float, str, str, str]]:
+         max_per_image: int | None) -> list[tuple[float, str, str, str]]:
     """Greedy per-image cap: best score first, ties by pair id."""
-    if max_per_image is None or max_per_image == math.inf:
+    if max_per_image is None:
         return scored
     scored.sort()  # (-score, pair id): pair ids are unique
     load: dict[str, int] = {}

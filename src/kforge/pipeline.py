@@ -162,12 +162,25 @@ def config_from_obj(obj: dict) -> PipelineConfig:
     return validate_config(config)
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, patch: dict | None = None) -> PipelineConfig:
+    """Parse the config file at ``path`` after setting each non-``None`` value
+    of ``patch`` into the document under its key (``seed``,
+    ``pairing.min_contrast``), so a patched value is checked as a value in
+    the file is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    for key, value in (patch or {}).items():
+        if value is None or not isinstance(obj, dict):
+            continue  # config_from_obj rejects a document that is not an object
+        section, _, name = key.rpartition(".")
+        doc = obj
+        if section:  # an absent or empty section reads as {}, as in _section
+            doc = obj[section] = obj.get(section) or {}
+        if isinstance(doc, dict):  # config_from_obj names any other section
+            doc[name] = value
     return config_from_obj(obj)
 
 

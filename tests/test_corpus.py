@@ -525,15 +525,3 @@ def test_estimate_tokens_minimal_caption_with_image():
 def test_estimate_tokens_deterministic(corpus30):
     for record in corpus30:
         assert estimate_tokens(record) == estimate_tokens(record)
-
-
-def test_estimate_tokens_custom_image_cost():
-    record = Record(id="t", kind="caption", image_uris=("file:///a.jpg",),
-                    payload={"caption": "abcd"}, source="s", meta={})
-    assert estimate_tokens(record, image_token_cost=10) == 1 + 10
-
-
-def test_estimate_tokens_pluggable_estimator():
-    record = Record(id="t", kind="pure_text", image_uris=(),
-                    payload={"text": "one two three"}, source="s", meta={})
-    assert estimate_tokens(record, estimator=lambda text: len(text.split())) == 3

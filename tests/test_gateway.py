@@ -256,9 +256,11 @@ def test_token_bucket_disabled_is_noop():
 
 
 def test_token_bucket_spaces_requests():
-    bucket = TokenBucket(rate=200, burst=1)
+    bucket = TokenBucket(rate=200)
     import time
 
+    for _ in range(int(bucket.capacity)):  # the bucket starts full
+        bucket.acquire()
     start = time.monotonic()
     for _ in range(5):
         bucket.acquire()

@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from kforge import annotation, corpus, jsonx, mixture, pairing, pipeline
+from kforge import annotation, cli, corpus, jsonx, mixture, pairing, pipeline
 from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
 from kforge.errors import ConfigInvalid, KforgeError, ParseError
@@ -188,6 +189,31 @@ def test_config_keys_are_converted_and_digest_is_stable():
         "0649df2eee0785356289104cf0504f35c2adf4d5e331aa0646accd23638bee69")
     assert PipelineConfig("a", "b", "c").digest() == (
         "f6072ef6ce73dbf53ec9e9ac5d26a6c1d859214fe4ba91ed73cafb39f650fa9a")
+
+
+@pytest.mark.parametrize("pairing", [None, {}, {"min_contrast": 0.1, "max_per_image": 1}])
+def test_load_config_sets_patch_values_into_the_document(tmp_path, pairing):
+    doc = _config_doc(tmp_path)
+    if pairing is not None:
+        doc["pairing"] = pairing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config = pipeline.load_config(path, {"pairing.min_contrast": 0.5, "seed": None})
+    assert (config.min_contrast, config.seed) == (0.5, 5)  # None keeps the file's seed
+    assert config.max_per_image == (pairing or {}).get("max_per_image", 2)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "config must be a JSON object, got list"),
+    ({"pairing": 5}, "config section pairing must be an object"),
+])
+def test_load_config_patch_keeps_the_document_checks(tmp_path, doc, message):
+    if doc:
+        doc = {**_config_doc(tmp_path), **doc}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        pipeline.load_config(path, {"pairing.min_contrast": 0.5, "seed": 7})
 
 
 def test_digest_changes_with_settings(tmp_path):
@@ -725,12 +751,23 @@ def test_run_all_without_seed_fails_before_any_stage(tmp_path):
                                "interleave grouping samples; config needs a seed")
 
 
-def test_run_all_with_bad_mixture_spec_fails_before_any_stage(tmp_path):
+@pytest.mark.parametrize("spec, content, message", [
+    ("builtin:nope", None,
+     "unknown builtin mixture 'nope'; known: " + ", ".join(mixture.BUILTIN_NAMES)),
+    # a spec file that is missing or not JSON crashed with a traceback
+    ("missing.json", None,
+     "cannot read mixture spec {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("bad.json", "not json",
+     "cannot read mixture spec {path}: Expecting value: line 1 column 1 (char 0)"),
+], ids=["builtin-nope", "missing-file", "not-json"])
+def test_run_all_with_bad_mixture_spec_fails_before_any_stage(tmp_path, spec, content,
+                                                             message):
     config = make_workspace(tmp_path)
-    config.mixture_spec = "builtin:nope"
-    _run_all_rejected_up_front(
-        tmp_path, config,
-        "unknown builtin mixture 'nope'; known: " + ", ".join(mixture.BUILTIN_NAMES))
+    path = spec if spec.startswith("builtin:") else str(tmp_path / spec)
+    if content is not None:
+        Path(path).write_text(content, encoding="utf-8")
+    config.mixture_spec = path
+    _run_all_rejected_up_front(tmp_path, config, message.format(path=path))
 
 
 def test_run_all_checks_only_the_stages_it_will_run(tmp_path):
@@ -780,24 +817,34 @@ def test_cli_gateway_config_errors_exit_two(tmp_path, patch, key):
     assert not Path(config.out_dir).exists()
 
 
+def _shard_config(tmp_path: Path, shard_dir: Path) -> Path:
+    """A minimal config that reads ``shard_dir`` and publishes under ``tmp_path/out``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"io": {
+        "in_dir": str(shard_dir), "out_dir": str(tmp_path / "out"),
+        "quarantine_dir": str(tmp_path / "quarantine")}}), encoding="utf-8")
+    return path
+
+
 def test_cli_mix_standalone(tmp_path, shard_dir):
-    out = tmp_path / "mixout"
+    """`kforge mix` run on its own, the spec and its sizing set by flags."""
     result = CliRunner().invoke(cli_main, [
-        "mix", "--spec", "builtin:baseline", "--pools", str(shard_dir),
-        "--out", str(out), "--budget", "20", "--seed", "3"])
+        "mix", "--config", str(_shard_config(tmp_path, shard_dir)),
+        "--spec", "builtin:baseline", "--budget", "20", "--seed", "3"])
     assert result.exit_code == 0, result.output
+    out = tmp_path / "out" / "mixture"
     assert (out / "mixture.jsonl").exists()
     plan = json.loads((out / "mixture_plan.json").read_text())
     assert plan["targets"] == {"caption": 6, "vqa": 3, "pure_text": 8, "other": 3}
 
 
 def test_cli_kd_score_standalone(tmp_path, shard_dir):
-    report_path = tmp_path / "kd.json"
+    """`kforge kd-score` run on its own, the comparison set by a flag."""
     result = CliRunner().invoke(cli_main, [
-        "kd-score", "--in", str(shard_dir), "--report", str(report_path),
+        "kd-score", "--config", str(_shard_config(tmp_path, shard_dir)),
         "--compare", "caption0:vqa0"])
     assert result.exit_code == 0, result.output
-    report = json.loads(report_path.read_text())
+    report = json.loads((tmp_path / "out" / "kd_report.json").read_text())
     assert report["comparisons"][0]["source_a"] == "caption0"
     assert set(report["per_source"]) == {"caption0", "vqa0", "pure_text"}
 
@@ -815,11 +862,116 @@ def test_cli_surface():
         "interleave": common, "stats": common, "run-all": common,
         "pair": common | {"--max-per-image", "--min-contrast"},
         "vqa-synth": common | {"--min-items", "--max-items", "--ratio", "--grounding"},
-        "kd-score": {"--in", "--report", "--compare", "--config"},
-        "mix": {"--spec", "--pools", "--out", "--rebalance", "--budget", "--unit", "--seed"},
+        "kd-score": common | {"--compare"},
+        "mix": common | {"--spec", "--budget", "--unit", "--rebalance"},
     }
     assert {name: {opt for param in command.params for opt in param.opts}
             for name, command in cli_main.commands.items()} == expected
+    assert all(param.required for command in cli_main.commands.values()
+               for param in command.params if param.name == "config_path")
+
+
+def test_stage_commands_publish_the_run_all_tree(tmp_path):
+    """The ten stage commands run one by one in ``STAGES`` order publish the
+    bytes and print the stats lines that ``run-all`` does."""
+    whole = make_workspace(tmp_path, "whole")
+    staged = make_workspace(tmp_path, "staged")
+    runner = CliRunner()
+    result = runner.invoke(cli_main, ["run-all", "--config",
+                                      str(_write_config(tmp_path / "whole", whole))])
+    assert result.exit_code == 0, result.output
+    expected_stats = [json.loads(line) for line in result.stdout.splitlines()]
+    config_path = str(_write_config(tmp_path / "staged", staged))
+    stats = []
+    for stage in pipeline.STAGES:
+        result = runner.invoke(cli_main, [stage.name, "--config", config_path])
+        assert result.exit_code == 0, result.output
+        stats.append(json.loads(result.stdout))
+    assert stats == expected_stats
+    assert _tree_bytes(staged.out_dir) == _tree_bytes(whole.out_dir)
+
+
+@pytest.mark.parametrize("args, key", [
+    # these two crashed with a traceback, the first after all its model calls
+    (["kd-score", "--compare", "caption0"], "kd.comparisons"),
+    (["vqa-synth", "--min-items", "0"], "min_items"),
+    (["pair", "--min-contrast", "2"], "pairing.min_contrast"),
+    (["pair", "--max-per-image", "0"], "pairing.max_per_image"),
+    (["mix", "--spec", "builtin:nope"], "'nope'"),
+    (["mix", "--spec", "{tmp}/missing.json"], "missing.json"),
+], ids=["compare", "min-items", "min-contrast", "max-per-image", "builtin-spec",
+        "missing-spec"])
+def test_cli_stage_flag_errors_exit_two(tmp_path, monkeypatch, args, key):
+    """A bad flag value exits 2 naming its key, before any model call and
+    with nothing published."""
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, *a: calls.append(a))
+    result = CliRunner().invoke(cli_main, [
+        args[0], "--config", str(config_path),
+        *(arg.format(tmp=tmp_path) for arg in args[1:])])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: ")
+    assert key in result.stderr
+    assert calls == []
+    assert not Path(config.out_dir).exists()
+
+
+# a command line for each stage flag, and the value it gives its config field
+_FLAG_CASES = [
+    ("annotate", ["--seed", "7"], "seed", 7),
+    ("pair", ["--max-per-image", "1"], "max_per_image", 1),
+    ("pair", ["--min-contrast", "0.9"], "min_contrast", 0.9),
+    ("vqa-synth", ["--min-items", "6"], "vqa_policy.min_items", 6),
+    ("vqa-synth", ["--max-items", "14"], "vqa_policy.max_items", 14),
+    ("vqa-synth", ["--ratio", "3"], "vqa_policy.detail_to_global_min_ratio", 3.0),
+    ("vqa-synth", ["--grounding", "0.6"], "vqa_policy.grounding_min_overlap", 0.6),
+    ("kd-score", ["--compare", "caption0:vqa0", "--compare", "a:b"], "kd_comparisons",
+     (("caption0", "vqa0"), ("a", "b"))),
+    ("mix", ["--spec", "builtin:caption_only"], "mixture_spec", "builtin:caption_only"),
+    ("mix", ["--budget", "20"], "mixture_budget", 20),
+    ("mix", ["--unit", "tokens"], "mixture_unit", "tokens"),
+    ("mix", ["--rebalance"], "rebalance", True),
+]
+
+
+def test_every_flag_patches_its_config_key(tmp_path, monkeypatch):
+    """Each flag sets a key that ``config_from_obj`` accepts, and the parsed
+    config differs from the file's in that key's field alone."""
+    flags = {opt for options in cli._OVERRIDES.values() for option in options.values()
+             for opt in option.opts}
+    assert {args[0] for _, args, _, _ in _FLAG_CASES} == flags | {"--seed"}
+    config_path = _write_config(tmp_path, make_workspace(tmp_path))
+    base = pipeline.load_config(config_path)
+    configs = []
+    monkeypatch.setattr(pipeline, "run_stage", lambda stage, config, strict:
+                        configs.append(config) or {"strict_failure": False})
+    for stage, args, field, value in _FLAG_CASES:
+        result = CliRunner().invoke(cli_main, [stage, "--config", str(config_path), *args])
+        assert result.exit_code == 0, result.output
+        section, _, name = field.rpartition(".")
+        expected = (dataclasses.replace(base, **{name: value}) if not section else
+                    dataclasses.replace(base, **{section: dataclasses.replace(
+                        getattr(base, section), **{name: value})}))
+        assert configs.pop() == expected != base, args
+
+
+def test_readme_commands_match_the_cli():
+    """Every ``kforge <command> ...`` line in README.md's code blocks names a
+    registered command and only options of that command."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line.split() for line in lines if line.startswith("kforge ")]
+    assert len(commands) >= 3
+    for _, name, *args in commands:
+        assert name in cli_main.commands, name
+        options = {opt for param in cli_main.commands[name].params for opt in param.opts}
+        for arg in (arg.strip("[]") for arg in args):
+            assert not arg.startswith("-") or arg in options, (name, arg)
 
 
 def test_cli_pair_flag_overrides(tmp_path):
