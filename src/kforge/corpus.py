@@ -5,11 +5,13 @@ fields ``id, kind, image_uris, payload, source, meta``. ``payload`` is an
 object whose single key names the body variant: ``caption``, ``qa``,
 ``text``, or ``doc``.
 
-``read_shard`` decodes, validates and builds each record once: the line
-goes through the JSON scanner (``json.loads`` only for lines it does not
-consume whole, which keeps its error messages), the decoded fields are
-checked in one pass, and the ``Record`` is constructed after the checks.
-A record's default token estimate is computed once and kept on it.
+``read_shard`` decodes each line once with the JSON scanner (``json.loads``
+only for lines it does not consume whole, which keeps its error messages)
+and checks the decoded fields in one pass. Its ``Record`` keeps the line,
+the fields stages select on (``id``, ``kind``, ``source``, ``image_uris``;
+one ``kind`` and ``source`` string per shard) and the token estimate made
+from the decoded line. ``payload`` and ``meta`` are decoded from the line
+whenever they are read and are not kept, so a pool costs about its lines.
 """
 from __future__ import annotations
 
@@ -73,11 +75,16 @@ _encoder = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 _iterencode = (json.encoder.c_make_encoder(
     None, _encoder.default, json.encoder.encode_basestring, None, ":", ",", False, False, True)
     if json.encoder.c_make_encoder else lambda obj, _: _encoder.iterencode(obj))
+_sorted_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Record:
-    """One corpus sample. Treat as immutable after construction."""
+    """One corpus sample. Treat as immutable after construction.
+
+    A record read by ``read_shard`` keeps its validated line and leaves
+    ``payload`` and ``meta`` unset; reading either decodes it from the line.
+    """
 
     id: str
     kind: str
@@ -85,23 +92,41 @@ class Record:
     payload: dict
     source: str
     meta: dict = field(default_factory=dict)
-    # estimate_tokens' estimate, kept by its first call
+    _line: str | None = field(default=None, init=False, repr=False, compare=False)
+    # estimate_tokens' estimate: made at ingest, or kept by its first call
     _tokens: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: the payload or meta of a read record
+        if name not in ("payload", "meta") or self._line is None:
+            raise AttributeError(name)
+        payload, meta = self._body()
+        return meta if name == "meta" else payload
+
+    def _body(self) -> tuple[dict, dict]:
+        """(payload, meta), from one decode of the line of a read record."""
+        if self._line is None:
+            return self.payload, self.meta
+        obj = _scan(self._line, 0)[0]
+        return obj["payload"], obj.get("meta", {})
 
     def text_units(self) -> list[str]:
         """All text carried by the payload, in a stable order."""
-        key = PAYLOAD_KEY[self.kind]
-        body = self.payload.get(key)
-        if self.kind == KIND_VQA:
-            units = []
-            for item in body:
-                units.append(item["question"])
-                units.append(item["answer"])
-            return units
-        if self.kind == KIND_OTHER:
-            return [json.dumps(body, ensure_ascii=False, sort_keys=True,
-                               separators=(",", ":"))]
-        return [body]
+        return _text_units(self.kind, self.payload)
+
+
+def _text_units(kind: str, payload: dict) -> list[str]:
+    body = payload.get(PAYLOAD_KEY[kind])
+    if kind == KIND_VQA:
+        return [text for item in body for text in (item["question"], item["answer"])]
+    if kind == KIND_OTHER:
+        return [_sorted_encode(body)]
+    return [body]
+
+
+def _estimate(kind: str, payload: dict, n_images: int) -> int:
+    return (math.ceil(sum(len(u) for u in _text_units(kind, payload)) / 4)
+            + n_images * DEFAULT_IMAGE_TOKENS)
 
 
 def validate_record_id(value: str, line: int | None = None) -> None:
@@ -185,18 +210,20 @@ def _check_fields(rid, kind, uris: tuple, payload, source, meta, line: int | Non
 
 def validate_record(record: Record, line: int | None = None) -> Record:
     """Enforce the kind/arity table and payload invariants."""
-    _check_fields(record.id, record.kind, record.image_uris, record.payload,
-                  record.source, record.meta, line)
+    payload, meta = record._body()
+    _check_fields(record.id, record.kind, record.image_uris, payload, record.source, meta, line)
     return record
 
 
-def record_to_json(record: Record) -> str:
-    """Serialize with a stable field order so identical inputs give identical bytes."""
-    payload = record.payload
+def record_to_json(record: Record, stamp: dict[str, str] | None = None) -> str:
+    """Serialize with a stable field order so identical inputs give identical bytes;
+    ``stamp``'s entries are merged into ``meta`` over the record's own."""
+    payload, meta = record._body()
     if record.kind == KIND_VQA:
         payload = {"qa": [{"question": d["question"], "answer": d["answer"],
                            "scope": d.get("scope", SCOPE_DETAIL)} for d in payload["qa"]]}
-    meta = record.meta
+    if stamp:
+        meta = {**meta, **stamp}
     return json_line({
         "id": record.id, "kind": record.kind, "image_uris": record.image_uris,
         "payload": payload, "source": record.source,
@@ -217,6 +244,11 @@ def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]
 
 
 def record_from_obj(obj: dict, line: int | None = None) -> Record:
+    return Record(*_checked(obj, line))
+
+
+def _checked(obj, line: int | None) -> tuple:
+    """The validated (id, kind, image_uris, payload, source, meta) of a decoded line."""
     if not isinstance(obj, dict):
         raise ValidationError("record", "line is not a JSON object", line)
     try:
@@ -230,7 +262,7 @@ def record_from_obj(obj: dict, line: int | None = None) -> Record:
     uris = tuple(uris)
     meta = obj.get("meta", {})
     _check_fields(rid, kind, uris, payload, source, meta, line)
-    return Record(rid, kind, uris, payload, source, meta)
+    return rid, kind, uris, payload, source, meta
 
 
 def read_shard(path: str | Path,
@@ -247,6 +279,7 @@ def read_shard(path: str | Path,
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ShardIoError(f"cannot open {path}: {exc}") from exc
+    shared: dict[str, str] = {}  # one string per distinct kind and source
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -264,7 +297,13 @@ def read_shard(path: str | Path,
                         obj = json.loads(raw)
                     except (ValueError, RecursionError) as exc:  # invalid, or too deep
                         raise ParseError(lineno, str(exc)) from exc
-                yield record_from_obj(obj, lineno)
+                    raw = raw.strip()  # Record._body scans the kept line from index 0
+                rid, kind, uris, payload, source, _ = _checked(obj, lineno)
+                record = object.__new__(Record)  # payload and meta stay unset
+                record.id, record.kind, record.image_uris, record.source = (
+                    rid, shared.setdefault(kind, kind), uris, shared.setdefault(source, source))
+                record._line, record._tokens = raw, _estimate(kind, payload, len(uris))
+                yield record
             except (ParseError, ValidationError) as exc:
                 if on_error is None:
                     raise
@@ -327,11 +366,9 @@ def dedupe_by_id(records: Iterable[Record]) -> tuple[list[Record], int]:
 
 def estimate_tokens(record: Record) -> int:
     """Deterministic token estimate for mixture budgeting: ceil(total text
-    chars / 4) plus a flat per-image cost. The estimate is kept on the
-    record, so each record is estimated once however often it is asked for.
+    chars / 4) plus a flat per-image cost, made once per record: at ingest
+    for a record read from a shard, at the first call for any other.
     """
     if record._tokens is None:
-        tokens = (math.ceil(sum(len(u) for u in record.text_units()) / 4)
-                  + len(record.image_uris) * DEFAULT_IMAGE_TOKENS)
-        object.__setattr__(record, "_tokens", tokens)  # derived from frozen fields
+        record._tokens = _estimate(record.kind, record.payload, len(record.image_uris))
     return record._tokens

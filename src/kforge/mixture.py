@@ -6,8 +6,10 @@ largest-remainder apportionment so targets always sum to the budget;
 sampling is a seeded shuffle per category interleaved by a seeded weighted
 round-robin, without replacement. Each interleave draw equals
 ``random.choices`` over the sorted categories weighted by their remaining
-counts. Pool records arrive decoded, validated and built once per read
-(``corpus.read_shard``), and in token units each is estimated once.
+counts. Pool records arrive as validated lines with their token estimates
+(``corpus.read_shard``). Sampling returns each drawn record with its
+category, and ``publish_mixture`` decodes each once to write its line
+with the category and spec name stamped into ``meta``.
 """
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ VERIFY_TOLERANCE = {UNIT_SAMPLES: 0.005, UNIT_TOKENS: 0.01}
 
 CATEGORY_META_KEY = "mixture_category"
 SPEC_META_KEY = "mixture_spec"
+
+# a mixture spec reference naming a builtin; any other reference is a spec file
+BUILTIN_PREFIX = "builtin:"
 
 
 @dataclass(frozen=True)
@@ -148,13 +153,6 @@ def builtin_spec(name: str, budget: int, seed: int, unit: str = UNIT_SAMPLES) ->
         seed=seed, pool_bindings=dict(bindings), notes=notes))
 
 
-def spec_from_ref(ref: str, budget: int, seed: int, unit: str = UNIT_SAMPLES) -> MixtureSpec:
-    """``builtin:<name>``, sized by ``budget``, ``seed`` and ``unit``, or a spec file path."""
-    if ref.startswith("builtin:"):
-        return builtin_spec(ref.split(":", 1)[1], budget=budget, seed=seed, unit=unit)
-    return load_spec(ref)
-
-
 def largest_remainder(budget: int, fractions: dict[str, float]) -> dict[str, int]:
     """Integer apportionment that conserves the budget exactly.
 
@@ -212,13 +210,8 @@ def resolve_pools(records: Iterable[Record], spec: MixtureSpec) -> dict[str, lis
     by_source: dict[str, list[Record]] = {}
     for r in records:
         by_source.setdefault(r.source, []).append(r)
-    pools: dict[str, list[Record]] = {}
-    for category, sources in spec.pool_bindings.items():
-        rows: list[Record] = []
-        for source in sources:
-            rows.extend(by_source.get(source, []))
-        pools[category] = rows
-    return pools
+    return {category: [r for source in sources for r in by_source.get(source, ())]
+            for category, sources in spec.pool_bindings.items()}
 
 
 def pool_sizes(pools: dict[str, list[Record]], unit: str) -> dict[str, int]:
@@ -227,15 +220,11 @@ def pool_sizes(pools: dict[str, list[Record]], unit: str) -> dict[str, int]:
     return {c: len(rows) for c, rows in pools.items()}
 
 
-def _stamp(record: Record, spec: MixtureSpec, category: str) -> Record:
-    stamped = Record(record.id, record.kind, record.image_uris, record.payload, record.source,
-                     {**record.meta, CATEGORY_META_KEY: category, SPEC_META_KEY: spec.name})
-    object.__setattr__(stamped, "_tokens", record._tokens)  # same text, same estimate
-    return stamped
-
-
-def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Record]:
+def sample_mixture(plan: MixturePlan,
+                   pools: dict[str, list[Record]]) -> list[tuple[str, Record]]:
     """Draw the planned mixture, deterministically and without replacement.
+
+    Returns (category, pool record) pairs in draw order.
 
     Per category the pool's record ids are shuffled with a seed keyed by
     (spec seed, category) and taken until the quota is met; in token units
@@ -244,21 +233,19 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
     remaining counts, with the ``random()`` and bisect of ``random.choices``.
     """
     spec = plan.spec
-    taken: dict[str, list[Record]] = {}
+    taken: dict[str, list[tuple[str, Record]]] = {}
     used_ids: set[str] = set()
 
     for category in sorted(c for c, amount in plan.achieved.items() if amount > 0):
         rows = pools.get(category)
         if not rows:
             raise PoolRecordMissing(f"no pool records for category {category}")
-        by_id: dict[str, Record] = {}
-        for r in rows:
-            by_id.setdefault(r.id, r)
+        by_id = {r.id: r for r in reversed(rows)}  # the first record of each id
         ids = sorted(by_id)
         random.Random(f"{spec.seed}:{category}").shuffle(ids)
 
         quota = plan.achieved[category]
-        picked: list[Record] = []
+        picked: list[tuple[str, Record]] = []
         amount = 0
         for record_id in ids:
             if amount >= quota:
@@ -267,7 +254,7 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
                 continue
             record = by_id[record_id]
             amount += estimate_tokens(record) if spec.unit == UNIT_TOKENS else 1
-            picked.append(_stamp(record, spec, category))
+            picked.append((category, record))
             used_ids.add(record_id)
         if amount < quota:
             raise PoolRecordMissing(
@@ -277,7 +264,7 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
     draw = random.Random(f"{spec.seed}:interleave").random
     queues = [iter(taken[c]) for c in sorted(taken) if taken[c]]
     counts = [len(taken[c]) for c in sorted(taken) if taken[c]]
-    out: list[Record] = []
+    out: list[tuple[str, Record]] = []
     while counts:
         cum = list(accumulate(counts))
         i = bisect(cum, draw() * (cum[-1] + 0.0), 0, len(cum) - 1)
@@ -288,9 +275,10 @@ def sample_mixture(plan: MixturePlan, pools: dict[str, list[Record]]) -> list[Re
     return out
 
 
-def verify_mixture(records: Iterable[Record], spec: MixtureSpec,
+def verify_mixture(sampled: Iterable[tuple[str, Record]], spec: MixtureSpec,
                    tolerance: float | None = None) -> dict:
-    """Measure realized proportions against the declared ones.
+    """Measure realized proportions against the declared ones, over the
+    (category, record) pairs that ``sample_mixture`` returns.
 
     Returns a report document; ``pass`` is false when the measurement
     deviates beyond the tolerance or the shard set is empty.
@@ -299,8 +287,7 @@ def verify_mixture(records: Iterable[Record], spec: MixtureSpec,
         tolerance = VERIFY_TOLERANCE[spec.unit]
     amounts: dict[str, int] = {c: 0 for c in spec.proportions}
     total = 0
-    for r in records:
-        category = r.meta.get(CATEGORY_META_KEY, "")
+    for category, r in sampled:
         amount = estimate_tokens(r) if spec.unit == UNIT_TOKENS else 1
         amounts[category] = amounts.get(category, 0) + amount
         total += amount
@@ -323,7 +310,7 @@ def verify_mixture(records: Iterable[Record], spec: MixtureSpec,
 
 
 def publish_mixture(out_dir: str | Path, plan: MixturePlan,
-                    records: list[Record]) -> dict:
+                    sampled: list[tuple[str, Record]]) -> dict:
     """Publish ``mixture.jsonl``, ``mixture_plan.json`` and ``mixture_verify.json``.
 
     Each file goes through ``corpus.publish``. Returns the verify document.
@@ -331,18 +318,20 @@ def publish_mixture(out_dir: str | Path, plan: MixturePlan,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = plan.spec
-    publish(out_dir / "mixture.jsonl", (record_to_json(r) + "\n" for r in records))
+    publish(out_dir / "mixture.jsonl", (
+        record_to_json(r, {CATEGORY_META_KEY: category, SPEC_META_KEY: spec.name}) + "\n"
+        for category, r in sampled))
     publish(out_dir / "mixture_plan.json", [json.dumps({
         "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
         "targets": plan.targets, "achieved": plan.achieved,
         "shortfalls": plan.shortfalls}, sort_keys=True, indent=2)])
-    verify = verify_mixture(records, spec)
+    verify = verify_mixture(sampled, spec)
     publish(out_dir / "mixture_verify.json", [json.dumps(verify, sort_keys=True, indent=2)])
     return verify
 
 
 def build_mixture(records: Iterable[Record], spec: MixtureSpec, out_dir: str | Path,
-                  rebalance: bool = False) -> tuple[list[Record], dict]:
+                  rebalance: bool = False) -> tuple[list[tuple[str, Record]], dict]:
     """Resolve, plan, sample and publish a mixture; returns (sampled, verify doc)."""
     pools = resolve_pools(records, spec)
     plan = plan_mixture(spec, pool_sizes(pools, spec.unit), rebalance=rebalance)

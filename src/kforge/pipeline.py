@@ -159,7 +159,12 @@ def config_from_obj(obj: dict) -> PipelineConfig:
             vqa_policy=_from_values(VqaValidationPolicy, vqa_policy))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc
-    return validate_config(config)
+    config = validate_config(config)
+    sizing = [key for key in ("budget", "unit") if f"mixture_{key}" in values]
+    if sizing and not config.mixture_spec.startswith(mixture.BUILTIN_PREFIX):
+        raise ConfigInvalid(f"mixture.{sizing[0]} applies to builtin: specs only; "
+                            f"the spec file {config.mixture_spec} sets its own")
+    return config
 
 
 def load_config(path: str | Path, patch: dict | None = None) -> PipelineConfig:
@@ -218,6 +223,12 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
         raise ConfigInvalid("pairing.max_per_image must be >= 1")
     if not 0 <= config.min_contrast <= 1:
         raise ConfigInvalid("pairing.min_contrast must be within [0, 1]")
+    policy = config.vqa_policy
+    if not 1 <= policy.min_items <= policy.max_items:
+        raise ConfigInvalid("vqa_policy.min_items must be >= 1 and <= max_items")
+    for key in ("detail_to_global_min_ratio", "grounding_min_overlap"):
+        if not getattr(policy, key) > 0:
+            raise ConfigInvalid(f"vqa_policy.{key} must be > 0")
     if not 2 <= config.interleave_min <= config.interleave_max:
         raise ConfigInvalid("interleave.min_group must be >= 2 and <= max_group")
     for pair in config.kd_comparisons:
@@ -404,10 +415,13 @@ class Ingest:
     A decoded file is cached under its path with its identity (inode, size,
     mtime in ns), which ``os.stat`` checks on every access. ``corpus.publish``
     renames, so a republished file has a new identity and is read again;
-    nothing stale is served. Shard lines are validated as ``read_shard``
-    does, and each invalid line goes to the quarantine of the first stage
-    that reads its shard, only there. Cached records, descriptors and pairs
-    are shared by every stage that reads them and must not be mutated.
+    nothing stale is served. A cached shard holds ``read_shard``'s records:
+    each keeps its validated line, id, kind, source, image URIs and token
+    estimate, and decodes its payload only for the stage that reads it, so
+    the cache grows with the shards' text, not with payload objects. Each
+    invalid line goes to the quarantine of the first stage that reads its
+    shard, only there. Cached records, descriptors and pairs are shared by
+    every stage that reads them and must not be mutated.
     """
 
     def __init__(self):
@@ -626,8 +640,12 @@ def _seed(config: PipelineConfig, what: str) -> int:
 
 
 def _mixture_spec(config: PipelineConfig) -> mixture.MixtureSpec:
-    return mixture.spec_from_ref(config.mixture_spec, config.mixture_budget,
-                                 _seed(config, "mix"), config.mixture_unit)
+    """The configured spec; a spec file carries its own seed, budget and unit."""
+    if not config.mixture_spec.startswith(mixture.BUILTIN_PREFIX):
+        return mixture.load_spec(config.mixture_spec)
+    return mixture.builtin_spec(config.mixture_spec.removeprefix(mixture.BUILTIN_PREFIX),
+                                config.mixture_budget, _seed(config, "mix"),
+                                config.mixture_unit)
 
 
 def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,

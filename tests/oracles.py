@@ -108,6 +108,26 @@ def oracle_json_line(raw: str):
         return "error", str(exc)
 
 
+def oracle_record_json(obj: dict, stamp: dict | None = None) -> str:
+    """Reference encoding of one decoded record as kforge writes it.
+
+    ``json.dumps`` with compact separators and UTF-8 text over the README's
+    field order (id, kind, image_uris, payload, source, meta). Each VQA item
+    is written as question, answer, scope, with ``detail`` for a missing
+    scope; ``meta`` takes ``stamp``'s entries over its own and is key-sorted.
+    """
+    payload = obj["payload"]
+    if obj["kind"] == "vqa":
+        payload = {"qa": [{"question": item["question"], "answer": item["answer"],
+                           "scope": item.get("scope", "detail")} for item in payload["qa"]]}
+    meta = dict(obj.get("meta", {}))
+    meta.update(stamp or {})
+    return json.dumps({"id": obj["id"], "kind": obj["kind"], "image_uris": list(obj["image_uris"]),
+                       "payload": payload, "source": obj["source"],
+                       "meta": {key: meta[key] for key in sorted(meta)}},
+                      ensure_ascii=False, separators=(",", ":"))
+
+
 def oracle_interleave(seed: int, taken: dict) -> list:
     """The weighted round-robin as first written: one ``random.choices`` per draw
     over the sorted categories that still hold items, weighted by their counts."""

@@ -91,8 +91,8 @@ def test_mixture_determinism_and_verification():
         spec = builtin_spec("baseline", budget=2500, seed=17, unit="samples")
         pools = resolve_pools(records, spec)
         plan = plan_mixture(spec, pool_sizes(pools, "samples"))
-        run_a = [record_to_json(r) for r in sample_mixture(plan, pools)]
-        run_b = [record_to_json(r) for r in sample_mixture(plan, pools)]
+        run_a = [(c, record_to_json(r)) for c, r in sample_mixture(plan, pools)]
+        run_b = [(c, record_to_json(r)) for c, r in sample_mixture(plan, pools)]
         assert run_a == run_b
 
         sampled = sample_mixture(plan, pools)

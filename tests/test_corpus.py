@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +15,19 @@ from kforge.corpus import (IMAGE_ARITY, KINDS, Record, dedupe_by_id,
                            estimate_tokens, read_shard, record_from_obj,
                            publish, record_to_json, validate_record, write_shard)
 from kforge.errors import ParseError, ValidationError
+from kforge.mixture import MixturePlan, MixtureSpec, publish_mixture
 
 from conftest import make_corpus
-from oracles import oracle_dedupe_count, oracle_json_line
+from oracles import oracle_dedupe_count, oracle_json_line, oracle_record_json
 
 # --- strategies --------------------------------------------------------------
 
 _ids = st.from_regex(r"[A-Za-z0-9._~-]{1,24}", fullmatch=True)
-_texts = (st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
-                  min_size=1, max_size=60)
-          .filter(lambda s: s.strip() and "<Image_" not in s))
+_plain_texts = (st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                        min_size=1, max_size=60)
+                .filter(lambda s: s.strip() and "<Image_" not in s))
+# text that looks like a record field to anything that searches the line
+_texts = st.one_of(_plain_texts, _plain_texts.map(lambda s: s + ' "meta": {"k": "v"}, '))
 _metas = st.dictionaries(st.from_regex(r"[a-z_]{1,10}", fullmatch=True),
                          _texts, max_size=3)
 
@@ -63,6 +69,64 @@ def records(draw, kind=None):
 @given(records())
 def test_roundtrip_property(record):
     assert record_from_obj(json.loads(record_to_json(record))) == record
+
+
+@st.composite
+def noncanonical_lines(draw):
+    """(decoded object, line) for a drawn record written as ``record_to_json``
+    would not write it: keys shuffled, whitespace added, some VQA scopes
+    dropped, meta unsorted, and text escaped to ASCII or left as it is."""
+    record = draw(records())
+    payload = json.loads(json.dumps(record.payload))
+    if record.kind == "vqa":
+        for item in payload["qa"]:
+            if draw(st.booleans()):
+                del item["scope"]
+    meta = dict(draw(st.permutations(sorted(record.meta.items()))))
+    fields = {"id": record.id, "kind": record.kind, "image_uris": list(record.image_uris),
+              "payload": payload, "source": record.source, "meta": meta}
+    obj = {key: fields[key] for key in draw(st.permutations(list(fields)))}
+    item_sep, key_sep = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :  ")]))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()), separators=(item_sep, key_sep))
+    pad = st.sampled_from(["", " ", "\t ", "  "])
+    return obj, draw(pad) + line + draw(pad)
+
+
+def _eager_tokens(obj: dict) -> int:
+    body = obj["payload"][next(iter(obj["payload"]))]
+    if obj["kind"] == "vqa":
+        chars = sum(len(item["question"]) + len(item["answer"]) for item in body)
+    elif obj["kind"] == "other":
+        chars = len(json.dumps(body, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+    else:
+        chars = len(body)
+    return math.ceil(chars / 4) + 256 * len(obj["image_uris"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(noncanonical_lines(), min_size=1, max_size=4))
+def test_read_shard_record_decodes_its_line_on_demand(drawn):
+    """A record read from a non-canonical line reads as the eagerly decoded
+    record does, and writes, bare and stamped, the oracle's bytes."""
+    stamp = {"mixture_category": "c", "mixture_spec": "mix"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        path.write_text("".join(line + "\n" for _, line in drawn), encoding="utf-8")
+        got = list(read_shard(path))
+        spec = MixtureSpec("mix", {"c": 1.0}, "samples", len(got), 0, {"c": ("s",)})
+        publish_mixture(Path(tmp) / "mixture", MixturePlan(spec, {}, {}, {}),
+                        [("c", r) for r in got])
+        published = (Path(tmp) / "mixture" / "mixture.jsonl").read_text(encoding="utf-8")
+    assert len(got) == len(drawn)
+    for record, (obj, line) in zip(got, drawn):
+        eager = record_from_obj(json.loads(line))
+        assert record == eager
+        assert (record.payload, record.meta) == (eager.payload, eager.meta) == (
+            obj["payload"], obj["meta"])
+        assert record.text_units() == eager.text_units()
+        assert estimate_tokens(record) == estimate_tokens(eager) == _eager_tokens(obj)
+        assert record_to_json(record) == oracle_record_json(obj)
+    assert published == "".join(oracle_record_json(obj, stamp) + "\n" for obj, _ in drawn)
 
 
 def test_write_then_read_is_identity(tmp_path, corpus30):

@@ -138,8 +138,8 @@ def _pools_for(spec: MixtureSpec, sizes: dict[str, int]):
 def test_sampling_deterministic_bytes():
     spec = _simple_spec(budget=100)
     pools = _pools_for(spec, {"caption": 200, "vqa": 200})
-    a = [record_to_json(r) for r in sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)]
-    b = [record_to_json(r) for r in sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)]
+    a = [(c, record_to_json(r)) for c, r in sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)]
+    b = [(c, record_to_json(r)) for c, r in sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)]
     assert a == b
 
 
@@ -150,10 +150,10 @@ def test_different_seeds_same_counts_different_order():
         pools = _pools_for(spec, {"caption": 200, "vqa": 200})
         out = sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)
         by_cat = {}
-        for r in out:
-            by_cat[r.meta["mixture_category"]] = by_cat.get(r.meta["mixture_category"], 0) + 1
+        for category, _ in out:
+            by_cat[category] = by_cat.get(category, 0) + 1
         counts.append(by_cat)
-        orders.append([r.id for r in out])
+        orders.append([r.id for _, r in out])
     assert counts[0] == counts[1] == {"caption": 50, "vqa": 50}
     assert orders[0] != orders[1]
 
@@ -162,7 +162,7 @@ def test_no_record_sampled_twice():
     spec = _simple_spec(budget=150)
     pools = _pools_for(spec, {"caption": 100, "vqa": 100})
     out = sample_mixture(plan_mixture(spec, pool_sizes(pools, "samples")), pools)
-    ids = [r.id for r in out]
+    ids = [r.id for _, r in out]
     assert len(ids) == len(set(ids)) == 150
 
 
@@ -177,7 +177,7 @@ def test_token_unit_overshoot_bounded_by_one_record():
     plan = plan_mixture(spec, pool_sizes(pools, "tokens"))
     out = sample_mixture(plan, pools)
     assert len(out) == 4
-    assert sum(estimate_tokens(r) for r in out) == 1200
+    assert sum(estimate_tokens(r) for _, r in out) == 1200
 
 
 def test_missing_pool_is_error():
@@ -209,9 +209,9 @@ def test_interleave_matches_random_choices_oracle(seed, unit):
         pools = resolve_pools(records, spec)
         out = sample_mixture(plan_mixture(spec, pool_sizes(pools, unit)), pools)
         taken: dict[str, list[str]] = {}
-        for r in out:
-            taken.setdefault(r.meta["mixture_category"], []).append(r.id)
-        assert [r.id for r in out] == oracle_interleave(spec.seed, taken)
+        for category, r in out:
+            taken.setdefault(category, []).append(r.id)
+        assert [r.id for _, r in out] == oracle_interleave(spec.seed, taken)
         checked += len(out)
     assert checked
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,7 @@ def test_sampling_stages_require_seed(tmp_path):
     config.seed = None
     with pytest.raises(ConfigInvalid):
         run_stage("interleave", config)
+    config.mixture_spec = "builtin:baseline"  # a spec file carries its own seed
     with pytest.raises(ConfigInvalid):
         run_stage("mix", config)
 
@@ -392,6 +395,27 @@ def test_ingest_rereads_republished_shard(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert [r.payload for r in second] == [r.payload for r in changed]
     assert [r.payload for r in second] != [r.payload for r in first]
+
+
+def test_ingest_keeps_lines_not_object_graphs(tmp_path):
+    """An ingested record keeps its line and the fields stages select on, not
+    its decoded payload: about 570 bytes per record of this corpus, where
+    records holding their payload objects took about 1,190."""
+    path = tmp_path / "shard.jsonl"
+    write_shard(make_corpus(n_caption=1000, n_vqa=1000, n_text=1000, n_other=1000, seed=3),
+                path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ingest = pipeline.Ingest()
+        records = ingest.shard(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    assert retained / len(records) < 760
 
 
 def test_ingest_quarantines_a_bad_line_once(tmp_path):
@@ -774,10 +798,11 @@ def test_run_all_checks_only_the_stages_it_will_run(tmp_path):
     config = make_workspace(tmp_path)
     assert run_all(config)[0] == 0
     (Path(config.out_dir) / "mixture" / "mixture_verify.json").unlink()
+    spec_file, config.mixture_spec = config.mixture_spec, "builtin:baseline"
     config.seed = None
     with pytest.raises(ConfigInvalid, match="^mix samples; config needs a seed$"):
         run_all(config)
-    config.seed = 5
+    config.seed, config.mixture_spec = 5, spec_file
     code, stats = run_all(config)
     assert code == 0 and [s["stage"] for s in stats] == ["mix"]
     # every stage done: nothing is left to reject
@@ -838,6 +863,59 @@ def test_cli_mix_standalone(tmp_path, shard_dir):
     assert plan["targets"] == {"caption": 6, "vqa": 3, "pure_text": 8, "other": 3}
 
 
+def test_cli_mix_spec_file_needs_no_config_seed(tmp_path, shard_dir):
+    """A spec file carries its own seed, budget and unit, so a config
+    without a seed runs it."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc()), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, [
+        "mix", "--config", str(_shard_config(tmp_path, shard_dir)), "--spec", str(spec_path)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out" / "mixture"
+    plan = json.loads((out / "mixture_plan.json").read_text())
+    assert (plan["spec"], plan["budget"], plan["unit"]) == ("fixture_mix", 20, "samples")
+    lines = (out / "mixture.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 20
+    assert {json.loads(line)["meta"]["mixture_spec"] for line in lines} == {"fixture_mix"}
+
+
+@pytest.mark.parametrize("args, mixture_keys, key", [
+    (["--budget", "999"], {}, "mixture.budget"),
+    (["--unit", "tokens"], {}, "mixture.unit"),
+    ([], {"budget": 20}, "mixture.budget"),
+    ([], {"unit": "samples"}, "mixture.unit"),
+], ids=["budget-flag", "unit-flag", "budget-key", "unit-key"])
+def test_cli_mix_spec_file_rejects_budget_and_unit(tmp_path, args, mixture_keys, key):
+    """A budget or unit set beside a spec file, by flag or by config key,
+    exits 2 naming the key instead of being ignored, even when it equals
+    the file's own value."""
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["mixture"].update(mixture_keys)
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, ["mix", "--config", str(config_path), *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"config error: {key} applies to builtin: specs only; "
+                             f"the spec file {config.mixture_spec} sets its own\n")
+    assert not Path(config.out_dir).exists()
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({"min_items": 0}, "vqa_policy.min_items must be >= 1 and <= max_items"),
+    ({"min_items": 6, "max_items": 5}, "vqa_policy.min_items must be >= 1 and <= max_items"),
+    ({"detail_to_global_min_ratio": 0}, "vqa_policy.detail_to_global_min_ratio must be > 0"),
+    ({"grounding_min_overlap": -0.5}, "vqa_policy.grounding_min_overlap must be > 0"),
+], ids=["min_items", "min_above_max", "ratio", "grounding"])
+def test_vqa_policy_range_error_names_its_key(tmp_path, policy, message):
+    config = make_workspace(tmp_path)
+    doc = json.loads(_write_config(tmp_path, config).read_text(encoding="utf-8"))
+    doc["vqa_policy"] = policy
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        config_from_obj(doc)
+
+
 def test_cli_kd_score_standalone(tmp_path, shard_dir):
     """`kforge kd-score` run on its own, the comparison set by a flag."""
     result = CliRunner().invoke(cli_main, [
@@ -894,7 +972,7 @@ def test_stage_commands_publish_the_run_all_tree(tmp_path):
 @pytest.mark.parametrize("args, key", [
     # these two crashed with a traceback, the first after all its model calls
     (["kd-score", "--compare", "caption0"], "kd.comparisons"),
-    (["vqa-synth", "--min-items", "0"], "min_items"),
+    (["vqa-synth", "--min-items", "0"], "vqa_policy.min_items must be >= 1 and <= max_items\n"),
     (["pair", "--min-contrast", "2"], "pairing.min_contrast"),
     (["pair", "--max-per-image", "0"], "pairing.max_per_image"),
     (["mix", "--spec", "builtin:nope"], "'nope'"),
@@ -944,6 +1022,9 @@ def test_every_flag_patches_its_config_key(tmp_path, monkeypatch):
              for opt in option.opts}
     assert {args[0] for _, args, _, _ in _FLAG_CASES} == flags | {"--seed"}
     config_path = _write_config(tmp_path, make_workspace(tmp_path))
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["mixture"]["spec"] = "builtin:baseline"  # --budget and --unit size builtin specs only
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
     base = pipeline.load_config(config_path)
     configs = []
     monkeypatch.setattr(pipeline, "run_stage", lambda stage, config, strict:
