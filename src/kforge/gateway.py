@@ -10,7 +10,8 @@ shared by every thread and stage, proxies read once from the environment,
 HTTPS verified against the system trust store. Timeouts, 429s, 5xx replies
 and connections dropped before a response are retried with backoff.
 ``Gateway.complete`` is the one reply path: it checks each reply, re-asks at
-most once and returns the parsed value.
+most once and returns the parsed value. With a ``ReplyStore`` attached, a
+request answered before is read back from the store and not sent again.
 """
 from __future__ import annotations
 
@@ -20,12 +21,14 @@ import hashlib
 import http.client
 import json
 import logging
+import os
 import select
 import socket
 import ssl
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from urllib.parse import unquote, urlsplit, urlunsplit
 from urllib.request import getproxies, proxy_bypass
 
@@ -38,6 +41,10 @@ from kforge.textnorm import distinct_content_words, tokenize
 logger = logging.getLogger(__name__)
 
 REASK_SUFFIX = "\nReturn only valid JSON."
+
+# the reply store is fsynced at most this often; each reply reaches the
+# kernel at once
+SYNC_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -406,6 +413,79 @@ def _readable(sock: socket.socket) -> bool:
 _RETRYABLE = ("timeout", "rate_limited", "connection")
 
 
+class ReplyStore:
+    """Append-only log of model replies, one ``<key hex> <reply JSON>`` line
+    each. A stored reply reaches the kernel at once, so a killed process
+    loses none, and the file is fsynced at most once per ``SYNC_INTERVAL_S``.
+    The first lookup opens the file and indexes it as key -> offset and
+    length, cut at its first torn or undecodable line; a hit is read back
+    with ``os.pread``, so memory grows with the number of replies, not with
+    their text. Nothing is removed: deleting the file forces fresh calls."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh = None
+        self._index: dict[bytes, int] = {}  # key -> offset << 32 | line length
+        self._end, self._synced_at = 0, 0.0
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> ReplyStore:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+
+    def _file(self):
+        """The open log; the first call opens and indexes it. Hold the lock."""
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a+b")
+            self._fh.seek(0)
+            for raw in self._fh:
+                try:
+                    if not raw.endswith(b"\n") or raw[64:65] != b" ":
+                        break
+                    key = bytes.fromhex(raw[:64].decode("ascii"))
+                    json.loads(raw[65:])
+                except ValueError:
+                    break
+                self._index[key] = self._end << 32 | len(raw)
+                self._end += len(raw)
+            self._fh.truncate(self._end)
+            self._synced_at = time.monotonic()
+        return self._fh
+
+    def get(self, key: bytes):
+        """The reply stored under ``key``, or None."""
+        with self._lock:
+            fh = self._file()
+            entry = self._index.get(key)
+            if entry is None:
+                return None
+            raw = os.pread(fh.fileno(), entry & 0xFFFFFFFF, entry >> 32)
+        return json.loads(raw[65:])
+
+    def put(self, key: bytes, reply: str) -> str:
+        """Store ``reply`` under ``key`` and return it; when the same request
+        was answered meanwhile, the reply stored first is kept and returned."""
+        line = f"{key.hex()} {json.dumps(reply)}\n".encode("ascii")
+        with self._lock:
+            fh = self._file()
+            if key not in self._index:
+                fh.write(line)
+                fh.flush()
+                self._index[key] = self._end << 32 | len(line)
+                self._end += len(line)
+                now = time.monotonic()
+                if now - self._synced_at >= SYNC_INTERVAL_S:
+                    os.fsync(fh.fileno())
+                    self._synced_at = now
+                return reply
+        return self.get(key)
+
+
 @dataclass
 class GatewayStats:
     llm_calls: int = 0
@@ -429,7 +509,10 @@ class Gateway:
     Applies the retry policy to transport failures, enforces the in-flight
     cap and rate limit, and checks each reply once: a reply that breaks its
     contract is re-asked at most once before failing, and the checked reply
-    is returned parsed, so nothing decodes it again.
+    is returned parsed, so nothing decodes it again. With a ``store``, a
+    request is first looked up there, keyed on the backend, its model and all
+    it sends: a hit takes no token, slot or ``llm_calls`` count, and a
+    successful reply is stored before it is checked (a re-ask is a new key).
     """
 
     def __init__(self, backend, retry: RetryPolicy | None = None,
@@ -442,6 +525,7 @@ class Gateway:
         self.bucket = TokenBucket(rps)
         self.semaphore = threading.BoundedSemaphore(in_flight)
         self.stats = GatewayStats()
+        self.store: ReplyStore | None = None
         self._sleep = sleep
 
     def __enter__(self) -> Gateway:
@@ -481,6 +565,15 @@ class Gateway:
         return template
 
     def _attempt(self, request: LlmRequest, prompt: str) -> str:
+        store = self.store
+        if store is not None:
+            key = hashlib.sha256((
+                f"{self.backend_id}\0{getattr(self.backend, 'model', None)}\0{request.template_id}"
+                f"\0{request.image_uris!r}\0{request.temperature!r}\0{request.max_output_tokens}"
+                f"\0{prompt}").encode("utf-8", "surrogatepass")).digest()
+            reply = store.get(key)
+            if reply is not None:
+                return reply
         last: BackendError | None = None
         for attempt in range(self.retry.max_attempts):
             if attempt:
@@ -490,7 +583,7 @@ class Gateway:
             with self.semaphore:
                 self.stats.bump("llm_calls")
                 try:
-                    return self.backend.complete(request, prompt)
+                    reply = self.backend.complete(request, prompt)
                 except BackendError as exc:
                     retryable = exc.kind in _RETRYABLE or (
                         exc.kind == "http_status" and (exc.status or 0) >= 500)
@@ -498,6 +591,8 @@ class Gateway:
                     if not retryable:
                         raise
                     logger.debug("backend failure (attempt %d): %s", attempt + 1, exc)
+                    continue
+            return reply if store is None else store.put(key, reply)
         assert last is not None
         raise last
 

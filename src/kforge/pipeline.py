@@ -1,27 +1,28 @@
-"""Pipeline orchestration: config, checkpoint/resume, quarantine, stages.
+"""Pipeline orchestration: config, reply store, quarantine, stages.
 
-Every stage publishes its outputs through ``corpus.publish`` (temp file,
-fsync, rename, directory fsync) and sends failing records to the quarantine
-directory with their error code. LLM-backed stages keep one append-only
-journal per stage (see ``StageIO``), which gives two guarantees: a killed
-process loses no committed item, and an OS crash loses at most about
-``SYNC_INTERVAL_S`` of journal writes and never a published file. A killed
-stage resumes where it left off as long as the config digest matches.
+Every run recomputes each stage it runs from the current inputs and
+settings, and publishes every output through ``corpus.publish`` (temp file,
+fsync, rename, directory fsync). Only model calls are not repeated: the
+gateway answers a request sent before from the reply store
+``out_dir/.work/replies.log`` (see ``gateway.ReplyStore``). A killed run
+therefore resumes by running again, with any settings: the replies it had
+received are read back, and an OS crash loses at most about
+``gateway.SYNC_INTERVAL_S`` of them and never a published file.
 
+Each stage's quarantined items, with their error codes, are published as
+one file when the stage ends, so a rerun replaces the rows of the last one.
 Within ``run_all`` the stages share one ``Ingest``, so each shard is read
 and validated once, and an invalid line is quarantined once, under the
 stage that first reads its shard.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
@@ -31,7 +32,7 @@ from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
                            dedupe_by_id, json_line, publish, record_to_json)
 from kforge.errors import ConfigInvalid, KforgeError
-from kforge.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy
+from kforge.gateway import Gateway, HttpBackend, MockBackend, ReplyStore, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
 
 logger = logging.getLogger(__name__)
@@ -39,11 +40,6 @@ logger = logging.getLogger(__name__)
 ENV_ENDPOINT = "KF_LLM_ENDPOINT"
 ENV_API_KEY = "KF_LLM_API_KEY"
 ENV_MODEL = "KF_LLM_MODEL"
-
-# a stage journal is fsynced at most this often; each committed item reaches
-# the kernel at once
-SYNC_INTERVAL_S = 1.0
-JOURNAL_FORMAT = "journal/1"
 
 
 @dataclass
@@ -70,28 +66,6 @@ class PipelineConfig:
     kd_comparisons: tuple[tuple[str, str], ...] = (("pair_caption", "caption0"),)
     seed: int | None = None
     workers: int = 1
-
-    def digest(self) -> str:
-        doc = {
-            "in_dir": self.in_dir, "out_dir": self.out_dir,
-            "quarantine_dir": self.quarantine_dir,
-            "backend": [self.backend_kind, self.endpoint, self.model],
-            "rps": self.rps, "in_flight": self.in_flight,
-            "retry": [self.retry.max_attempts, self.retry.backoff_base,
-                      self.retry.backoff_factor, self.retry.reask_on_malformed],
-            "pairing": [self.max_per_image, self.min_contrast],
-            "vqa": [self.vqa_policy.min_items, self.vqa_policy.max_items,
-                    self.vqa_policy.min_global,
-                    self.vqa_policy.detail_to_global_min_ratio,
-                    self.vqa_policy.grounding_min_overlap],
-            "interleave": [self.interleave_min, self.interleave_max],
-            "mixture": [self.mixture_spec, self.mixture_budget, self.mixture_unit,
-                        self.rebalance],
-            "kd": sorted(map(list, self.kd_comparisons)),
-            "seed": self.seed,
-        }
-        return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # each config section's keys -> PipelineConfig fields
@@ -247,154 +221,26 @@ def build_gateway(config: PipelineConfig) -> Gateway:
                    in_flight=config.in_flight)
 
 
-# --- checkpointed stage I/O --------------------------------------------------
-
-class StageIO:
-    """Append-only journal for one resumable stage, then a durable publish.
-
-    The journal ``<work_dir>/<stage>.ckpt`` starts with a JSON header (stage,
-    config digest, ``format``). Each processed item adds its output lines,
-    tagged ``+``, then a commit line ``=<work_id>``; output lines are
-    single-line JSON and work ids never contain a newline. The journal is
-    the only copy of the stage's output. ``append`` hands each committed
-    item to the kernel, so a killed process loses none; the journal is
-    fsynced at most once per ``SYNC_INTERVAL_S``, so an OS crash loses at
-    most about that much of it.
-
-    On resume only committed items count: whatever follows the last commit,
-    a torn final line included, is cut off and its item processed again, so
-    every item's lines appear exactly once. ``finalize`` publishes them from
-    the journal with ``corpus.publish``. The journal stays until
-    ``run_stage`` removes it after the stage's last publish, so no published
-    file is ever lost and a kill before the stage's last file never repeats
-    its model calls.
-    """
-
-    def __init__(self, final_path: Path, work_dir: Path, stage: str,
-                 config_digest: str):
-        self.final_path = Path(final_path)
-        self.ckpt_path = work_dir / f"{stage}.ckpt"
-        self.stage = stage
-        self.config_digest = config_digest
-        self.processed: set[str] = set()
-        work_dir.mkdir(parents=True, exist_ok=True)
-        resumed = self.ckpt_path.exists() and self._load()
-        self._fh = open(self.ckpt_path, "a" if resumed else "w", encoding="utf-8",
-                        newline="\n")
-        if not resumed:
-            self._fh.write(json.dumps({"stage": self.stage,
-                                       "config_digest": self.config_digest,
-                                       "format": JOURNAL_FORMAT}) + "\n")
-        self._synced_at = time.monotonic()
-
-    def _load(self) -> bool:
-        """Read the committed items and cut the journal after the last commit.
-
-        Returns False when not even the header line is complete, that is,
-        nothing was committed.
-        """
-        with open(self.ckpt_path, "r+b") as fh:
-            header_line = fh.readline()
-            if not header_line.endswith(b"\n"):
-                return False
-            try:
-                header = json.loads(header_line)
-            except ValueError as exc:
-                raise ConfigInvalid(f"corrupt checkpoint {self.ckpt_path}") from exc
-            if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-                raise ConfigInvalid(
-                    f"checkpoint {self.ckpt_path} has an unknown format; "
-                    "remove it to rerun stage " + self.stage)
-            if header.get("config_digest") != self.config_digest:
-                raise ConfigInvalid(
-                    f"checkpoint for stage {self.stage} was written with a "
-                    "different config; refusing to resume")
-            committed_end = len(header_line)
-            for work_id, _, committed_end in _committed(fh, committed_end):
-                self.processed.add(work_id)
-            fh.truncate(committed_end)
-        return True
-
-    def __enter__(self) -> StageIO:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def append(self, work_id: str, lines: list[str]) -> None:
-        write = self._fh.write
-        for line in lines:
-            write(f"+{line}\n")
-        write(f"={work_id}\n")
-        self.processed.add(work_id)
-        self.flush()
-
-    def flush(self) -> None:
-        self._fh.flush()
-        now = time.monotonic()
-        if now - self._synced_at >= SYNC_INTERVAL_S:
-            os.fsync(self._fh.fileno())
-            self._synced_at = now
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def finalize(self) -> int:
-        """Close the journal, then durably publish the committed output lines
-        it holds; returns their count."""
-        self.close()
-        count = 0
-
-        def committed_lines(fh):
-            nonlocal count
-            for _, lines, _ in _committed(fh, len(fh.readline())):
-                count += len(lines)
-                yield from (line + "\n" for line in lines)
-
-        with open(self.ckpt_path, "rb") as fh:
-            publish(self.final_path, committed_lines(fh))
-        return count
-
-
-def _committed(fh, pos: int):
-    """``(work_id, output lines, end offset)`` of each committed item of a
-    binary journal read from ``pos``, the end of its header, up to the first
-    torn, untagged or non-UTF-8 line."""
-    lines: list[str] = []
-    for raw in fh:
-        if not raw.endswith(b"\n"):
-            return
-        pos += len(raw)
-        tag = raw[:1]
-        if tag not in (b"+", b"="):
-            return
-        try:
-            body = raw[1:-1].decode("utf-8")
-        except UnicodeDecodeError:
-            return
-        if tag == b"+":
-            lines.append(body)
-        else:
-            yield body, lines, pos
-            lines = []
-
-
 class Quarantine:
+    """One stage's quarantined items, kept until ``publish`` replaces the
+    stage's file with them, or removes it when there are none."""
+
     def __init__(self, directory: Path, stage: str):
         self.path = Path(directory) / f"{stage}.jsonl"
-        self.count = 0
-        Path(directory).mkdir(parents=True, exist_ok=True)
+        self.rows: list[str] = []
 
-    def put(self, work_id: str, error: Exception, payload: dict | None = None) -> None:
-        code = getattr(error, "code", "error")
-        row = {"work_id": work_id, "error_code": code, "error": str(error)}
-        if payload is not None:
-            row["record"] = payload
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-        self.count += 1
+    def put(self, work_id: str, error: Exception) -> None:
+        row = {"work_id": work_id, "error_code": getattr(error, "code", "error"),
+               "error": str(error)}
+        self.rows.append(json.dumps(row, ensure_ascii=False) + "\n")
         logger.warning("quarantined %s at stage %s: %s", work_id, self.path.stem, error)
+
+    def publish(self) -> None:
+        if self.rows:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            publish(self.path, self.rows)
+        else:
+            self.path.unlink(missing_ok=True)
 
 
 # --- shared stage plumbing ----------------------------------------------------
@@ -403,10 +249,6 @@ def _out(config: PipelineConfig, name: str) -> Path:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
-
-
-def _work_dir(config: PipelineConfig) -> Path:
-    return Path(config.out_dir) / ".work"
 
 
 class Ingest:
@@ -507,13 +349,14 @@ def _source_records(config: PipelineConfig, ingest: Ingest,
     return ingest.records(shard_paths, quarantine)
 
 
-def _run_llm_items(config: PipelineConfig, stage: str, items, process,
-                   final_path: Path, quarantine: Quarantine) -> tuple[int, int]:
-    """Run work items through an LLM-backed processor with resume support.
+def _run_llm_items(config: PipelineConfig, items, process, final_path: Path,
+                   quarantine: Quarantine) -> tuple[int, int]:
+    """Run work items through an LLM-backed processor and publish the output.
 
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
-    a list of output lines or raises a KforgeError (quarantined). The lines
-    are published to ``final_path``; returns the item and line counts.
+    one output line or raises a KforgeError (quarantined). The lines stream
+    to ``final_path`` in input order, whatever the number of workers;
+    returns the item and line counts.
     """
     def run_one(entry):
         work_id, payload = entry
@@ -522,18 +365,21 @@ def _run_llm_items(config: PipelineConfig, stage: str, items, process,
         except KforgeError as exc:
             return work_id, None, exc
 
-    with StageIO(final_path, _work_dir(config), stage, config.digest()) as io:
-        pending = [(work_id, payload) for work_id, payload in items
-                   if work_id not in io.processed]
-        # results are committed in input order, whatever the number of workers
+    published = 0
+
+    def lines():
+        nonlocal published
         with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
               else nullcontext()) as pool:
-            for work_id, lines, exc in (pool.map if pool else map)(run_one, pending):
+            for work_id, line, exc in (pool.map if pool else map)(run_one, items):
                 if exc is not None:
                     quarantine.put(work_id, exc)
-                    lines = []
-                io.append(work_id, lines)
-        return len(items), io.finalize()
+                else:
+                    published += 1
+                    yield line + "\n"
+
+    publish(final_path, lines())
+    return len(items), published
 
 
 # --- stages --------------------------------------------------------------------
@@ -544,14 +390,8 @@ def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
     items = sorted(((r.id, (r.id, r.image_uris[0]))
                     for r in _source_records(config, ingest, quarantine)
                     if r.kind in (KIND_CAPTION, KIND_VQA)), key=lambda kv: kv[0])
-
-    def process(payload):
-        image_id, uri = payload
-        descriptor = annotation.annotate_image(image_id, uri, gateway)
-        return [annotation.descriptor_to_json(descriptor)]
-
-    return _run_llm_items(config, "annotate", items, process,
-                          _out(config, "descriptors.jsonl"), quarantine)
+    return _run_llm_items(config, items, lambda p: annotation.descriptor_to_json(
+        annotation.annotate_image(*p, gateway)), _out(config, "descriptors.jsonl"), quarantine)
 
 
 def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -570,7 +410,6 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
     descriptors = ingest.descriptor_map(config)
     candidates = list(pairing.read_candidates(_out(config, "pair_candidates.jsonl")))
     uris = ingest.uris(config, quarantine)
-
     items = [(f"{c.left_id}~{c.right_id}", c) for c in candidates]
 
     def process(candidate):
@@ -579,10 +418,10 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
             gateway,
             uris=(uris.get(candidate.left_id, candidate.left_id),
                   uris.get(candidate.right_id, candidate.right_id)))
-        return [json_line(pairing.verdict_to_obj(verdict))]
+        return json_line(pairing.verdict_to_obj(verdict))
 
     verdicts_path = _out(config, "pair_verdicts.jsonl")
-    counts = _run_llm_items(config, "filter", items, process, verdicts_path, quarantine)
+    counts = _run_llm_items(config, items, process, verdicts_path, quarantine)
     verdicts = sorted(corpus.read_jsonl(verdicts_path, pairing.verdict_from_obj),
                       key=lambda v: v.candidate.pair_id)
     pairing.write_candidates(pairing.select_pairs(verdicts),
@@ -600,14 +439,8 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
     items = [(image_id, (image_id, uris[image_id]))
              for image_id in sorted(descriptors)
              if image_id not in paired and image_id in uris]
-
-    def process(payload):
-        image_id, uri = payload
-        record = generation.generate_caption(image_id, uri, gateway)
-        return [record_to_json(record)]
-
-    return _run_llm_items(config, "caption", items, process,
-                          _out(config, "caption1.jsonl"), quarantine)
+    return _run_llm_items(config, items, lambda p: record_to_json(
+        generation.generate_caption(*p, gateway)), _out(config, "caption1.jsonl"), quarantine)
 
 
 def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -627,9 +460,9 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
             (uris.get(candidate.right_id, candidate.right_id), descriptors[candidate.right_id]),
             gateway,
             verdict=verdicts.get(candidate.pair_id))
-        return [record_to_json(record)]
+        return record_to_json(record)
 
-    return _run_llm_items(config, "pair-caption", items, process,
+    return _run_llm_items(config, items, process,
                           _out(config, "pair_caption.jsonl"), quarantine)
 
 
@@ -660,13 +493,9 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
     items = [("g~" + "~".join(group),
               [GroupMember(i, uris.get(i, i), descriptors[i]) for i in group])
              for group in groups]
-
-    def process(group):
-        record = generation.generate_interleaved(group, gateway)
-        return [record_to_json(record)]
-
-    return _run_llm_items(config, "interleave", items, process,
-                          _out(config, "interleaved.jsonl"), quarantine)
+    return _run_llm_items(config, items, lambda group: record_to_json(
+        generation.generate_interleaved(group, gateway)), _out(config, "interleaved.jsonl"),
+        quarantine)
 
 
 def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -675,13 +504,9 @@ def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quaran
     path = _out(config, "caption1.jsonl")
     captions = ingest.shard(path) if path.exists() else ()
     items = [(r.id, r) for r in captions]
-
-    def process(record):
-        vqa = generation.synthesize_vqa(record, config.vqa_policy, gateway)
-        return [record_to_json(vqa)]
-
-    return _run_llm_items(config, "vqa-synth", items, process,
-                          _out(config, "vqa1.jsonl"), quarantine)
+    return _run_llm_items(config, items, lambda r: record_to_json(
+        generation.synthesize_vqa(r, config.vqa_policy, gateway)), _out(config, "vqa1.jsonl"),
+        quarantine)
 
 
 def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -692,13 +517,9 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
                if r.kind != KIND_OTHER]
     items = [(r.id, r) for r in records]
     source_of = {r.id: r.source for r in records}
-
-    def process(record):
-        profile = knowledge.kd_score(record, gateway)
-        return [json_line(knowledge.profile_to_obj(profile))]
-
     profiles_path = _out(config, "kd_profiles.jsonl")
-    counts = _run_llm_items(config, "kd-score", items, process, profiles_path, quarantine)
+    counts = _run_llm_items(config, items, lambda r: json_line(knowledge.profile_to_obj(
+        knowledge.kd_score(r, gateway))), profiles_path, quarantine)
     with open(profiles_path, "r", encoding="utf-8") as fh:
         profiles = [knowledge.ProfileCounts.from_line(line) for line in fh]
     scored_sources = {source_of.get(p.sample_id) for p in profiles}
@@ -741,84 +562,87 @@ def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine
 class Stage:
     name: str
     run: Callable[[PipelineConfig, Gateway, Quarantine, Ingest], tuple[int, int]]
-    last_output: str  # the last file the stage publishes, under out_dir
 
 
 # every stage, in run_all order; a command's help is its run function's docstring
 STAGES = (
-    Stage("annotate", stage_annotate, "descriptors.jsonl"),
-    Stage("pair", stage_pair, "pair_candidates.jsonl"),
-    Stage("filter", stage_filter, "pairs_selected.jsonl"),
-    Stage("pair-caption", stage_pair_caption, "pair_caption.jsonl"),
-    Stage("caption", stage_caption, "caption1.jsonl"),
-    Stage("interleave", stage_interleave, "interleaved.jsonl"),
-    Stage("vqa-synth", stage_vqa_synth, "vqa1.jsonl"),
-    Stage("kd-score", stage_kd_score, "kd_report.json"),
-    Stage("mix", stage_mix, "mixture/mixture_verify.json"),
-    Stage("stats", stage_stats, "corpus_stats.json"),
+    Stage("annotate", stage_annotate),
+    Stage("pair", stage_pair),
+    Stage("filter", stage_filter),
+    Stage("pair-caption", stage_pair_caption),
+    Stage("caption", stage_caption),
+    Stage("interleave", stage_interleave),
+    Stage("vqa-synth", stage_vqa_synth),
+    Stage("kd-score", stage_kd_score),
+    Stage("mix", stage_mix),
+    Stage("stats", stage_stats),
 )
+
+
+@contextmanager
+def _stage_gateway(config: PipelineConfig, gateway: Gateway | None):
+    """``gateway``, or one built from ``config`` and closed on exit, answering
+    from the reply store under ``out_dir/.work``; a gateway that has a store
+    already, as within ``run_all``, keeps it."""
+    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
+        if gateway.store is not None:
+            yield gateway
+            return
+        with ReplyStore(Path(config.out_dir) / ".work" / "replies.log") as gateway.store:
+            try:
+                yield gateway
+            finally:
+                gateway.store = None
 
 
 def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None,
               strict: bool = False, ingest: Ingest | None = None) -> dict:
-    """Run one stage; returns the stats document.
+    """Run one stage from its current inputs; returns the stats document.
 
+    A model call answered before is read back from the reply store, which
+    ``run_all`` opens once per run and a lone call opens for itself.
     ``ingest`` is the run's shared reader; without one the stage reads its
-    inputs through a fresh ``Ingest``. The stage's journal is removed once
-    its function has returned, with every file it publishes on disk.
+    inputs through a fresh ``Ingest``. The stage's quarantine file is
+    published once its function has returned.
     """
     run = next((s.run for s in STAGES if s.name == stage), None)
     if run is None:
         raise ConfigInvalid(f"unknown stage {stage!r}")
     validate_config(config)
-    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
+    with _stage_gateway(config, gateway) as gateway:
         quarantine = Quarantine(Path(config.quarantine_dir), stage)
         before = gateway.stats.snapshot()
         n_in, n_out = run(config, gateway, quarantine,
                           ingest if ingest is not None else Ingest())
         after = gateway.stats.snapshot()
-    # every file of the stage is published, so its journal is done
-    (_work_dir(config) / f"{stage}.ckpt").unlink(missing_ok=True)
-    stats = {
-        "stage": stage,
-        "in": n_in,
-        "out": n_out,
-        "quarantined": quarantine.count,
-        "retried": after["retries"] - before["retries"],
-        "llm_calls": after["llm_calls"] - before["llm_calls"],
-        "strict_failure": bool(strict and quarantine.count),
-    }
+    quarantine.publish()
+    stats = {"stage": stage, "in": n_in, "out": n_out, "quarantined": len(quarantine.rows),
+             "retried": after["retries"] - before["retries"],
+             "llm_calls": after["llm_calls"] - before["llm_calls"],
+             "strict_failure": bool(strict and quarantine.rows)}
     logger.info("stage %s done: %s", stage, stats)
     return stats
 
 
 def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
-    """Run the full pipeline in order; completed stages are skipped on resume.
+    """Run every stage in order from the current inputs and settings.
 
-    All stages share one ``Ingest``, so each input file is read once. The
+    A killed run resumes by running again: every stage is recomputed, and
+    the model calls answered before are read back from the reply store. All
+    stages share one ``Ingest``, so each input file is read once. The
     settings a later stage would reject are checked before the first stage
     runs, so a bad seed or mixture spec costs no model call.
     """
     validate_config(config)
-    work_dir = _work_dir(config)
-    todo = []
-    for stage in STAGES:
-        # done once its last file exists, unless its journal says otherwise
-        resumable = (work_dir / f"{stage.name}.ckpt").exists()
-        if _out(config, stage.last_output).exists() and not resumable:
-            logger.info("stage %s already complete, skipping", stage.name)
-        else:
-            todo.append(stage.name)
-    if "interleave" in todo:
-        _seed(config, "interleave grouping")
-    if "mix" in todo:
-        _mixture_spec(config)
+    _seed(config, "interleave grouping")
+    _mixture_spec(config)
     all_stats = []
     ingest = Ingest()
-    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
-        for stage in todo:
-            stats = run_stage(stage, config, gateway=gateway, strict=strict, ingest=ingest)
+    with _stage_gateway(config, gateway) as gateway:
+        for stage in STAGES:
+            stats = run_stage(stage.name, config, gateway=gateway, strict=strict,
+                              ingest=ingest)
             all_stats.append(stats)
             if stats["strict_failure"]:
                 return 1, all_stats

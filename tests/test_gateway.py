@@ -14,10 +14,12 @@ import pytest
 from kforge.errors import (BackendError, JsonSyntax, KforgeError, MalformedOutput,
                            NoJsonFound, ValidationError, WrongShape)
 from kforge.gateway import (REASK_SUFFIX, Gateway, HttpBackend, LlmRequest, MockBackend,
-                            RetryPolicy, TokenBucket, mock_gateway)
+                            ReplyStore, RetryPolicy, TokenBucket, mock_gateway)
+from kforge.pipeline import run_all
 from kforge.prompts import REGISTRY, render_prompt
 
 from conftest import ReplayBackend, replay_gateway
+from test_pipeline import _tree_bytes, make_workspace
 
 # a socket or server left open on any exit path fails the test
 pytestmark = pytest.mark.filterwarnings(
@@ -289,6 +291,85 @@ def test_gateway_rejects_in_flight_below_one(in_flight):
     # a semaphore with no slot would block every call forever
     with pytest.raises(ValueError, match="^in_flight must be >= 1$"):
         Gateway(MockBackend(), in_flight=in_flight)
+
+
+# --- reply store -------------------------------------------------------------------
+
+class _Model(ReplayBackend):
+    """Scripted backend that names its model, as ``HttpBackend`` does."""
+
+    def __init__(self, model: str, outputs: list):
+        super().__init__(outputs)
+        self.name, self.model = "chat", model
+
+
+def test_store_is_never_reused_for_another_model(tmp_path):
+    path = tmp_path / "replies.log"
+    request = LlmRequest("single_caption", {"image": "x"}, ("file:///x.jpg",))
+    for model, reply in (("m1", "from m1"), ("m2", "from m2"), ("m1", "from m1")):
+        backend = _Model(model, [f"from {model}"])
+        with ReplyStore(path) as store:
+            gw = Gateway(backend, retry=FAST)
+            gw.store = store
+            assert gw.complete(request) == reply
+    # m1 asked once, m2 once; the third run read m1's reply back
+    assert len(path.read_bytes().splitlines()) == 2
+    assert backend.calls == 0
+
+
+def test_reask_is_stored_under_its_own_key(tmp_path):
+    path = tmp_path / "replies.log"
+    good = json.dumps([{"question": "q?", "answer": "a"}])
+    with ReplyStore(path) as store:
+        gw = replay_gateway(["not json at all", good])
+        gw.store = store
+        assert gw.complete(_vqa_request()) == json.loads(good)
+    lines = path.read_bytes().splitlines()
+    assert len({line.split(b" ", 1)[0] for line in lines}) == 2
+    with ReplyStore(path) as store:
+        gw = replay_gateway([])  # any request sent would fail
+        gw.store = store
+        assert gw.complete(_vqa_request()) == json.loads(good)
+    assert gw.backend.prompts == []
+    assert gw.stats.snapshot() == {"llm_calls": 0, "retries": 0, "reasks": 1}
+
+
+def test_store_keeps_the_reply_stored_first(tmp_path):
+    # two identical requests in flight at once: both callers get the first reply
+    path = tmp_path / "replies.log"
+    key = hashlib.sha256(b"request").digest()
+    with ReplyStore(path) as store:
+        assert store.put(key, "first") == "first"
+        assert store.put(key, "second") == "first"
+    with ReplyStore(path) as store:
+        assert store.get(key) == "first"
+    assert len(path.read_bytes().splitlines()) == 1
+
+
+def test_store_cuts_a_reply_torn_before_its_newline(tmp_path):
+    path = tmp_path / "replies.log"
+    first, second = (hashlib.sha256(k).digest() for k in (b"first", b"second"))
+    with ReplyStore(path) as store:
+        store.put(first, "a")
+        store.put(second, "b")
+    path.write_bytes(path.read_bytes()[:-1])  # the second line lost its newline
+    with ReplyStore(path) as store:
+        assert store.get(second) is None
+        store.put(second, "b again")
+    with ReplyStore(path) as store:
+        assert (store.get(first), store.get(second)) == ("a", "b again")
+
+
+def test_hits_are_not_calls_and_do_not_wait(tmp_path):
+    request = _vqa_request()
+    with ReplyStore(tmp_path / "replies.log") as store:
+        gw = mock_gateway(rps=0.001, in_flight=1)
+        gw.store = store
+        first = gw.complete(request)  # takes the bucket's only token
+        assert gw.semaphore.acquire(blocking=False)  # and the only slot
+        # a miss would now wait about 1000 s for a token and forever for the slot
+        assert [gw.complete(request) for _ in range(3)] == [first] * 3
+    assert gw.stats.llm_calls == 1
 
 
 # --- http backend ------------------------------------------------------------------
@@ -624,3 +705,37 @@ def test_http_successive_worker_pools_share_connections():
         assert 1 <= server.accepted <= 2
         for _ in range(server.accepted):
             assert server.closed.acquire(timeout=5)
+
+
+def test_rerun_against_loopback_server_sends_no_request(tmp_path):
+    """A no-change rerun of ``run_all`` over HTTP reads every reply back:
+    the server sees no request, and the published tree is byte-identical."""
+    replies: dict[str, str] = {}
+
+    class Recording(MockBackend):
+        def complete(self, request, prompt):
+            replies[prompt] = reply = super().complete(request, prompt)
+            return reply
+
+    assert run_all(make_workspace(tmp_path, "recorded"), gateway=Gateway(Recording()))[0] == 0
+    prompts: list[str] = []
+
+    class MockReplies(_EchoHandler):
+        def do_POST(self):
+            content = self.read_body()["messages"][0]["content"]
+            prompts.append(content if isinstance(content, str) else content[0]["text"])
+            self.send_json(200, _ok_body(replies[prompts[-1]]))
+
+    with _serving(MockReplies) as (server, url):
+        config = make_workspace(tmp_path, "http")
+        config.backend_kind, config.endpoint, config.model = "http", url, "m"
+        code, cold = run_all(config)
+        assert code == 0
+        assert len(prompts) == sum(s["llm_calls"] for s in cold) > 0
+        tree = _tree_bytes(config.out_dir)
+        sent = len(prompts)
+        code, rerun = run_all(config)
+        assert code == 0
+        assert len(prompts) == sent
+        assert [s["llm_calls"] for s in rerun] == [0] * len(rerun)
+        assert _tree_bytes(config.out_dir) == tree

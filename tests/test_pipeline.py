@@ -5,25 +5,27 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from kforge import annotation, cli, corpus, jsonx, mixture, pairing, pipeline
+import kforge
+from kforge import annotation, cli, corpus, gateway, jsonx, mixture, pairing, pipeline
 from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
-from kforge.errors import ConfigInvalid, KforgeError, ParseError
-from kforge.gateway import Gateway, MockBackend, RetryPolicy
+from kforge.errors import BackendError, ConfigInvalid, KforgeError, ParseError
+from kforge.gateway import Gateway, LlmRequest, MockBackend, ReplyStore, RetryPolicy
 from kforge.generation import VqaValidationPolicy
-from kforge.pipeline import (PipelineConfig, Quarantine, StageIO, config_from_obj,
-                             run_all, run_stage)
+from kforge.pipeline import PipelineConfig, Quarantine, config_from_obj, run_all, run_stage
 from kforge.prompts import REGISTRY
 
 from conftest import make_corpus
 
-# a journal or temp file left open on any exit path fails the test
+# a reply store or temp file left open on any exit path fails the test
 pytestmark = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
@@ -158,7 +160,7 @@ def test_minimal_config_takes_every_default(monkeypatch):
     assert config == PipelineConfig("a", "b", "c")
 
 
-def test_config_keys_are_converted_and_digest_is_stable():
+def test_config_keys_are_converted():
     config = config_from_obj({
         "io": {"in_dir": "in", "out_dir": "out", "quarantine_dir": "q"},
         "backend": {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
@@ -186,11 +188,6 @@ def test_config_keys_are_converted_and_digest_is_stable():
         interleave_min=4, interleave_max=6, mixture_spec="builtin:caption_only",
         mixture_budget=500, mixture_unit="tokens", rebalance=True,
         kd_comparisons=(("a", "b"), ("c", "d")), seed=7, workers=2)
-    # journals written by earlier versions carry these digests and must still resume
-    assert config.digest() == (
-        "0649df2eee0785356289104cf0504f35c2adf4d5e331aa0646accd23638bee69")
-    assert PipelineConfig("a", "b", "c").digest() == (
-        "f6072ef6ce73dbf53ec9e9ac5d26a6c1d859214fe4ba91ed73cafb39f650fa9a")
 
 
 @pytest.mark.parametrize("pairing", [None, {}, {"min_contrast": 0.1, "max_per_image": 1}])
@@ -216,13 +213,6 @@ def test_load_config_patch_keeps_the_document_checks(tmp_path, doc, message):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigInvalid, match=f"^{message}$"):
         pipeline.load_config(path, {"pairing.min_contrast": 0.5, "seed": 7})
-
-
-def test_digest_changes_with_settings(tmp_path):
-    config = make_workspace(tmp_path)
-    d1 = config.digest()
-    config.seed = 6
-    assert config.digest() != d1
 
 
 def test_sampling_stages_require_seed(tmp_path):
@@ -429,7 +419,10 @@ def test_ingest_quarantines_a_bad_line_once(tmp_path):
     first, second = (Quarantine(tmp_path / "q", name) for name in ("first", "second"))
     assert len(ingest.records([path], first)) == 2
     assert len(ingest.records([path], second)) == 2
-    assert (first.count, second.count) == (1, 0)
+    assert (len(first.rows), len(second.rows)) == (1, 0)
+    first.publish()
+    second.publish()
+    assert sorted(p.name for p in (tmp_path / "q").iterdir()) == ["first.jsonl"]
     row = json.loads((tmp_path / "q" / "first.jsonl").read_text(encoding="utf-8"))
     assert (row["work_id"], row["error_code"]) == ("shard.jsonl:3", "parse")
 
@@ -483,12 +476,37 @@ def test_run_all_twice_byte_identical(tmp_path):
     assert _tree_bytes(config_a.out_dir) == _tree_bytes(config_b.out_dir)
 
 
-def test_rerun_skips_completed_stages(tmp_path):
+def test_rerun_makes_no_model_calls(tmp_path):
     config = make_workspace(tmp_path)
     assert run_all(config)[0] == 0
+    tree = _tree_bytes(config.out_dir)
     code, all_stats = run_all(config)
     assert code == 0
-    assert all_stats == []  # everything already complete
+    # every stage runs again from its inputs; every reply is read back
+    assert [s["stage"] for s in all_stats] == [stage.name for stage in pipeline.STAGES]
+    assert [s["llm_calls"] for s in all_stats] == [0] * len(pipeline.STAGES)
+    assert _tree_bytes(config.out_dir) == tree
+
+
+def _fresh_tree(tmp_path: Path, **settings) -> dict[str, bytes]:
+    """The tree a fresh workspace publishes with ``settings``."""
+    fresh = dataclasses.replace(make_workspace(tmp_path, "fresh"), **settings)
+    assert run_all(fresh)[0] == 0
+    return _tree_bytes(fresh.out_dir)
+
+
+def test_changed_pairing_reruns_every_stage(tmp_path):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    before = _tree_bytes(config.out_dir)
+    config.max_per_image, config.min_contrast = 1, 0.9
+    code, all_stats = run_all(config)
+    assert code == 0
+    assert [s["stage"] for s in all_stats] == [stage.name for stage in pipeline.STAGES]
+    assert all_stats[0]["llm_calls"] == 0  # annotate's replies are read back
+    tree = _tree_bytes(config.out_dir)
+    assert tree != before
+    assert tree == _fresh_tree(tmp_path, max_per_image=1, min_contrast=0.9)
 
 
 def test_kill_and_resume_matches_uninterrupted(tmp_path):
@@ -499,14 +517,12 @@ def test_kill_and_resume_matches_uninterrupted(tmp_path):
     killer = Gateway(KillerBackend(limit=7), retry=RetryPolicy(backoff_base=0.001))
     with pytest.raises(KeyboardInterrupt):
         run_all(config, gateway=killer)
-    # mid-annotate crash left a part file and checkpoint behind
-    work = Path(config.out_dir) / ".work"
-    assert (work / "annotate.ckpt").exists()
+    assert killer.store is None  # the run's store was detached and closed
 
     code, all_stats = run_all(config)
     assert code == 0
     annotate = next(s for s in all_stats if s["stage"] == "annotate")
-    assert annotate["llm_calls"] == 14 - 7  # processed ids were honored
+    assert annotate["llm_calls"] == 14 - 7  # the replies received were read back
     assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
 
 
@@ -547,20 +563,154 @@ def test_kill_between_stage_outputs_and_resume(tmp_path, monkeypatch, module, st
             run_all(config)
     code, all_stats = run_all(config)
     assert code == 0
-    # the journal outlived the first publish: no model call is repeated
+    # the stage's replies were stored: no model call is repeated
     resumed = next(s for s in all_stats if s["stage"] == stage)
     assert resumed["llm_calls"] == 0
     assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
 
 
-def test_resume_with_altered_config_refused(tmp_path):
+def test_resume_after_config_change_matches_fresh_run(tmp_path):
     config = make_workspace(tmp_path)
-    killer = Gateway(KillerBackend(limit=7), retry=RetryPolicy(backoff_base=0.001))
+    killer = Gateway(KillerBackend(limit=5), retry=RetryPolicy(backoff_base=0.001))
     with pytest.raises(KeyboardInterrupt):
         run_all(config, gateway=killer)
-    config.seed = 99  # different digest
-    with pytest.raises(ConfigInvalid):
-        run_stage("annotate", config)
+    config.min_contrast = 0.9
+    code, all_stats = run_all(config)
+    assert code == 0
+    assert all_stats[0]["llm_calls"] == 14 - 5
+    assert _tree_bytes(config.out_dir) == _fresh_tree(tmp_path, min_contrast=0.9)
+
+
+def test_killed_run_quarantines_a_bad_line_once(tmp_path):
+    code, stats = run_all(make_workspace(tmp_path, "pristine"))
+    assert code == 0
+    # kill the run at the first model call of the caption stage
+    stages = [s["stage"] for s in stats]
+    limit = sum(s["llm_calls"] for s in stats[:stages.index("caption")])
+    config = make_workspace(tmp_path, "killed")
+    with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("this is not json\n")
+    killer = Gateway(KillerBackend(limit=limit), retry=RetryPolicy(backoff_base=0.001))
+    with pytest.raises(KeyboardInterrupt):
+        run_all(config, gateway=killer)
+    assert run_all(config)[0] == 0
+    assert [(name, row["work_id"], row["error_code"])
+            for name, row in _quarantine_rows(config)] == [
+        ("annotate.jsonl", "corpus.jsonl:31", "parse")]
+
+
+def test_fixed_input_leaves_no_quarantine_rows(tmp_path):
+    config = make_workspace(tmp_path)
+    shard = Path(config.in_dir) / "corpus.jsonl"
+    clean = shard.read_bytes()
+    shard.write_bytes(clean + b"this is not json\n")
+    assert run_all(config)[0] == 0
+    assert len(_quarantine_rows(config)) == 1
+    shard.write_bytes(clean)
+    assert run_all(config)[0] == 0
+    assert list(Path(config.quarantine_dir).iterdir()) == []
+
+
+class _FailsOnceFor(MockBackend):
+    """Mock backend whose first caption request for one image fails in transport."""
+
+    def __init__(self, image_id: str):
+        self.image_id = image_id
+        self.failed = False
+
+    def complete(self, request, prompt):
+        if (request.template_id == "single_caption" and self.image_id in prompt
+                and not self.failed):
+            self.failed = True
+            raise BackendError("http_status", 400)
+        return super().complete(request, prompt)
+
+
+def test_transport_failure_is_asked_again_next_run(tmp_path):
+    pristine = make_workspace(tmp_path, "pristine")
+    assert run_all(pristine)[0] == 0
+    config = make_workspace(tmp_path, "failed")
+    gw = Gateway(_FailsOnceFor("c0-001"), retry=RetryPolicy(backoff_base=0.001))
+    assert run_all(config, gateway=gw)[0] == 0
+    assert [(name, row["work_id"]) for name, row in _quarantine_rows(config)] == [
+        ("caption.jsonl", "c0-001")]
+    code, all_stats = run_all(config, gateway=gw)
+    assert code == 0
+    # up to the caption stage only the failed request is sent again, and it succeeds
+    assert [(s["stage"], s["llm_calls"]) for s in all_stats[:5]] == [
+        ("annotate", 0), ("pair", 0), ("filter", 0), ("pair-caption", 0), ("caption", 1)]
+    assert _quarantine_rows(config) == []
+    assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
+
+
+def test_new_comparison_costs_no_model_call(tmp_path):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    config.kd_comparisons += (("caption0", "vqa0"),)
+    stats = run_stage("kd-score", config)
+    assert stats["llm_calls"] == 0
+    report = json.loads((Path(config.out_dir) / "kd_report.json").read_text())
+    assert [(c["source_a"], c["source_b"]) for c in report["comparisons"]] == [
+        ("pair_caption", "caption0"), ("caption0", "vqa0")]
+
+
+# a run_all that dies at the given backend call, without running any handler
+_DIE_AT_CALL = """
+import os, sys
+from kforge import pipeline
+from kforge.gateway import Gateway, MockBackend
+
+class Dying(MockBackend):
+    calls = 0
+
+    def complete(self, request, prompt):
+        Dying.calls += 1
+        if Dying.calls == int(sys.argv[2]):
+            os._exit(137)
+        return super().complete(request, prompt)
+
+config = pipeline.load_config(sys.argv[1])
+pipeline.run_all(config, gateway=Gateway(Dying(), retry=config.retry))
+"""
+
+
+@pytest.mark.parametrize("call", [6, 40])
+def test_process_death_in_a_backend_call_resumes_to_the_same_tree(tmp_path, call):
+    pristine = make_workspace(tmp_path, "pristine")
+    code, stats = run_all(pristine)
+    assert code == 0
+    config = make_workspace(tmp_path, "killed")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(kforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    died = subprocess.run([sys.executable, "-c", _DIE_AT_CALL,
+                           str(_write_config(tmp_path, config)), str(call)],
+                          env=env, timeout=120)
+    assert died.returncode == 137
+    code, resumed = run_all(config)
+    assert code == 0
+    # every reply received before the death reached the store
+    assert (sum(s["llm_calls"] for s in resumed)
+            == sum(s["llm_calls"] for s in stats) - (call - 1))
+    assert _tree_bytes(config.out_dir) == _tree_bytes(pristine.out_dir)
+
+
+class _Sampling(MockBackend):
+    """A backend whose every reply differs, like a sampling model's; ``seen``
+    holds the bytes of the store at ``path`` at each call."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.calls: list[str] = []
+        self.seen: list[bytes] = []
+
+    def complete(self, request, prompt):
+        self.calls.append(request.bindings["image"])
+        self.seen.append(self.path.read_bytes() if self.path.exists() else b"")
+        return f"reply {len(self.calls)} to {request.bindings['image']}"
+
+
+def _caption(image: str) -> LlmRequest:
+    return LlmRequest("single_caption", {"image": image}, (f"file:///{image}.jpg",))
 
 
 @pytest.mark.parametrize("tail", [
@@ -568,67 +718,33 @@ def test_resume_with_altered_config_refused(tmp_path):
     "\0" * 64 + "\n",  # zero-filled block left by an OS crash
 ])
 def test_resume_reprocesses_uncommitted_item_once(tmp_path, tail):
-    config = make_workspace(tmp_path)
-    work = Path(config.out_dir) / ".work"
-    final = Path(config.out_dir) / "demo.jsonl"
-    replies = iter(range(1, 100))
-
-    def process(work_id):
-        # like a real model: a second call for the same item answers differently
-        return [json.dumps({"id": work_id, "v": next(replies)}, separators=(",", ":"))]
-
-    with StageIO(final, work, "demo", config.digest()) as io:
-        io.append("a", process("a"))
-    committed = io.ckpt_path.read_bytes()
-    # killed after b's output reached the journal but before its commit
-    with open(io.ckpt_path, "a", encoding="utf-8") as fh:
-        fh.write("+" + process("b")[0] + "\n" + tail)
-
-    calls, journal_at_first_call = [], []
-
-    def tracked(work_id):
-        if not calls:
-            journal_at_first_call.append((work / "demo.ckpt").read_bytes())
-        calls.append(work_id)
-        return process(work_id)
-
-    items = [(w, w) for w in ("a", "b", "c")]
-    quarantine = Quarantine(Path(config.quarantine_dir), "demo")
-    assert pipeline._run_llm_items(config, "demo", items, tracked, final,
-                                   quarantine) == (3, 3)
-    assert calls == ["b", "c"]
-    assert journal_at_first_call == [committed]  # the uncommitted tail was cut off
-    published = [json.loads(line) for line in final.read_text().splitlines()]
-    assert [p["id"] for p in published] == ["a", "b", "c"]
-    assert published[0]["v"] == 1 and published[1]["v"] == 3
-    # the journal outlives the publish; run_stage removes it after the stage
-    assert (work / "demo.ckpt").exists()
-
-
-@pytest.mark.parametrize("header", [
-    {"stage": "annotate"},  # the old ``.part`` + ``.ckpt`` format had no marker
-    {"stage": "annotate", "format": "journal/0"},
-])
-def test_checkpoint_without_journal_format_refused(tmp_path, header):
-    config = make_workspace(tmp_path)
-    work = Path(config.out_dir) / ".work"
-    work.mkdir(parents=True)
-    header = dict(header, config_digest=config.digest())
-    (work / "annotate.ckpt").write_text(json.dumps(header) + "\nc0-000\n",
-                                        encoding="utf-8")
-    with pytest.raises(ConfigInvalid):
-        run_stage("annotate", config)
+    path = tmp_path / ".work" / "replies.log"
+    backend = _Sampling(path)
+    with Gateway(backend) as gw, ReplyStore(path) as gw.store:
+        assert gw.complete(_caption("a")) == "reply 1 to a"
+        committed = path.read_bytes()
+        gw.complete(_caption("b"))
+    b_line = path.read_bytes()[len(committed):]
+    # killed while b's reply was reaching the disk
+    path.write_bytes(committed + b_line[:len(b_line) // 2] + tail.encode("utf-8"))
+    with Gateway(backend) as gw, ReplyStore(path) as gw.store:
+        assert [gw.complete(_caption(i)) for i in "ab"] == ["reply 1 to a", "reply 3 to b"]
+    assert backend.calls == ["a", "b", "b"]  # b is asked for again, once
+    assert backend.seen[2] == committed  # the torn tail was cut off first
+    with Gateway(backend) as gw, ReplyStore(path) as gw.store:
+        assert gw.complete(_caption("b")) == "reply 3 to b"
+    assert backend.calls == ["a", "b", "b"]
 
 
 def test_empty_journal_starts_stage_afresh(tmp_path):
-    # killed before the first flush: the journal exists but holds no header
+    # killed before the first reply reached the store: the file exists but is empty
     config = make_workspace(tmp_path)
     work = Path(config.out_dir) / ".work"
     work.mkdir(parents=True)
-    (work / "annotate.ckpt").write_bytes(b"")
+    (work / "replies.log").write_bytes(b"")
     stats = run_stage("annotate", config)
     assert stats["llm_calls"] == 14 and stats["out"] == 14
-    assert not (work / "annotate.ckpt").exists()
+    assert len((work / "replies.log").read_bytes().splitlines()) == 14
 
 
 class _Clock:
@@ -664,25 +780,24 @@ def _record_durability_calls(monkeypatch) -> list[tuple]:
 
 def test_journal_fsynced_at_most_once_per_interval(tmp_path, monkeypatch):
     clock = _Clock()
-    monkeypatch.setattr(pipeline.time, "monotonic", clock)
+    monkeypatch.setattr(gateway.time, "monotonic", clock)
     events = _record_durability_calls(monkeypatch)
-    with StageIO(tmp_path / "demo.jsonl", tmp_path / ".work", "demo", "d") as io:
-        journal = io.ckpt_path.stat().st_ino
-        for step, work_id, fsyncs in ((0, "a", 0), (0.5, "b", 0), (0.5, "c", 1),
-                                      (0.75, "d", 1), (0.25, "e", 2)):
-            clock.now += pipeline.SYNC_INTERVAL_S * step
-            io.append(work_id, [f'{{"id":"{work_id}"}}'])
-            # each item reaches the kernel at once, so a killed process keeps it
-            assert io.ckpt_path.read_text(encoding="utf-8").endswith(
-                f'+{{"id":"{work_id}"}}\n={work_id}\n')
-            assert events == [("fsync", journal)] * fsyncs
+    path = tmp_path / ".work" / "replies.log"
+    with Gateway(_Sampling(path)) as gw, ReplyStore(path) as gw.store:
+        for step, image, fsyncs in ((0, "a", 0), (0.5, "b", 0), (0.5, "c", 1),
+                                    (0.75, "d", 1), (0.25, "e", 2)):
+            clock.now += gateway.SYNC_INTERVAL_S * step
+            gw.complete(_caption(image))
+            # each reply reaches the kernel at once, so a killed process keeps it
+            assert path.read_text(encoding="utf-8").endswith(f' to {image}"\n')
+            assert events == [("fsync", path.stat().st_ino)] * fsyncs
 
 
-def test_finalize_publishes_durably_before_removing_journal(tmp_path, monkeypatch):
+def test_stage_publishes_each_output_durably(tmp_path, monkeypatch):
     config = make_workspace(tmp_path)
     run_stage("annotate", config)
     run_stage("pair", config)
-    monkeypatch.setattr(pipeline.time, "monotonic", _Clock())
+    monkeypatch.setattr(gateway.time, "monotonic", _Clock())
     events = _record_durability_calls(monkeypatch)
     stats = run_stage("filter", config)
     out = Path(config.out_dir)
@@ -692,8 +807,8 @@ def test_finalize_publishes_durably_before_removing_journal(tmp_path, monkeypatc
         # the temp file's inode, renamed into place
         expected += [("fsync", (out / name).stat().st_ino), ("replace", out / name),
                      ("fsync", directory)]
-    assert events == expected + [("unlink", out / ".work" / "filter.ckpt")]
-    assert not (out / ".work" / "filter.ckpt").exists()
+    # the stage quarantined nothing, so no quarantine file is left
+    assert events == expected + [("unlink", Path(config.quarantine_dir) / "filter.jsonl")]
     verdicts = (out / "pair_verdicts.jsonl").read_text(encoding="utf-8").splitlines()
     assert stats["out"] == len(verdicts) > 0
 
@@ -792,22 +907,6 @@ def test_run_all_with_bad_mixture_spec_fails_before_any_stage(tmp_path, spec, co
         Path(path).write_text(content, encoding="utf-8")
     config.mixture_spec = path
     _run_all_rejected_up_front(tmp_path, config, message.format(path=path))
-
-
-def test_run_all_checks_only_the_stages_it_will_run(tmp_path):
-    config = make_workspace(tmp_path)
-    assert run_all(config)[0] == 0
-    (Path(config.out_dir) / "mixture" / "mixture_verify.json").unlink()
-    spec_file, config.mixture_spec = config.mixture_spec, "builtin:baseline"
-    config.seed = None
-    with pytest.raises(ConfigInvalid, match="^mix samples; config needs a seed$"):
-        run_all(config)
-    config.seed, config.mixture_spec = 5, spec_file
-    code, stats = run_all(config)
-    assert code == 0 and [s["stage"] for s in stats] == ["mix"]
-    # every stage done: nothing is left to reject
-    config.seed, config.mixture_spec = None, "builtin:nope"
-    assert run_all(config) == (0, [])
 
 
 @pytest.mark.parametrize("patch, key", [
