@@ -265,14 +265,24 @@ def _checked(obj, line: int | None) -> tuple:
     return rid, kind, uris, payload, source, meta
 
 
+def _check_utf8(obj, line: int) -> None:
+    """A decoded line's text must encode as UTF-8, as every output is written."""
+    try:
+        json_line(obj).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("record", "text holds an unpaired surrogate", line) from None
+
+
 def read_shard(path: str | Path,
                on_error: Callable[[Exception, int, str], None] | None = None,
                ) -> Iterator[Record]:
     """Yield records from one JSONL shard in file order.
 
     Invalid lines raise ``ParseError``/``ValidationError`` carrying the
-    1-based line number. Passing ``on_error`` turns raising into a callback
-    (error, line_number, raw_line) so callers can quarantine and continue.
+    1-based line number; a line whose text holds an unpaired surrogate (an
+    escape such as ``\\ud800``) is invalid. Passing ``on_error`` turns raising
+    into a callback (error, line_number, raw_line) so callers can quarantine
+    and continue.
     """
     path = Path(path)
     try:
@@ -299,6 +309,10 @@ def read_shard(path: str | Path,
                         raise ParseError(lineno, str(exc)) from exc
                     raw = raw.strip()  # Record._body scans the kept line from index 0
                 rid, kind, uris, payload, source, _ = _checked(obj, lineno)
+                # only an escape can spell a lone surrogate; the one-character
+                # search first, since it is many times cheaper per line
+                if "\\" in raw and "\\u" in raw:
+                    _check_utf8(obj, lineno)
                 record = object.__new__(Record)  # payload and meta stay unset
                 record.id, record.kind, record.image_uris, record.source = (
                     rid, shared.setdefault(kind, kind), uris, shared.setdefault(source, source))

@@ -9,14 +9,14 @@ backend uses only the standard library: one pool of keep-alive connections
 shared by every thread and stage, proxies read once from the environment,
 HTTPS verified against the system trust store. Timeouts, 429s, 5xx replies
 and connections dropped before a response are retried with backoff.
-``Gateway.complete`` is the one reply path: it checks each reply, re-asks at
-most once and returns the parsed value. With a ``ReplyStore`` attached, a
-request answered before is read back from the store and not sent again.
+``Gateway.complete`` is the one reply path: it checks each reply against
+its template's contract (see ``prompts.CONTRACTS``), re-asks at most once
+and returns the checked value. With a ``ReplyStore`` attached, a request
+answered before is read back from the store and not sent again.
 """
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import http.client
 import json
@@ -32,15 +32,11 @@ from pathlib import Path
 from urllib.parse import unquote, urlsplit, urlunsplit
 from urllib.request import getproxies, proxy_bypass
 
-from kforge import jsonx
-from kforge.errors import (BackendError, ConfigInvalid, KforgeError, MalformedOutput,
-                           ValidationError)
-from kforge.prompts import REGISTRY, PromptTemplate, render_prompt
+from kforge.errors import BackendError, ConfigInvalid, KforgeError, ValidationError
+from kforge.prompts import CONTRACTS, REGISTRY, PromptTemplate, render_prompt
 from kforge.textnorm import distinct_content_words, tokenize
 
 logger = logging.getLogger(__name__)
-
-REASK_SUFFIX = "\nReturn only valid JSON."
 
 # the reply store is fsynced at most this often; each reply reaches the
 # kernel at once
@@ -61,7 +57,6 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
-    reask_on_malformed: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -289,7 +284,8 @@ class HttpBackend:
     Failures become ``BackendError``: a socket timeout ``timeout``; a
     connection refused, reset or closed before any response ``connection``;
     429 ``rate_limited``; any other status >= 400, a reply that breaks off,
-    or one of the wrong shape ``http_status``.
+    or one of the wrong shape (content that is not text, or holds an unpaired
+    surrogate) ``http_status``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
@@ -395,10 +391,12 @@ class HttpBackend:
         if resp.status >= 400:
             raise BackendError("http_status", resp.status)
         try:
-            return json.loads(raw)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+            content.encode("utf-8")  # text, with no unpaired surrogate
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError("http_status", resp.status,
                                f"unexpected response shape: {exc}") from exc
+        return content
 
 
 def _readable(sock: socket.socket) -> bool:
@@ -596,40 +594,22 @@ class Gateway:
         assert last is not None
         raise last
 
-    def complete(self, request: LlmRequest, parse=None, reask: str = ""):
-        """Send one request and return its reply as ``parse`` returns it.
-
-        ``parse`` raises a ``KforgeError`` for a reply that breaks the
-        caller's contract; if ``reask`` is set the prompt is then sent once
-        more with ``reask`` appended, and the second reply's error propagates.
-        JSON templates default to ``jsonx.extract_json`` and, when
-        ``retry.reask_on_malformed`` is set, to ``REASK_SUFFIX`` and a
-        ``MalformedOutput`` after a failed re-ask. Other replies are text.
-        """
+    def complete(self, request: LlmRequest):
+        """Send one request and return its reply as the check of its
+        template's contract (``prompts.CONTRACTS``) returns it. A reply that
+        fails the check is asked for once more, with the contract's re-ask
+        line appended, and the second reply's error propagates."""
         template = self._template(request)
         prompt = render_prompt(template, request.bindings)
+        check, reask = CONTRACTS[template.expected_output]
+        n_images = len(request.image_uris)
         text = self._attempt(request, prompt)
-        shape = template.expected_output
-        json_reply = parse is None and shape in (jsonx.JSON_LIST, jsonx.JSON_OBJECT)
-        if json_reply:
-            parse = functools.partial(jsonx.extract_json, expected=shape)
-            reask = REASK_SUFFIX if self.retry.reask_on_malformed else ""
-        elif parse is None:
-            return text
         try:
-            return parse(text)
+            return check(template, text, n_images)
         except KforgeError:
-            if not reask:
-                raise
-        self.stats.bump("reasks")
-        text = self._attempt(request, prompt + reask)
-        try:
-            return parse(text)
-        except KforgeError as exc:
-            if not json_reply:
-                raise
-            raise MalformedOutput(
-                f"{request.template_id}: output not valid {shape} after re-ask") from exc
+            self.stats.bump("reasks")
+        text = self._attempt(request, prompt + reask.replace("{n}", str(n_images)))
+        return check(template, text, n_images)
 
 
 def mock_gateway(**kwargs) -> Gateway:

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 from kforge.annotation import SemanticDescriptor
 from kforge.corpus import (KIND_CAPTION, KIND_INTERLEAVED, KIND_PAIR_CAPTION,
-                           KIND_VQA, Record, marker_problems, validate_record)
-from kforge.errors import (EmptyGeneration, FilterNotPassed, GroundingFailure,
-                           MarkerViolation, PolicyViolation, SchemaMismatch,
-                           ValidationError)
+                           KIND_VQA, Record, validate_record)
+from kforge.errors import (FilterNotPassed, GroundingFailure, PolicyViolation,
+                           SchemaMismatch, ValidationError)
 from kforge.gateway import Gateway, LlmRequest
 from kforge.pairing import ALIGN_SUBCATEGORY, PairCandidate, PairVerdict
 from kforge.textnorm import canonicalize, content_words, tokenize
@@ -45,9 +44,7 @@ def generate_caption(image_id: str, image_uri: str, gateway: Gateway) -> Record:
         bindings={"image": f"{image_id} {image_uri}"},
         image_uris=(image_uri,),
     )
-    text = gateway.complete(request).strip()
-    if not text:
-        raise EmptyGeneration(f"empty caption for image {image_id}")
+    text = gateway.complete(request)
     record = Record(
         id=make_child_id("cap1", image_id),
         kind=KIND_CAPTION,
@@ -96,9 +93,7 @@ def generate_pair_caption(pair: PairCandidate,
         },
         image_uris=(left_uri, right_uri),
     )
-    text = gateway.complete(request).strip()
-    if not text:
-        raise EmptyGeneration(f"empty pair caption for {pair.left_id}/{pair.right_id}")
+    text = gateway.complete(request)
     record = Record(
         id=make_child_id("pairc", pair.left_id, pair.right_id),
         kind=KIND_PAIR_CAPTION,
@@ -168,9 +163,6 @@ def group_for_interleave(selected: list[PairCandidate],
     return groups
 
 
-_INTERLEAVE_REASK = ("\nEvery marker <Image_1> through <Image_{n}> must appear exactly once.")
-
-
 def generate_interleaved(group: list[GroupMember], gateway: Gateway) -> Record:
     """Long-form description integrating three or more domain-related images."""
     if len(group) < 3:
@@ -187,16 +179,7 @@ def generate_interleaved(group: list[GroupMember], gateway: Gateway) -> Record:
         bindings={"group": listing},
         image_uris=tuple(m.image_uri for m in group),
     )
-
-    def checked(text: str) -> str:
-        text = text.strip()
-        problems = marker_problems(text, len(group))
-        if any(problems):
-            raise MarkerViolation(*problems)
-        return text
-
-    text = gateway.complete(request, checked,
-                            _INTERLEAVE_REASK.replace("{n}", str(len(group))))
+    text = gateway.complete(request)
 
     record = Record(
         id=make_child_id("ilv", *(m.image_id for m in group)),

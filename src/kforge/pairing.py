@@ -7,14 +7,13 @@ relationship is coherent enough to explain simply.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from kforge.annotation import SemanticDescriptor
 from kforge.corpus import json_line, publish, read_jsonl
-from kforge.errors import DuplicateImageId, MalformedOutput
+from kforge.errors import DuplicateImageId
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
 
@@ -167,22 +166,6 @@ def _cap(scored: list[tuple[float, str, str, str]],
     return kept
 
 
-_FILTER_REASK = ('\nAnswer with a single line starting with "PASS:" or "FAIL:".')
-
-
-def _parse_verdict(candidate: PairCandidate, text: str) -> PairVerdict:
-    lines = text.strip().splitlines() or [""]
-    first = lines[0].strip()
-    if not first.startswith(("PASS", "FAIL")):
-        raise MalformedOutput(f"pair {candidate.left_id}/{candidate.right_id}: "
-                              "filter did not answer PASS or FAIL")
-    passed = first.startswith("PASS")
-    rationale = first[4:].lstrip(" :").strip()
-    if not rationale:
-        rationale = " ".join(ln.strip() for ln in lines[1:] if ln.strip()) or "unspecified"
-    return PairVerdict(candidate, passed, rationale)
-
-
 def filter_pair(candidate: PairCandidate, left: SemanticDescriptor,
                 right: SemanticDescriptor, gateway: Gateway,
                 uris: tuple[str, str] | None = None) -> PairVerdict:
@@ -193,8 +176,7 @@ def filter_pair(candidate: PairCandidate, left: SemanticDescriptor,
                   "right": f"{right.image_id}: {right.summary()}"},
         image_uris=uris or (candidate.left_id, candidate.right_id),
     )
-    return gateway.complete(request, functools.partial(_parse_verdict, candidate),
-                            _FILTER_REASK)
+    return PairVerdict(candidate, *gateway.complete(request))
 
 
 def select_pairs(verdicts: Iterable[PairVerdict]) -> list[PairCandidate]:

@@ -31,7 +31,7 @@ from typing import Callable
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
                            dedupe_by_id, json_line, publish, record_to_json)
-from kforge.errors import ConfigInvalid, KforgeError
+from kforge.errors import ConfigInvalid, KforgeError, ValidationError
 from kforge.gateway import Gateway, HttpBackend, MockBackend, ReplyStore, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
 
@@ -79,16 +79,27 @@ _CONFIG_KEYS = {
     "kd": {"comparisons": "kd_comparisons"},
 }
 _TOP_LEVEL_KEYS = ("seed", "workers")
+# PipelineConfig field -> its config key, as errors name it
+_FIELD_KEYS = {name: f"{section}.{key}" for section, keys in _CONFIG_KEYS.items()
+               for key, name in keys.items()}
 
 
-def _from_values(cls, values: dict, **fixed):
+def _from_values(cls, values: dict, prefix: str = "", **fixed):
     """``cls`` with the fields ``values`` names and the ``fixed`` ones; the
     rest keep their defaults. A value is converted to the type of a numeric
-    or boolean default and taken as it is otherwise."""
+    or boolean default and taken as it is otherwise; a ``ConfigInvalid``
+    names the key (``prefix`` and the field's key) of a boolean that is not
+    true, false, 0 or 1, and of an integer with a fractional part."""
     for f in fields(cls):
         if f.name in values and f.name not in fixed:
-            number = isinstance(f.default, (bool, int, float))
-            fixed[f.name] = type(f.default)(values[f.name]) if number else values[f.name]
+            value, default = values[f.name], f.default
+            key = prefix + _FIELD_KEYS.get(f.name, f.name)
+            if isinstance(default, bool) and value not in (0, 1):
+                raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
+            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+                raise ConfigInvalid(f"{key} must be a whole number, got {value!r}")
+            number = isinstance(default, (bool, int, float))
+            fixed[f.name] = type(default)(value) if number else value
     return cls(**fixed)
 
 
@@ -129,8 +140,8 @@ def config_from_obj(obj: dict) -> PipelineConfig:
         config = _from_values(
             PipelineConfig, values,
             in_dir=io["in_dir"], out_dir=io["out_dir"], quarantine_dir=io["quarantine_dir"],
-            retry=_from_values(RetryPolicy, retry),
-            vqa_policy=_from_values(VqaValidationPolicy, vqa_policy))
+            retry=_from_values(RetryPolicy, retry, "backend.retry."),
+            vqa_policy=_from_values(VqaValidationPolicy, vqa_policy, "vqa_policy."))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc
     config = validate_config(config)
@@ -382,6 +393,13 @@ def _run_llm_items(config: PipelineConfig, items, process, final_path: Path,
     return len(items), published
 
 
+def _uri(uris: dict[str, str], image_id: str) -> str:
+    """The image URI of ``image_id``; an image with no source record fails its item."""
+    if image_id not in uris:
+        raise ValidationError("image", f"{image_id} has no source record")
+    return uris[image_id]
+
+
 # --- stages --------------------------------------------------------------------
 
 def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -415,9 +433,7 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
     def process(candidate):
         verdict = pairing.filter_pair(
             candidate, descriptors[candidate.left_id], descriptors[candidate.right_id],
-            gateway,
-            uris=(uris.get(candidate.left_id, candidate.left_id),
-                  uris.get(candidate.right_id, candidate.right_id)))
+            gateway, uris=(_uri(uris, candidate.left_id), _uri(uris, candidate.right_id)))
         return json_line(pairing.verdict_to_obj(verdict))
 
     verdicts_path = _out(config, "pair_verdicts.jsonl")
@@ -436,11 +452,10 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
     paired = {image_id for pair in ingest.selected_pairs(config)
               for image_id in pair.pair_id}
     uris = ingest.uris(config, quarantine)
-    items = [(image_id, (image_id, uris[image_id]))
-             for image_id in sorted(descriptors)
-             if image_id not in paired and image_id in uris]
-    return _run_llm_items(config, items, lambda p: record_to_json(
-        generation.generate_caption(*p, gateway)), _out(config, "caption1.jsonl"), quarantine)
+    items = [(image_id, image_id) for image_id in sorted(descriptors) if image_id not in paired]
+    return _run_llm_items(config, items, lambda image_id: record_to_json(
+        generation.generate_caption(image_id, _uri(uris, image_id), gateway)),
+        _out(config, "caption1.jsonl"), quarantine)
 
 
 def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -456,8 +471,8 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
     def process(candidate):
         record = generation.generate_pair_caption(
             candidate,
-            (uris.get(candidate.left_id, candidate.left_id), descriptors[candidate.left_id]),
-            (uris.get(candidate.right_id, candidate.right_id), descriptors[candidate.right_id]),
+            (_uri(uris, candidate.left_id), descriptors[candidate.left_id]),
+            (_uri(uris, candidate.right_id), descriptors[candidate.right_id]),
             gateway,
             verdict=verdicts.get(candidate.pair_id))
         return record_to_json(record)
@@ -490,12 +505,11 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
     groups = generation.group_for_interleave(
         ingest.selected_pairs(config), descriptors,
         min_size=config.interleave_min, max_size=config.interleave_max, seed=seed)
-    items = [("g~" + "~".join(group),
-              [GroupMember(i, uris.get(i, i), descriptors[i]) for i in group])
-             for group in groups]
+    items = [("g~" + "~".join(group), group) for group in groups]
     return _run_llm_items(config, items, lambda group: record_to_json(
-        generation.generate_interleaved(group, gateway)), _out(config, "interleaved.jsonl"),
-        quarantine)
+        generation.generate_interleaved(
+            [GroupMember(i, _uri(uris, i), descriptors[i]) for i in group], gateway)),
+        _out(config, "interleaved.jsonl"), quarantine)
 
 
 def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -523,8 +537,14 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
     with open(profiles_path, "r", encoding="utf-8") as fh:
         profiles = [knowledge.ProfileCounts.from_line(line) for line in fh]
     scored_sources = {source_of.get(p.sample_id) for p in profiles}
-    comparisons = [pair for pair in config.kd_comparisons
-                   if all(s in scored_sources for s in pair)]
+    comparisons = []
+    for pair in config.kd_comparisons:
+        missing = [source for source in pair if source not in scored_sources]
+        if missing:
+            logger.warning("kd.comparisons entry %s dropped: no profiles for source %s",
+                           ":".join(pair), ", ".join(missing))
+        else:
+            comparisons.append(pair)
     knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
                              comparisons, gateway.backend_id)
     return counts

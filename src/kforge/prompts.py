@@ -1,18 +1,26 @@
-"""Prompt template registry and rendering.
+"""Prompt template registry, rendering and reply contracts.
 
 Templates carry named placeholders in ``{name}`` form. Only declared
 placeholders are substituted, so literal braces in prompt bodies (JSON
 format examples and the like) pass through untouched.
+
+Each template's ``expected_output`` names its reply contract in
+``CONTRACTS``: the check that turns a reply into its value, and the line a
+re-ask appends to the prompt.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kforge.errors import MissingBinding
+from kforge import jsonx
+from kforge.corpus import marker_problems
+from kforge.errors import (EmptyGeneration, KforgeError, MalformedOutput, MarkerViolation,
+                           MissingBinding)
 from kforge.jsonx import JSON_LIST, JSON_OBJECT
 
 FREE_TEXT = "free_text"
 VERDICT = "verdict"
+MARKED_TEXT = "marked_text"
 
 
 @dataclass(frozen=True)
@@ -525,8 +533,56 @@ REGISTRY: dict[str, PromptTemplate] = {
                        ("left", "right", "shared", "differing"), FREE_TEXT, (2, 2)),
         PromptTemplate("knowledge_extract", KNOWLEDGE_EXTRACT_BODY, ("text",), JSON_OBJECT, (0, 0)),
         PromptTemplate("pair_filter", PAIR_FILTER_BODY, ("left", "right"), VERDICT, (2, 2)),
-        PromptTemplate("interleave", INTERLEAVE_BODY, ("group",), FREE_TEXT, (3, None)),
+        PromptTemplate("interleave", INTERLEAVE_BODY, ("group",), MARKED_TEXT, (3, None)),
     )
+}
+
+
+def _text(template: PromptTemplate, reply: str, n_images: int) -> str:
+    text = reply.strip()
+    if not text:
+        raise EmptyGeneration(f"{template.template_id}: empty reply")
+    return text
+
+
+def _json(template: PromptTemplate, reply: str, n_images: int):
+    shape = template.expected_output
+    try:
+        return jsonx.extract_json(reply, shape)
+    except KforgeError as exc:
+        raise MalformedOutput(f"{template.template_id}: output not valid {shape}") from exc
+
+
+def _verdict(template: PromptTemplate, reply: str, n_images: int) -> tuple[bool, str]:
+    """``(passed, rationale)`` from a first line starting PASS or FAIL."""
+    lines = reply.strip().splitlines() or [""]
+    first = lines[0].strip()
+    if not first.startswith(("PASS", "FAIL")):
+        raise MalformedOutput(f"{template.template_id}: reply did not answer PASS or FAIL")
+    rationale = first[4:].lstrip(" :").strip()
+    if not rationale:
+        rationale = " ".join(ln.strip() for ln in lines[1:] if ln.strip()) or "unspecified"
+    return first.startswith("PASS"), rationale
+
+
+def _marked_text(template: PromptTemplate, reply: str, n_images: int) -> str:
+    """The text, when it cites each ``<Image_k>`` of its images exactly once."""
+    text = reply.strip()
+    problems = marker_problems(text, n_images)
+    if any(problems):
+        raise MarkerViolation(*problems)
+    return text
+
+
+# expected_output -> (check(template, reply, number of images) -> value or a
+# KforgeError, re-ask line, where {n} stands for the number of images)
+CONTRACTS = {
+    FREE_TEXT: (_text, "\nReply with the requested text; the reply must not be empty."),
+    JSON_LIST: (_json, "\nReturn only valid JSON."),
+    JSON_OBJECT: (_json, "\nReturn only valid JSON."),
+    VERDICT: (_verdict, '\nAnswer with a single line starting with "PASS:" or "FAIL:".'),
+    MARKED_TEXT: (_marked_text,
+                  "\nEvery marker <Image_1> through <Image_{n}> must appear exactly once."),
 }
 
 

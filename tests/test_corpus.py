@@ -531,6 +531,24 @@ def test_read_shard_too_deep_is_a_parse_error(tmp_path, corpus30):
     assert err.value.line == 2
 
 
+def test_read_shard_lone_surrogate_is_a_validation_error(tmp_path):
+    # an escape can spell a surrogate that no UTF-8 output could hold
+    def line(caption: str) -> str:
+        return json.dumps({"id": "c", "kind": "caption", "image_uris": ["file:///c.jpg"],
+                           "payload": {"caption": caption}, "source": "s"})
+
+    texts = ["a harbor \ud800 view", "a \udc00", "pair \ud83d\ude00 ok", "a \\ud800 b"]
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(line(t) for t in texts) + "\n", encoding="utf-8")
+    errors = []
+    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    # a surrogate pair decodes to one character; an escaped backslash is text
+    assert [r.payload["caption"] for r in records] == ["pair \U0001f600 ok", "a \\ud800 b"]
+    assert [(type(exc), str(exc)) for exc, _ in errors] == [
+        (ValidationError, f"line {n}: record: text holds an unpaired surrogate")
+        for n in (1, 2)]
+
+
 # --- dedupe -------------------------------------------------------------------
 
 def _text_record(rid: str) -> Record:

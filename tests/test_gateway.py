@@ -13,10 +13,10 @@ import pytest
 
 from kforge.errors import (BackendError, JsonSyntax, KforgeError, MalformedOutput,
                            NoJsonFound, ValidationError, WrongShape)
-from kforge.gateway import (REASK_SUFFIX, Gateway, HttpBackend, LlmRequest, MockBackend,
-                            ReplyStore, RetryPolicy, TokenBucket, mock_gateway)
-from kforge.pipeline import run_all
-from kforge.prompts import REGISTRY, render_prompt
+from kforge.gateway import (Gateway, HttpBackend, LlmRequest, MockBackend, ReplyStore,
+                            RetryPolicy, TokenBucket, mock_gateway)
+from kforge.pipeline import run_all, run_stage
+from kforge.prompts import CONTRACTS, REGISTRY, render_prompt
 
 from conftest import ReplayBackend, replay_gateway
 from test_pipeline import _tree_bytes, make_workspace
@@ -75,10 +75,12 @@ def test_mock_determinism_across_process_restarts():
     outputs = [MockBackend().complete(request, _prompt(request)) for request in battery]
     digest = hashlib.sha256("\x00".join(outputs).encode("utf-8")).hexdigest()
     assert digest == MOCK_BATTERY_SHA256
+    # the gateway returns each reply as its template's check does
     gw = mock_gateway()
+    passed = outputs[3].startswith("PASS: ")
     assert [gw.complete(request) for request in battery] == [
-        json.loads(text) if REGISTRY[request.template_id].expected_output.startswith("json")
-        else text for request, text in zip(battery, outputs)]
+        outputs[0], json.loads(outputs[1]), json.loads(outputs[2]),
+        (passed, outputs[3][6:]), json.loads(outputs[4]), outputs[5], outputs[6]]
 
 
 def test_mock_hier_semantic_is_schema_valid():
@@ -101,10 +103,11 @@ def test_mock_pair_filter_prefixes():
     gw = mock_gateway()
     seen = set()
     for i in range(40):
-        text = gw.complete(LlmRequest(
-            "pair_filter", {"left": f"l{i}: s", "right": f"r{i}: s"},
-            ("file:///l.jpg", "file:///r.jpg")))
+        request = LlmRequest("pair_filter", {"left": f"l{i}: s", "right": f"r{i}: s"},
+                             ("file:///l.jpg", "file:///r.jpg"))
+        text = MockBackend().complete(request, _prompt(request))
         assert text.startswith(("PASS:", "FAIL:"))
+        assert gw.complete(request) == (text.startswith("PASS"), text[6:])
         seen.add(text.split(":")[0])
     assert seen == {"PASS", "FAIL"}
 
@@ -158,10 +161,9 @@ def test_non_retryable_status_fails_fast():
     assert gw.stats.llm_calls == 1
 
 
-def _replay(outputs, reask_on_malformed=True):
+def _replay(outputs):
     backend = ReplayBackend(outputs)
-    return backend, Gateway(backend, retry=RetryPolicy(
-        backoff_base=0.001, reask_on_malformed=reask_on_malformed))
+    return backend, Gateway(backend, retry=FAST)
 
 
 def test_valid_json_is_parsed_once_without_reask():
@@ -188,9 +190,9 @@ def test_malformed_json_reask_appends_suffix():
             gw.complete(_vqa_request())
         assert type(err.value) is MalformedOutput
         assert err.value.code == "malformed_output"
-        assert str(err.value) == "caption_to_vqa: output not valid json_list after re-ask"
+        assert str(err.value) == "caption_to_vqa: output not valid json_list"
         assert type(err.value.__cause__) is cause
-        assert backend.prompts == [prompt, prompt + REASK_SUFFIX]
+        assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
         assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
@@ -202,51 +204,66 @@ def test_transport_failure_on_reask_is_not_malformed_output():
     assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
-def test_reask_disabled_raises_the_parse_error():
-    for reply, error, code, message in (
-            ("not json", NoJsonFound, "no_json", "no JSON list in output"),
-            ('{"a": 1}', WrongShape, "wrong_shape",
-             "found a JSON json_object where the other shape was expected"),
-            ("[1, 2,", JsonSyntax, "json_syntax",
-             "invalid JSON at offset 0: Expecting value: line 1 column 7 (char 6)")):
-        backend, gw = _replay([reply, "[]"], reask_on_malformed=False)
-        with pytest.raises(KforgeError) as err:
-            gw.complete(_vqa_request())
-        assert type(err.value) is error
-        assert (err.value.code, str(err.value)) == (code, message)
-        assert backend.prompts == [_prompt(_vqa_request())]
-        assert gw.stats.snapshot() == {"llm_calls": 1, "retries": 0, "reasks": 0}
+_JSON_REASK = "\nReturn only valid JSON."
+_URIS = ("file:///a.jpg", "file:///b.jpg", "file:///c.jpg")
+
+# template -> (bindings, images, bad reply, good reply, its value, re-ask line,
+# error code of two bad replies)
+_CONTRACT_CASES = {
+    "single_caption": (
+        {"image": "a file:///a.jpg"}, 1, " \n ", "  A red boat.\n", "A red boat.",
+        "\nReply with the requested text; the reply must not be empty.", "empty_generation"),
+    "caption_to_vqa": (
+        {"cap": "A red boat by a stone pier."}, 0, '{"question": "q"}',
+        '[{"question": "q", "answer": "a"}]', [{"question": "q", "answer": "a"}],
+        _JSON_REASK, "malformed_output"),
+    "hier_semantic": (
+        {"image": "a file:///a.jpg"}, 1, "no json", '```json\n{"a": 1}\n```', {"a": 1},
+        _JSON_REASK, "malformed_output"),
+    "pair_caption": (
+        {"left": "a: reef", "right": "b: dune", "shared": "coasts", "differing": "texture"},
+        2, "", "Both show coasts.", "Both show coasts.",
+        "\nReply with the requested text; the reply must not be empty.", "empty_generation"),
+    "knowledge_extract": (
+        {"text": "A black cat sits on the sill."}, 0, "[1, 2]", '{"Fact": [], "Abstract": []}',
+        {"Fact": [], "Abstract": []}, _JSON_REASK, "malformed_output"),
+    "pair_filter": (
+        {"left": "a: reef", "right": "b: dune"}, 2, "maybe", "\nPASS: shared coast theme",
+        (True, "shared coast theme"),
+        '\nAnswer with a single line starting with "PASS:" or "FAIL:".', "malformed_output"),
+    "interleave": (
+        {"group": "Image 1: a\nImage 2: b\nImage 3: c"}, 3, "a <Image_1> b <Image_2>",
+        " a <Image_1> b <Image_2> c <Image_3>", "a <Image_1> b <Image_2> c <Image_3>",
+        "\nEvery marker <Image_1> through <Image_3> must appear exactly once.",
+        "marker_violation"),
+}
 
 
-def _upper(text: str) -> str:
-    if not text.isupper():
-        raise MalformedOutput(f"not upper case: {text}")
-    return text.lower()
+def test_contract_cases_cover_every_template():
+    assert set(_CONTRACT_CASES) == set(REGISTRY)
+    assert {t.expected_output for t in REGISTRY.values()} == set(CONTRACTS)
 
 
-def test_caller_parse_reasks_once_whatever_the_policy():
-    request = LlmRequest("single_caption", {"image": "x"}, ("file:///x.jpg",))
-    for reask_on_malformed in (True, False):
-        backend, gw = _replay(["no", "YES"], reask_on_malformed=reask_on_malformed)
-        assert gw.complete(request, _upper, " SHOUT") == "yes"
-        assert backend.prompts == [_prompt(request), _prompt(request) + " SHOUT"]
-        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
-
-
-def test_caller_parse_error_of_second_reply_propagates():
-    backend, gw = _replay(["no", "still no"])
-    request = LlmRequest("single_caption", {"image": "x"}, ("file:///x.jpg",))
-    with pytest.raises(MalformedOutput, match="^not upper case: still no$"):
-        gw.complete(request, _upper, " SHOUT")
-    assert gw.stats.reasks == 1
-
-
-def test_caller_parse_without_reask_raises_first_error():
-    backend, gw = _replay(["no", "YES"])
-    with pytest.raises(MalformedOutput, match="^not upper case: no$"):
-        gw.complete(_vqa_request(), _upper)
-    assert backend.prompts == [_prompt(_vqa_request())]
+@pytest.mark.parametrize("template_id", sorted(_CONTRACT_CASES))
+def test_every_template_checks_and_reasks_its_own_way(template_id):
+    bindings, n, bad, good, value, reask, code = _CONTRACT_CASES[template_id]
+    request = LlmRequest(template_id, bindings, _URIS[:n])
+    prompt = _prompt(request)
+    # the mock's reply keeps the contract, so no mock or stub run re-asks
+    gw = mock_gateway()
+    gw.complete(request)
     assert gw.stats.snapshot() == {"llm_calls": 1, "retries": 0, "reasks": 0}
+    # a bad first reply is asked for again with the template's own line
+    backend, gw = _replay([bad, good])
+    assert gw.complete(request) == value
+    assert backend.prompts == [prompt, prompt + reask]
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+    # a second bad reply fails the request with the template's error code
+    backend, gw = _replay([bad, bad, good])
+    with pytest.raises(KforgeError) as err:
+        gw.complete(request)
+    assert err.value.code == code
+    assert backend.prompts == [prompt, prompt + reask]
 
 
 # --- rate limiting / concurrency -------------------------------------------------
@@ -525,7 +542,25 @@ def _caption_request(tag: str) -> LlmRequest:
 
 
 def _expected_echo(request: LlmRequest) -> str:
-    return render_prompt(REGISTRY[request.template_id], request.bindings)
+    # a free-text reply is returned stripped
+    return render_prompt(REGISTRY[request.template_id], request.bindings).strip()
+
+
+def test_http_lone_surrogate_reply_is_quarantined_and_not_stored(tmp_path):
+    class Surrogate(_EchoHandler):
+        def do_POST(self):
+            self.read_body()
+            self.send_json(200, _ok_body("\ud800"))  # sent as the escape \ud800
+
+    with _serving(Surrogate) as (server, url):
+        config = make_workspace(tmp_path)
+        config.backend_kind, config.endpoint, config.model = "http", url, "m"
+        stats = run_stage("annotate", config)
+    rows = [json.loads(line) for line in
+            (tmp_path / "run" / "quarantine" / "annotate.jsonl").read_text().splitlines()]
+    assert stats["quarantined"] == len(rows) == stats["in"] == stats["llm_calls"] > 0
+    assert {row["error_code"] for row in rows} == {"backend"}
+    assert (tmp_path / "run" / "out" / ".work" / "replies.log").read_bytes() == b""
 
 
 def test_http_keeps_one_connection_per_thread():

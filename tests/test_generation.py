@@ -7,9 +7,9 @@ import time
 import pytest
 
 from kforge.errors import (EmptyGeneration, FilterNotPassed, GroundingFailure,
-                           MalformedOutput, MarkerViolation, NoJsonFound,
-                           PolicyViolation, ValidationError)
-from kforge.gateway import Gateway, RetryPolicy, mock_gateway
+                           MalformedOutput, MarkerViolation, PolicyViolation,
+                           ValidationError)
+from kforge.gateway import Gateway, mock_gateway
 from kforge.generation import (GroupMember, VqaValidationPolicy,
                                classify_scopes, generate_caption,
                                generate_interleaved, generate_pair_caption,
@@ -49,9 +49,11 @@ def test_generate_caption_mock_deterministic():
 
 
 def test_generate_caption_whitespace_output_is_error():
-    gw = replay_gateway(["   \n  "])
-    with pytest.raises(EmptyGeneration):
+    # an empty reply is asked for once more before the caption fails
+    gw = replay_gateway(["   \n  ", ""])
+    with pytest.raises(EmptyGeneration, match="^single_caption: empty reply$"):
         generate_caption("img-1", "file:///1.jpg", gw)
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_generate_caption_differs_across_images():
@@ -142,19 +144,17 @@ def test_interleaved_mock_markers_exactly_once():
 def test_interleaved_missing_marker_after_reask():
     first = "start <Image_1> <Image_1> then <Image_2> end"
     second = "start <Image_1> then <Image_2> <Image_7> end"  # no <Image_3>
-    # the marker check re-asks once whatever the JSON re-ask policy says
-    for reask_on_malformed in (True, False):
-        backend = ReplayBackend([first, second, "never asked"])
-        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
-        with pytest.raises(MarkerViolation) as err:
-            generate_interleaved(_group(3), gw)
-        # the second reply's problems
-        assert (err.value.missing, err.value.duplicated, err.value.out_of_range) == (
-            [3], [], [7])
-        assert err.value.code == "marker_violation"
-        assert str(err.value) == "missing=[3], out_of_range=[7]"
-        assert backend.prompts == _interleave_prompts(_group(3))
-        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+    backend = ReplayBackend([first, second, "never asked"])
+    gw = Gateway(backend)
+    with pytest.raises(MarkerViolation) as err:
+        generate_interleaved(_group(3), gw)
+    # the second reply's problems
+    assert (err.value.missing, err.value.duplicated, err.value.out_of_range) == (
+        [3], [], [7])
+    assert err.value.code == "marker_violation"
+    assert str(err.value) == "missing=[3], out_of_range=[7]"
+    assert backend.prompts == _interleave_prompts(_group(3))
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_interleaved_empty_replies_are_marker_violations():
@@ -295,16 +295,10 @@ def test_vqa_malformed_json_reply():
     gw = Gateway(backend)
     with pytest.raises(MalformedOutput) as err:
         synthesize_vqa(_caption_record(caption), VqaValidationPolicy(), gw)
-    assert str(err.value) == "caption_to_vqa: output not valid json_list after re-ask"
+    assert str(err.value) == "caption_to_vqa: output not valid json_list"
+    assert (err.value.__cause__.code, str(err.value.__cause__)) == (
+        "no_json", "no JSON list in output")
     assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
-    # with re-ask off the one reply's parse error is the record's error
-    backend = ReplayBackend(["no list here", "[]"])
-    gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=False))
-    with pytest.raises(NoJsonFound) as err:
-        synthesize_vqa(_caption_record(caption), VqaValidationPolicy(), gw)
-    assert (err.value.code, str(err.value)) == ("no_json", "no JSON list in output")
-    assert backend.prompts == [prompt]
-    assert gw.stats.reasks == 0
 
 
 def test_vqa_three_items_rejected():

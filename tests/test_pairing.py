@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kforge.errors import DuplicateImageId, MalformedOutput
-from kforge.gateway import Gateway, RetryPolicy, mock_gateway
+from kforge.gateway import Gateway, mock_gateway
 from kforge.pairing import (PairCandidate, PairVerdict,
                             build_index, candidate_from_obj, candidate_to_obj,
                             filter_pair, propose_pairs, read_candidates,
@@ -232,29 +232,26 @@ def test_filter_pair_fail_parsing():
 def test_filter_pair_malformed_after_reask():
     left, right = _descs()
     prompt = _filter_prompt(left, right)
-    # the filter re-asks once whatever the JSON re-ask policy says
-    for reask_on_malformed in (True, False):
-        backend = ReplayBackend(["maybe", "maybe", "PASS: never asked"])
-        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
-        with pytest.raises(MalformedOutput) as err:
-            filter_pair(_candidate(), left, right, gw)
-        assert type(err.value) is MalformedOutput
-        assert err.value.code == "malformed_output"
-        assert str(err.value) == "pair a/b: filter did not answer PASS or FAIL"
-        assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
-        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+    backend = ReplayBackend(["maybe", "maybe", "PASS: never asked"])
+    gw = Gateway(backend)
+    with pytest.raises(MalformedOutput) as err:
+        filter_pair(_candidate(), left, right, gw)
+    assert type(err.value) is MalformedOutput
+    assert err.value.code == "malformed_output"
+    assert str(err.value) == "pair_filter: reply did not answer PASS or FAIL"
+    assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 def test_filter_pair_recovers_on_reask():
     left, right = _descs()
     prompt = _filter_prompt(left, right)
-    for reask_on_malformed in (True, False):
-        backend = ReplayBackend(["hmm let me think", "PASS: same theme, distinct details"])
-        gw = Gateway(backend, retry=RetryPolicy(reask_on_malformed=reask_on_malformed))
-        v = filter_pair(_candidate(), left, right, gw)
-        assert v == PairVerdict(_candidate(), True, "same theme, distinct details")
-        assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
-        assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
+    backend = ReplayBackend(["hmm let me think", "PASS: same theme, distinct details"])
+    gw = Gateway(backend)
+    v = filter_pair(_candidate(), left, right, gw)
+    assert v == PairVerdict(_candidate(), True, "same theme, distinct details")
+    assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
+    assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 
 
 # --- selection -------------------------------------------------------------------

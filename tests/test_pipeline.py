@@ -123,7 +123,11 @@ def test_http_backend_from_env(tmp_path, monkeypatch):
      "unknown keys in config section io: ['tmp_dir']"),
     ({"backend": 5}, "config section backend must be an object"),
     ({"flush_every": 1}, "unknown config sections: ['flush_every']"),
-], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object", "flush_every"])
+    # every reply contract re-asks once; the switch is gone
+    ({"backend": {"retry": {"reask_on_malformed": False}}},
+     "unknown keys in config section backend.retry: ['reask_on_malformed']"),
+], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object", "flush_every",
+        "reask_on_malformed"])
 def test_unknown_config_section_rejected(tmp_path, extra, message):
     doc = {"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}, **extra}
     with pytest.raises(ConfigInvalid) as err:
@@ -165,8 +169,7 @@ def test_config_keys_are_converted():
         "io": {"in_dir": "in", "out_dir": "out", "quarantine_dir": "q"},
         "backend": {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
                     "api_key": "k", "rps": 2.5, "in_flight": "3",
-                    "retry": {"max_attempts": "4", "backoff_base": 1, "backoff_factor": 3,
-                              "reask_on_malformed": 0}},
+                    "retry": {"max_attempts": "4", "backoff_base": 1, "backoff_factor": 3}},
         "pairing": {"max_per_image": "1", "min_contrast": "0.5"},
         "vqa_policy": {"min_items": "2", "max_items": 9, "min_global": 2,
                        "detail_to_global_min_ratio": 1, "grounding_min_overlap": "0.75"},
@@ -179,8 +182,7 @@ def test_config_keys_are_converted():
     assert config == PipelineConfig(
         "in", "out", "q", backend_kind="http", endpoint="http://localhost:9/v1", model="m",
         api_key="k", rps=2.5, in_flight=3,
-        retry=RetryPolicy(max_attempts=4, backoff_base=1.0, backoff_factor=3.0,
-                          reask_on_malformed=False),
+        retry=RetryPolicy(max_attempts=4, backoff_base=1.0, backoff_factor=3.0),
         max_per_image=1, min_contrast=0.5,
         vqa_policy=VqaValidationPolicy(min_items=2, max_items=9, min_global=2,
                                        detail_to_global_min_ratio=1.0,
@@ -283,6 +285,79 @@ def test_too_deeply_nested_line_quarantined_in_full_run(tmp_path):
     assert code == 0
     assert [(row["work_id"], row["error_code"]) for _, row in _quarantine_rows(config)] == [
         ("corpus.jsonl:31", "parse")]
+
+
+def test_lone_surrogate_line_quarantined_in_full_run(tmp_path):
+    config = make_workspace(tmp_path)
+    line = {"id": "c0-100", "kind": "caption", "image_uris": ["file:///images/c0-100.jpg"],
+            "payload": {"caption": "a harbor \ud800 view"}, "source": "caption0"}
+    with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+    code, _ = run_all(config)
+    assert code == 0
+    assert [(name, row["work_id"], row["error_code"])
+            for name, row in _quarantine_rows(config)] == [
+        ("annotate.jsonl", "corpus.jsonl:31", "validation")]
+
+
+def test_image_without_source_record_is_quarantined_not_sent(tmp_path):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    # one unpaired image, and one in selected pairs and an interleave group
+    dropped = ("c0-000", "c0-002")
+    shard = Path(config.in_dir) / "corpus.jsonl"
+    lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+    shard.write_text("".join(ln for ln in lines if json.loads(ln)["id"] not in dropped),
+                     encoding="utf-8")
+    (Path(config.out_dir) / ".work" / "replies.log").unlink()
+    sent = []
+
+    class Recording(MockBackend):
+        def complete(self, request, prompt):
+            sent.extend(request.image_uris)
+            return super().complete(request, prompt)
+
+    gw = Gateway(Recording())
+    for stage in ("pair-caption", "caption", "interleave", "filter"):
+        stats = run_stage(stage, config, gateway=gw)
+        rows = [row for name, row in _quarantine_rows(config) if name == f"{stage}.jsonl"]
+        assert rows and len(rows) == stats["quarantined"] == stats["in"] - stats["out"]
+        for row in rows:
+            assert row["error_code"] == "validation"
+            assert row["error"] in [f"image: {image} has no source record"
+                                    for image in dropped if image in row["work_id"]]
+    assert sent and all(uri.startswith("file:///images/") for uri in sent)
+
+
+def test_dropped_kd_comparison_is_logged(tmp_path, caplog):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    report_path = Path(config.out_dir) / "kd_report.json"
+    config.kd_comparisons = (("caption0", "nope"),)
+    with caplog.at_level("WARNING", logger="kforge.pipeline"):
+        run_stage("kd-score", config)
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "kd.comparisons entry caption0:nope dropped: no profiles for source nope"]
+    assert json.loads(report_path.read_text(encoding="utf-8"))["comparisons"] == []
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"mixture": {"rebalance": "false"}}, "mixture.rebalance must be true or false, got 'false'"),
+    ({"pairing": {"max_per_image": 2.9}}, "pairing.max_per_image must be a whole number, got 2.9"),
+    ({"workers": 1.7}, "workers must be a whole number, got 1.7"),
+], ids=["bool-string", "fractional-int", "fractional-workers"])
+def test_cli_config_values_are_not_coerced(tmp_path, patch, message):
+    # each of these was converted (to True, 2 and 1) and the run went on
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    for key, value in patch.items():
+        doc[key] = {**doc.get(key, {}), **value} if isinstance(value, dict) else value
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert result.output == f"config error: {message}\n"
+    assert not Path(config.out_dir).exists()
 
 
 class _NoCaptionFor(MockBackend):
@@ -1152,6 +1227,19 @@ def test_readme_commands_match_the_cli():
         options = {opt for param in cli_main.commands[name].params for opt in param.opts}
         for arg in (arg.strip("[]") for arg in args):
             assert not arg.startswith("-") or arg in options, (name, arg)
+
+
+def test_readme_config_example_parses(monkeypatch):
+    """README's config example is a valid document showing the defaults,
+    except the mixture budget and the seed, as its text says."""
+    for name in ("KF_LLM_ENDPOINT", "KF_LLM_MODEL", "KF_LLM_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^### Config\n\n```json\n(.*?)^```", readme, flags=re.M | re.S)
+    config = config_from_obj(json.loads(example.group(1)))
+    assert config == dataclasses.replace(
+        PipelineConfig("corpus/in", "corpus/out", "corpus/quarantine"),
+        mixture_budget=100000, seed=5)
 
 
 def test_cli_pair_flag_overrides(tmp_path):
