@@ -237,7 +237,11 @@ def json_line(obj) -> str:
 
 def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]:
     """``from_obj`` of each non-blank line of a JSONL file, in file order."""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ShardIoError(f"cannot open {path}: {exc}") from exc
+    with fh:
         for line in fh:
             if line.strip():
                 yield from_obj(json.loads(line))
@@ -278,24 +282,30 @@ def read_shard(path: str | Path,
                ) -> Iterator[Record]:
     """Yield records from one JSONL shard in file order.
 
-    Invalid lines raise ``ParseError``/``ValidationError`` carrying the
-    1-based line number; a line whose text holds an unpaired surrogate (an
-    escape such as ``\\ud800``) is invalid. Passing ``on_error`` turns raising
-    into a callback (error, line_number, raw_line) so callers can quarantine
-    and continue.
+    Lines end at ``\\n`` (a ``\\r`` before it is whitespace). Invalid lines
+    raise ``ParseError``/``ValidationError`` carrying the 1-based line
+    number; a line that is not UTF-8, or whose text holds an unpaired
+    surrogate (an escape such as ``\\ud800``), is invalid. Passing
+    ``on_error`` turns raising into a callback (error, line_number,
+    raw_line) so callers can quarantine and continue.
     """
     path = Path(path)
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ShardIoError(f"cannot open {path}: {exc}") from exc
     shared: dict[str, str] = {}  # one string per distinct kind and source
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, data in enumerate(fh, start=1):
             try:
+                try:  # each line decoded alone, so a bad byte fails only its line
+                    raw = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raw = data.decode("utf-8", "replace")
+                    raise ParseError(lineno, f"not UTF-8: {exc}") from exc
                 try:
                     obj, end = _scan(raw, 0)
-                    whole = raw[end:] in ("", "\n")
+                    whole = raw[end:] in ("", "\n", "\r\n")
                 except (StopIteration, ValueError, RecursionError):
                     whole = False
                 if not whole:

@@ -72,23 +72,9 @@ class MalformedOutput(KforgeError):
 
 
 class NoJsonFound(KforgeError):
+    """No JSON value of the expected shape decodes from a model reply."""
+
     code = "no_json"
-
-
-class WrongShape(KforgeError):
-    code = "wrong_shape"
-
-    def __init__(self, found: str):
-        super().__init__(f"found a JSON {found} where the other shape was expected")
-        self.found = found
-
-
-class JsonSyntax(KforgeError):
-    code = "json_syntax"
-
-    def __init__(self, offset: int, cause: str = ""):
-        super().__init__(f"invalid JSON at offset {offset}: {cause}")
-        self.offset = offset
 
 
 class SchemaMismatch(KforgeError):
@@ -162,14 +148,6 @@ class AllPoolsEmpty(KforgeError):
 
 class PoolRecordMissing(KforgeError):
     code = "pool_record_missing"
-
-
-class EmptyGroup(KforgeError):
-    code = "empty_group"
-
-    def __init__(self, source: str):
-        super().__init__(f"no profiles for source: {source}")
-        self.source = source
 
 
 class ConfigInvalid(KforgeError):

@@ -5,49 +5,32 @@ model extracts from its text. Fact and Abstract elements are merged for
 counting (deduped by canonical text); per-kind subcounts are kept for
 reporting. Numbers are only comparable within one analyzer backend, so
 reports record the backend identity.
+
+``kd_score`` builds each profile once, as the object one line of
+``kd_profiles.jsonl`` stores: ``sample_id``, ``kd``, ``n_facts``,
+``n_abstract``, then ``elements``, each ``{"text", "kind"}`` plus
+``"level": "L1"`` for a fact. ``ProfileCounts.from_line`` reads the counts
+back off a stored line, and ``build_report`` summarizes them per source.
 """
 from __future__ import annotations
 
 import json
+import logging
 import statistics
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from kforge.corpus import KIND_OTHER, Record, publish
-from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
+from kforge.errors import SchemaMismatch, ValidationError
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
+
+logger = logging.getLogger(__name__)
 
 FACT = "fact"
 ABSTRACT = "abstract"
 
 HISTOGRAM_BUCKET = 5
-
-
-@dataclass(frozen=True)
-class KnowledgeElement:
-    text: str
-    kind: str
-    level: str | None = None
-
-
-@dataclass(frozen=True)
-class KnowledgeProfile:
-    sample_id: str
-    elements: tuple[KnowledgeElement, ...]
-
-    @property
-    def kd(self) -> int:
-        return len(self.elements)
-
-    @property
-    def n_facts(self) -> int:
-        return sum(1 for e in self.elements if e.kind == FACT)
-
-    @property
-    def n_abstract(self) -> int:
-        return sum(1 for e in self.elements if e.kind == ABSTRACT)
 
 
 class ProfileCounts(NamedTuple):
@@ -60,29 +43,24 @@ class ProfileCounts(NamedTuple):
 
     @classmethod
     def from_line(cls, line: str) -> ProfileCounts:
-        """Read the counts off one JSON line of ``profile_to_obj`` output.
+        """Read the counts off one line of ``kd_profiles.jsonl``.
 
         The counts come before the element list, which is most of the line,
-        so only that head is decoded when the line is compact.
+        so only that head is decoded when the line is compact; any other
+        JSON encoding of a profile object is decoded whole.
         """
         cut = line.find(',"elements":')
         obj = json.loads(line[:cut] + "}" if cut >= 0 else line)
         return cls(obj["sample_id"], obj["kd"], obj["n_facts"], obj["n_abstract"])
 
 
-def _element(text: str, kind: str) -> KnowledgeElement | None:
-    canon = canonicalize(text)
-    if not canon:
-        return None
-    return KnowledgeElement(canon, kind, "L1" if kind == FACT else None)
-
-
-def extract_elements(text: str, gateway: Gateway) -> tuple[KnowledgeElement, ...]:
+def extract_elements(text: str, gateway: Gateway) -> list[dict]:
     """Run the knowledge-extraction prompt and canonicalize the reply.
 
     The reply must be an object with ``Fact`` and ``Abstract`` keys (empty
     lists are valid). Elements are deduped by canonical text within the
-    sample; a text appearing as both kinds counts once, as a fact.
+    sample; a text appearing as both kinds counts once, as a fact. Each
+    element is returned as a profile line stores it, facts first.
     """
     if not text.strip():
         raise ValidationError("text", "cannot extract knowledge from empty text")
@@ -93,25 +71,26 @@ def extract_elements(text: str, gateway: Gateway) -> tuple[KnowledgeElement, ...
             raise SchemaMismatch(key)
 
     seen: set[str] = set()
-    out: list[KnowledgeElement] = []
-    for kind, entries in ((FACT, raw["Fact"]), (ABSTRACT, raw["Abstract"])):
+    out: list[dict] = []
+    facts = [e.get("fact", "") if isinstance(e, dict) else e for e in raw["Fact"]]
+    for kind, entries in ((FACT, facts), (ABSTRACT, raw["Abstract"])):
+        level = {"level": "L1"} if kind == FACT else {}
         for entry in entries:
-            if kind == FACT and isinstance(entry, dict):
-                entry = entry.get("fact", "")
-            element = _element(str(entry), kind)
-            if element and element.text not in seen:
-                seen.add(element.text)
-                out.append(element)
-    return tuple(out)
+            canon = canonicalize(str(entry))
+            if canon and canon not in seen:
+                seen.add(canon)
+                out.append({"text": canon, "kind": kind, **level})
+    return out
 
 
-def kd_score(record: Record, gateway: Gateway) -> KnowledgeProfile:
+def kd_score(record: Record, gateway: Gateway) -> dict:
     """Score one record: concatenate its text units and count distinct elements."""
     if record.kind == KIND_OTHER:
         raise ValidationError("payload", "record has no text payload")
-    text = "\n".join(record.text_units())
-    elements = extract_elements(text, gateway)
-    return KnowledgeProfile(sample_id=record.id, elements=elements)
+    elements = extract_elements("\n".join(record.text_units()), gateway)
+    n_facts = sum(1 for e in elements if e["kind"] == FACT)
+    return {"sample_id": record.id, "kd": len(elements), "n_facts": n_facts,
+            "n_abstract": len(elements) - n_facts, "elements": elements}
 
 
 def _histogram(values: list[int]) -> dict[str, int]:
@@ -123,19 +102,16 @@ def _histogram(values: list[int]) -> dict[str, int]:
     return {k: counts[k] for k in sorted(counts, key=lambda s: int(s.split("-")[0]))}
 
 
-def build_report(profiles: Iterable[KnowledgeProfile | ProfileCounts],
-                 source_of: dict[str, str],
-                 comparisons: list[tuple[str, str]],
-                 backend_id: str) -> dict:
+def build_report(profiles: Iterable[ProfileCounts], source_of: dict[str, str],
+                 comparisons: Iterable[tuple[str, str]], backend_id: str) -> dict:
     """Corpus-level density report.
 
-    ``profiles`` may be full profiles or just their stored counts.
     ``source_of`` maps profile sample ids to source labels; every profile
     must resolve. ``comparisons`` lists (source_a, source_b) pairs reported
-    as mean ratios; a comparison against a source with no profiles raises
-    ``EmptyGroup`` rather than treating the mean as zero.
+    as mean ratios; a pair naming a source with no profiles is left out of
+    the report with one warning, rather than treating the mean as zero.
     """
-    groups: dict[str, list[KnowledgeProfile | ProfileCounts]] = {}
+    groups: dict[str, list[ProfileCounts]] = {}
     for p in profiles:
         source = source_of.get(p.sample_id)
         if source is None:
@@ -156,12 +132,12 @@ def build_report(profiles: Iterable[KnowledgeProfile | ProfileCounts],
 
     comparison_rows = []
     for source_a, source_b in comparisons:
-        for source in (source_a, source_b):
-            if source not in per_source or per_source[source]["n"] == 0:
-                raise EmptyGroup(source)
-        mean_a = per_source[source_a]["mean_kd"]
-        mean_b = per_source[source_b]["mean_kd"]
-        ratio = mean_a / mean_b
+        missing = [source for source in (source_a, source_b) if source not in per_source]
+        if missing:
+            logger.warning("kd.comparisons entry %s:%s dropped: no profiles for source %s",
+                           source_a, source_b, ", ".join(missing))
+            continue
+        ratio = per_source[source_a]["mean_kd"] / per_source[source_b]["mean_kd"]
         comparison_rows.append({
             "source_a": source_a,
             "source_b": source_b,
@@ -179,26 +155,10 @@ def build_report(profiles: Iterable[KnowledgeProfile | ProfileCounts],
     }
 
 
-def publish_report(path: str | Path, profiles: Iterable[KnowledgeProfile | ProfileCounts],
-                   source_of: dict[str, str], comparisons: list[tuple[str, str]],
+def publish_report(path: str | Path, profiles: Iterable[ProfileCounts],
+                   source_of: dict[str, str], comparisons: Iterable[tuple[str, str]],
                    backend_id: str) -> None:
     """Build the density report and publish it as indented JSON."""
     report = build_report(profiles, source_of, comparisons, backend_id=backend_id)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     publish(path, [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
-
-
-# --- JSONL persistence -----------------------------------------------------
-
-def profile_to_obj(profile: KnowledgeProfile) -> dict:
-    return {
-        "sample_id": profile.sample_id,
-        "kd": profile.kd,
-        "n_facts": profile.n_facts,
-        "n_abstract": profile.n_abstract,
-        "elements": [
-            {"text": e.text, "kind": e.kind, **({"level": e.level} if e.level else {})}
-            for e in profile.elements
-        ],
-    }
-

@@ -168,13 +168,14 @@ def _cap(scored: list[tuple[float, str, str, str]],
 
 def filter_pair(candidate: PairCandidate, left: SemanticDescriptor,
                 right: SemanticDescriptor, gateway: Gateway,
-                uris: tuple[str, str] | None = None) -> PairVerdict:
-    """Ask the filter model to pass or fail one candidate pair."""
+                uris: tuple[str, str]) -> PairVerdict:
+    """Ask the filter model to pass or fail one candidate pair, shown the
+    images at ``uris`` (left, right)."""
     request = LlmRequest(
         template_id="pair_filter",
         bindings={"left": f"{left.image_id}: {left.summary()}",
                   "right": f"{right.image_id}: {right.summary()}"},
-        image_uris=uris or (candidate.left_id, candidate.right_id),
+        image_uris=uris,
     )
     return PairVerdict(candidate, *gateway.complete(request))
 

@@ -84,22 +84,35 @@ _FIELD_KEYS = {name: f"{section}.{key}" for section, keys in _CONFIG_KEYS.items(
                for key, name in keys.items()}
 
 
+# a field's declared type -> the conversion of its config value; a field of
+# any other type (the strings, backend.rps, kd.comparisons) takes the value
+# as given, and validate_config checks it
+_CONVERSIONS = {"bool": bool, "int": int, "int | None": int, "float": float}
+
+
 def _from_values(cls, values: dict, prefix: str = "", **fixed):
     """``cls`` with the fields ``values`` names and the ``fixed`` ones; the
-    rest keep their defaults. A value is converted to the type of a numeric
-    or boolean default and taken as it is otherwise; a ``ConfigInvalid``
-    names the key (``prefix`` and the field's key) of a boolean that is not
-    true, false, 0 or 1, and of an integer with a fractional part."""
+    rest keep their defaults. A value is converted by its field's declared
+    type (``_CONVERSIONS``), and ``null`` stays ``null`` where that type
+    allows it; a ``ConfigInvalid`` names the key (``prefix`` and the field's
+    key) of a boolean that is not true, false, 0 or 1, of an integer with a
+    fractional part, and of a number that does not convert."""
     for f in fields(cls):
         if f.name in values and f.name not in fixed:
-            value, default = values[f.name], f.default
+            value, convert = values[f.name], _CONVERSIONS.get(f.type)
+            if convert is None or value is None and f.type.endswith("| None"):
+                fixed[f.name] = value
+                continue
             key = prefix + _FIELD_KEYS.get(f.name, f.name)
-            if isinstance(default, bool) and value not in (0, 1):
+            if convert is bool and value not in (0, 1):
                 raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
-            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-                raise ConfigInvalid(f"{key} must be a whole number, got {value!r}")
-            number = isinstance(default, (bool, int, float))
-            fixed[f.name] = type(default)(value) if number else value
+            what = "a whole number" if convert is int else "a number"
+            if convert is int and isinstance(value, float) and not value.is_integer():
+                raise ConfigInvalid(f"{key} must be {what}, got {value!r}")
+            try:
+                fixed[f.name] = convert(value)
+            except (TypeError, ValueError):
+                raise ConfigInvalid(f"{key} must be {what}, got {value!r}") from None
     return cls(**fixed)
 
 
@@ -532,21 +545,12 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
     items = [(r.id, r) for r in records]
     source_of = {r.id: r.source for r in records}
     profiles_path = _out(config, "kd_profiles.jsonl")
-    counts = _run_llm_items(config, items, lambda r: json_line(knowledge.profile_to_obj(
-        knowledge.kd_score(r, gateway))), profiles_path, quarantine)
+    counts = _run_llm_items(config, items, lambda r: json_line(knowledge.kd_score(r, gateway)),
+                            profiles_path, quarantine)
     with open(profiles_path, "r", encoding="utf-8") as fh:
         profiles = [knowledge.ProfileCounts.from_line(line) for line in fh]
-    scored_sources = {source_of.get(p.sample_id) for p in profiles}
-    comparisons = []
-    for pair in config.kd_comparisons:
-        missing = [source for source in pair if source not in scored_sources]
-        if missing:
-            logger.warning("kd.comparisons entry %s dropped: no profiles for source %s",
-                           ":".join(pair), ", ".join(missing))
-        else:
-            comparisons.append(pair)
     knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
-                             comparisons, gateway.backend_id)
+                             config.kd_comparisons, gateway.backend_id)
     return counts
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from kforge import jsonx
 from kforge.corpus import marker_problems
-from kforge.errors import (EmptyGeneration, KforgeError, MalformedOutput, MarkerViolation,
-                           MissingBinding)
+from kforge.errors import (EmptyGeneration, MalformedOutput, MarkerViolation, MissingBinding,
+                           NoJsonFound)
 from kforge.jsonx import JSON_LIST, JSON_OBJECT
 
 FREE_TEXT = "free_text"
@@ -549,7 +549,7 @@ def _json(template: PromptTemplate, reply: str, n_images: int):
     shape = template.expected_output
     try:
         return jsonx.extract_json(reply, shape)
-    except KforgeError as exc:
+    except NoJsonFound as exc:
         raise MalformedOutput(f"{template.template_id}: output not valid {shape}") from exc
 
 

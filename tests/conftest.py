@@ -102,7 +102,8 @@ def random_descriptors(rng: random.Random, n: int) -> list[SemanticDescriptor]:
 class ReplayBackend:
     """Serves scripted outputs in order; entries may be exceptions to raise.
 
-    ``prompts`` records every prompt received, in order.
+    ``prompts`` records every prompt received, in order, and ``image_uris``
+    each request's image URIs.
     """
 
     name = "replay"
@@ -111,11 +112,13 @@ class ReplayBackend:
         self.outputs = list(outputs)
         self.calls = 0
         self.prompts: list[str] = []
+        self.image_uris: list[tuple[str, ...]] = []
         self._lock = threading.Lock()
 
     def complete(self, request: LlmRequest, prompt: str) -> str:
         with self._lock:
             self.prompts.append(prompt)
+            self.image_uris.append(tuple(request.image_uris))
             if not self.outputs:
                 raise BackendError("http_status", 500, "replay script exhausted")
             self.calls += 1

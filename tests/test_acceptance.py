@@ -18,7 +18,7 @@ from kforge.gateway import Gateway, RetryPolicy, mock_gateway
 from kforge.generation import (VqaValidationPolicy, generate_caption,
                                grounding_fraction, synthesize_vqa)
 from kforge.jsonx import JSON_LIST, JSON_OBJECT, extract_json
-from kforge.knowledge import KnowledgeElement, KnowledgeProfile, build_report, kd_score
+from kforge.knowledge import ProfileCounts, build_report, kd_score
 from kforge.mixture import (builtin_spec, plan_mixture, pool_sizes,
                             resolve_pools, sample_mixture, verify_mixture)
 from kforge.pairing import build_index, propose_pairs
@@ -169,11 +169,11 @@ def test_kd_ordering_on_fixture_texts():
         kd = {}
         for name, text in [("A", PAIR_SINGLE_A), ("B", PAIR_SINGLE_B),
                            ("joint", PAIR_JOINT), ("ilv", INTERLEAVE_TEXT)]:
-            kd[name] = kd_score(_text_record(name, text), gw).kd
+            kd[name] = kd_score(_text_record(name, text), gw)["kd"]
             assert kd[name] == oracle_distinct_content_count(text)
         assert kd["joint"] > max(kd["A"], kd["B"])
         for i, constituent in enumerate(INTERLEAVE_CONSTITUENTS):
-            kd_part = kd_score(_text_record(f"p{i}", constituent), gw).kd
+            kd_part = kd_score(_text_record(f"p{i}", constituent), gw)["kd"]
             assert kd_part == oracle_distinct_content_count(constituent)
             assert kd["ilv"] > kd_part
 
@@ -184,9 +184,7 @@ def test_report_percentage_arithmetic():
         for source, mean in (("pair_caption", 32), ("caption0", 22)):
             for i in range(50):
                 rid = f"{source}-{i}"
-                elements = tuple(KnowledgeElement(f"e{j}", "fact", "L1")
-                                 for j in range(mean))
-                profiles.append(KnowledgeProfile(rid, elements))
+                profiles.append(ProfileCounts(rid, mean, mean, 0))
                 source_of[rid] = source
         report = build_report(profiles, source_of, [("pair_caption", "caption0")],
                               backend_id="mock")

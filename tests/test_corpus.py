@@ -549,6 +549,28 @@ def test_read_shard_lone_surrogate_is_a_validation_error(tmp_path):
         for n in (1, 2)]
 
 
+def test_read_shard_invalid_utf8_fails_only_its_line(tmp_path):
+    lines = [record_to_json(r).encode("utf-8") for r in make_corpus()[:3]]
+    lines[1] = lines[1].replace(b'"source":"', b'"source":"\xff', 1)
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    errors = []
+    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    assert [r.id for r in records] == [r.id for r in make_corpus()[:3:2]]
+    assert [(type(exc), n, exc.line) for exc, n in errors] == [(ParseError, 2, 2)]
+    assert str(errors[0][0]).startswith("line 2: not UTF-8: ")
+
+
+def test_read_shard_crlf_lines_read_as_lf(tmp_path):
+    corpus = make_corpus()[:3]
+    lines = [record_to_json(r) for r in corpus]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    assert ([record_to_json(r) for r in read_shard(crlf)]
+            == [record_to_json(r) for r in read_shard(lf)] == lines)
+
+
 # --- dedupe -------------------------------------------------------------------
 
 def _text_record(rid: str) -> Record:

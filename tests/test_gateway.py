@@ -11,8 +11,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from kforge.errors import (BackendError, JsonSyntax, KforgeError, MalformedOutput,
-                           NoJsonFound, ValidationError, WrongShape)
+from kforge.errors import (BackendError, KforgeError, MalformedOutput, NoJsonFound,
+                           ValidationError)
 from kforge.gateway import (Gateway, HttpBackend, LlmRequest, MockBackend, ReplyStore,
                             RetryPolicy, TokenBucket, mock_gateway)
 from kforge.pipeline import run_all, run_stage
@@ -183,15 +183,18 @@ def test_malformed_json_single_reask_then_success():
 
 def test_malformed_json_reask_appends_suffix():
     prompt = _prompt(_vqa_request())
-    for second, cause in (("still not json", NoJsonFound), ('{"question": "q"}', WrongShape),
-                          ("[1, 2,", JsonSyntax)):
+    for second, cause in (("still not json", "no JSON list in output"),
+                          ('{"question": "q"}', "no JSON list in output"),
+                          ("[1, 2,", "no JSON list in output; invalid JSON at offset 0: "
+                                     "Expecting value: line 1 column 7 (char 6)")):
         backend, gw = _replay(['{"a": 1}', second])
         with pytest.raises(MalformedOutput) as err:
             gw.complete(_vqa_request())
         assert type(err.value) is MalformedOutput
         assert err.value.code == "malformed_output"
         assert str(err.value) == "caption_to_vqa: output not valid json_list"
-        assert type(err.value.__cause__) is cause
+        assert type(err.value.__cause__) is NoJsonFound
+        assert str(err.value.__cause__) == cause
         assert backend.prompts == [prompt, prompt + "\nReturn only valid JSON."]
         assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kforge.errors import JsonSyntax, KforgeError, NoJsonFound, WrongShape
+from kforge.errors import KforgeError, NoJsonFound
 from kforge.jsonx import JSON_LIST, JSON_OBJECT, extract_json, strip_code_fences
 
 from oracles import oracle_extract_json
@@ -63,19 +63,28 @@ def test_prose_wrapped_object_matches_oracle():
 
 
 def test_no_json_found():
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(NoJsonFound) as err:
         extract_json("no braces here", JSON_OBJECT)
+    assert (err.value.code, str(err.value)) == ("no_json", "no JSON object in output")
 
 
 def test_wrong_shape():
-    with pytest.raises(WrongShape) as err:
+    # a value of the other shape is no value of this one
+    with pytest.raises(NoJsonFound) as err:
         extract_json("text [1, 2, 3] more", JSON_OBJECT)
-    assert err.value.found == JSON_LIST
+    assert str(err.value) == "no JSON object in output"
+    with pytest.raises(NoJsonFound) as err:
+        extract_json('text {"a": 1} more', JSON_LIST)
+    assert str(err.value) == "no JSON list in output"
 
 
 def test_json_syntax_when_only_bad_candidates():
-    with pytest.raises(JsonSyntax):
+    # the message names the first candidate's decode error
+    with pytest.raises(NoJsonFound) as err:
         extract_json("try {not: valid} and {also bad}", JSON_OBJECT)
+    assert str(err.value) == (
+        "no JSON object in output; invalid JSON at offset 4: Expecting property name "
+        "enclosed in double quotes: line 1 column 6 (char 5)")
 
 
 def test_braces_inside_strings_do_not_confuse_scan():
@@ -95,14 +104,15 @@ def test_unterminated_candidate_skipped():
 
 def test_only_candidate_unterminated_is_json_syntax():
     # a candidate of the right shape exists but never closes
-    with pytest.raises(JsonSyntax) as err:
+    with pytest.raises(NoJsonFound) as err:
         extract_json('unterminated { "a": 1', JSON_OBJECT)
-    assert err.value.offset == 13
+    assert str(err.value).startswith("no JSON object in output; invalid JSON at offset 13: ")
 
 
 def test_nesting_past_decoder_limit_is_json_syntax():
-    with pytest.raises(JsonSyntax):
+    with pytest.raises(NoJsonFound) as err:
         extract_json("[" * 3000, JSON_LIST)
+    assert "invalid JSON at offset 0: " in str(err.value)
 
 
 def test_nested_value_recovered_whole():

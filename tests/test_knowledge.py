@@ -5,11 +5,9 @@ import json
 import pytest
 
 from kforge.corpus import Record, json_line, publish, read_jsonl
-from kforge.errors import EmptyGroup, SchemaMismatch, ValidationError
+from kforge.errors import SchemaMismatch, ValidationError
 from kforge.gateway import mock_gateway
-from kforge.knowledge import (KnowledgeElement, KnowledgeProfile, ProfileCounts,
-                              build_report, extract_elements, kd_score,
-                              profile_to_obj)
+from kforge.knowledge import ProfileCounts, build_report, extract_elements, kd_score
 
 from conftest import replay_gateway
 from fixtures_text import (INTERLEAVE_CONSTITUENTS, INTERLEAVE_TEXT,
@@ -33,14 +31,14 @@ def test_extract_replay_fact_examples():
     gw = replay_gateway([reply])
     elements = extract_elements(
         "The cat is black. The cat is sitting on the windowsill.", gw)
-    assert len(elements) == 2
-    assert all(e.kind == "fact" and e.level == "L1" for e in elements)
-    assert elements[0].text == "the cat is black"
+    assert elements == [
+        {"text": "the cat is black", "kind": "fact", "level": "L1"},
+        {"text": "the cat is sitting on the windowsill", "kind": "fact", "level": "L1"}]
 
 
 def test_extract_empty_lists_valid():
     gw = replay_gateway([json.dumps({"Fact": [], "Abstract": []})])
-    assert extract_elements("anything here", gw) == ()
+    assert extract_elements("anything here", gw) == []
 
 
 def test_extract_dedupes_repeated_fact():
@@ -49,8 +47,7 @@ def test_extract_dedupes_repeated_fact():
                         "Abstract": ["a dog"]})
     gw = replay_gateway([reply])
     elements = extract_elements("a dog", gw)
-    assert len(elements) == 1
-    assert elements[0].kind == "fact"
+    assert elements == [{"text": "a dog", "kind": "fact", "level": "L1"}]
 
 
 def test_extract_missing_key_is_schema_error():
@@ -65,14 +62,14 @@ def test_extract_missing_key_is_schema_error():
 def test_kd_mock_counts_distinct_content_words():
     gw = mock_gateway()
     profile = kd_score(_text_record("r1", "red red car"), gw)
-    assert profile.kd == 2
-    assert {e.text for e in profile.elements} == {"red", "car"}
+    assert profile["kd"] == 2
+    assert {e["text"] for e in profile["elements"]} == {"red", "car"}
 
 
 def test_kd_stopword_only_text_scores_zero():
     gw = mock_gateway()
     profile = kd_score(_text_record("r1", "the of and to"), gw)
-    assert profile.kd == 0
+    assert profile["kd"] == 0
 
 
 def test_kd_vqa_joins_questions_and_answers():
@@ -82,7 +79,7 @@ def test_kd_vqa_joins_questions_and_answers():
                                      "answer": "green", "scope": "detail"}]},
                     source="vqa0", meta={})
     profile = kd_score(record, gw)
-    assert {"color", "boat", "green"} <= {e.text for e in profile.elements}
+    assert {"color", "boat", "green"} <= {e["text"] for e in profile["elements"]}
 
 
 def test_kd_other_records_have_no_text_payload(corpus30):
@@ -94,9 +91,9 @@ def test_kd_other_records_have_no_text_payload(corpus30):
 
 def test_kd_pair_caption_beats_singles_and_matches_oracle():
     gw = mock_gateway()
-    kd_a = kd_score(_text_record("a", PAIR_SINGLE_A), gw).kd
-    kd_b = kd_score(_text_record("b", PAIR_SINGLE_B), gw).kd
-    kd_joint = kd_score(_text_record("j", PAIR_JOINT), gw).kd
+    kd_a = kd_score(_text_record("a", PAIR_SINGLE_A), gw)["kd"]
+    kd_b = kd_score(_text_record("b", PAIR_SINGLE_B), gw)["kd"]
+    kd_joint = kd_score(_text_record("j", PAIR_JOINT), gw)["kd"]
     assert kd_joint > max(kd_a, kd_b)
     assert kd_a == oracle_distinct_content_count(PAIR_SINGLE_A)
     assert kd_b == oracle_distinct_content_count(PAIR_SINGLE_B)
@@ -105,9 +102,9 @@ def test_kd_pair_caption_beats_singles_and_matches_oracle():
 
 def test_kd_interleaved_beats_constituents_and_matches_oracle():
     gw = mock_gateway()
-    kd_full = kd_score(_text_record("full", INTERLEAVE_TEXT), gw).kd
+    kd_full = kd_score(_text_record("full", INTERLEAVE_TEXT), gw)["kd"]
     for i, constituent in enumerate(INTERLEAVE_CONSTITUENTS):
-        kd_part = kd_score(_text_record(f"part{i}", constituent), gw).kd
+        kd_part = kd_score(_text_record(f"part{i}", constituent), gw)["kd"]
         assert kd_full > kd_part
         assert kd_part == oracle_distinct_content_count(constituent)
     assert kd_full == oracle_distinct_content_count(INTERLEAVE_TEXT)
@@ -118,15 +115,15 @@ def test_kd_subadditive_under_mock():
     texts = [PAIR_SINGLE_A, PAIR_SINGLE_B, "red red car", INTERLEAVE_CONSTITUENTS[0]]
     for i, t1 in enumerate(texts):
         for t2 in texts[i:]:
-            joint = kd_score(_text_record("j", t1 + "\n" + t2), gw).kd
-            assert joint <= (kd_score(_text_record("a", t1), gw).kd
-                             + kd_score(_text_record("b", t2), gw).kd)
+            joint = kd_score(_text_record("j", t1 + "\n" + t2), gw)["kd"]
+            assert joint <= (kd_score(_text_record("a", t1), gw)["kd"]
+                             + kd_score(_text_record("b", t2), gw)["kd"])
 
 
 def test_kd_invariant_to_case_and_repetition():
     gw = mock_gateway()
-    assert (kd_score(_text_record("a", "Copper Kettle and copper kettle Copper"), gw).kd
-            == kd_score(_text_record("b", "copper kettle"), gw).kd)
+    assert (kd_score(_text_record("a", "Copper Kettle and copper kettle Copper"), gw)["kd"]
+            == kd_score(_text_record("b", "copper kettle"), gw)["kd"])
 
 
 # --- report ---------------------------------------------------------------------
@@ -136,8 +133,7 @@ def _profiles(source_means: dict[str, list[int]]):
     for source, kds in source_means.items():
         for i, kd in enumerate(kds):
             rid = f"{source}-{i}"
-            elements = tuple(KnowledgeElement(f"e{j}", "fact", "L1") for j in range(kd))
-            profiles.append(KnowledgeProfile(rid, elements))
+            profiles.append(ProfileCounts(rid, kd, kd, 0))
             source_of[rid] = source
     return profiles, source_of
 
@@ -156,10 +152,15 @@ def test_report_equal_means_zero_increase():
     assert report["comparisons"][0]["pct_increase"] == 0
 
 
-def test_report_empty_group_error():
-    profiles, source_of = _profiles({"a": [5]})
-    with pytest.raises(EmptyGroup):
-        build_report(profiles, source_of, [("a", "missing")], backend_id="mock")
+def test_report_leaves_out_comparison_without_profiles(caplog):
+    profiles, source_of = _profiles({"a": [5], "b": [4]})
+    with caplog.at_level("WARNING", logger="kforge.knowledge"):
+        report = build_report(profiles, source_of, [("a", "missing"), ("a", "b")],
+                              backend_id="mock")
+    assert [(row["source_a"], row["source_b"]) for row in report["comparisons"]] == [
+        ("a", "b")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "kd.comparisons entry a:missing dropped: no profiles for source missing"]
 
 
 def test_report_stats_and_backend_metadata():
@@ -173,32 +174,32 @@ def test_report_stats_and_backend_metadata():
     assert report["metadata"]["backend_id"] == "mock"
 
 
+def test_profile_line_stores_counts_then_elements():
+    reply = json.dumps({"Fact": [{"fact": "A red car", "level": "L1"}],
+                        "Abstract": ["speed", "a red car"]})
+    profile = kd_score(_text_record("r1", "A red car goes fast."), replay_gateway([reply]))
+    assert json_line(profile) == (
+        '{"sample_id":"r1","kd":2,"n_facts":1,"n_abstract":1,"elements":['
+        '{"text":"a red car","kind":"fact","level":"L1"},'
+        '{"text":"speed","kind":"abstract"}]}')
+
+
 def test_profile_roundtrip(tmp_path):
     gw = mock_gateway()
     profiles = [kd_score(_text_record(f"r{i}", PAIR_SINGLE_A), gw) for i in range(3)]
     path = tmp_path / "p.jsonl"
-    publish(path, [json_line(profile_to_obj(p)) + "\n" for p in profiles])
-
-    def profile_from_obj(obj):
-        return KnowledgeProfile(obj["sample_id"], tuple(
-            KnowledgeElement(e["text"], e["kind"], e.get("level")) for e in obj["elements"]))
-
-    assert list(read_jsonl(path, profile_from_obj)) == profiles
+    publish(path, [json_line(p) + "\n" for p in profiles])
+    assert list(read_jsonl(path, lambda obj: obj)) == profiles
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [ProfileCounts.from_line(line) for line in lines] == [
-        (p.sample_id, p.kd, p.n_facts, p.n_abstract) for p in profiles]
+        (p["sample_id"], p["kd"], p["n_facts"], p["n_abstract"]) for p in profiles]
 
 
-def test_report_from_stored_counts_matches_full_profiles():
+def test_profile_counts_read_compact_and_indented_lines():
     gw = mock_gateway()
     texts = [PAIR_SINGLE_A, PAIR_SINGLE_B, PAIR_JOINT, INTERLEAVE_TEXT]
     profiles = [kd_score(_text_record(f"r{i}", t), gw) for i, t in enumerate(texts)]
-    source_of = {p.sample_id: "ab"[i % 2] for i, p in enumerate(profiles)}
-    counts = [ProfileCounts.from_line(json.dumps(profile_to_obj(p), separators=(",", ":")))
-              for p in profiles]
-    assert counts == [ProfileCounts.from_line(json.dumps(profile_to_obj(p), indent=1))
+    counts = [ProfileCounts.from_line(json_line(p)) for p in profiles]
+    assert counts == [ProfileCounts.from_line(json.dumps(p, indent=1)) for p in profiles]
+    assert counts == [(p["sample_id"], p["kd"], p["n_facts"], p["n_abstract"])
                       for p in profiles]
-    assert [c.kd for c in counts] == [p.kd for p in profiles]
-    assert (build_report(counts, source_of, [("a", "b")], backend_id="mock")
-            == build_report(profiles, source_of, [("a", "b")], backend_id="mock"))
-

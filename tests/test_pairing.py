@@ -180,6 +180,9 @@ def _candidate():
     return PairCandidate("a", "b", "subcategory", ("depth",), ("k1", "k2"), 0.5)
 
 
+_URIS = ("file:///img/a.jpg", "file:///img/b.jpg")
+
+
 def _descs():
     return (make_descriptor("a", "reef", "geo", concepts=("depth",), keys=("k1",)),
             make_descriptor("b", "reef", "geo", concepts=("depth",), keys=("k2",)))
@@ -188,8 +191,8 @@ def _descs():
 def test_filter_pair_mock_deterministic():
     gw = mock_gateway()
     left, right = _descs()
-    v1 = filter_pair(_candidate(), left, right, gw)
-    v2 = filter_pair(_candidate(), left, right, gw)
+    v1 = filter_pair(_candidate(), left, right, gw, _URIS)
+    v2 = filter_pair(_candidate(), left, right, gw, _URIS)
     assert v1 == v2
     assert v1.rationale
 
@@ -201,7 +204,7 @@ def test_filter_pair_mock_verdict_follows_digest_parity():
 
     gw = mock_gateway()
     left, right = _descs()
-    verdict = filter_pair(_candidate(), left, right, gw)
+    verdict = filter_pair(_candidate(), left, right, gw, _URIS)
     prompt = render_prompt(REGISTRY["pair_filter"],
                            {"left": f"{left.image_id}: {left.summary()}",
                             "right": f"{right.image_id}: {right.summary()}"})
@@ -222,10 +225,11 @@ def test_filter_pair_fail_parsing():
     backend = ReplayBackend(["FAIL: relationship is incidental", "PASS: never asked"])
     gw = Gateway(backend)
     left, right = _descs()
-    v = filter_pair(_candidate(), left, right, gw)
+    v = filter_pair(_candidate(), left, right, gw, _URIS)
     assert v.passed is False
     assert v.rationale == "relationship is incidental"
     assert backend.prompts == [_filter_prompt(left, right)]
+    assert backend.image_uris == [_URIS]
     assert gw.stats.reasks == 0
 
 
@@ -235,7 +239,7 @@ def test_filter_pair_malformed_after_reask():
     backend = ReplayBackend(["maybe", "maybe", "PASS: never asked"])
     gw = Gateway(backend)
     with pytest.raises(MalformedOutput) as err:
-        filter_pair(_candidate(), left, right, gw)
+        filter_pair(_candidate(), left, right, gw, _URIS)
     assert type(err.value) is MalformedOutput
     assert err.value.code == "malformed_output"
     assert str(err.value) == "pair_filter: reply did not answer PASS or FAIL"
@@ -248,7 +252,7 @@ def test_filter_pair_recovers_on_reask():
     prompt = _filter_prompt(left, right)
     backend = ReplayBackend(["hmm let me think", "PASS: same theme, distinct details"])
     gw = Gateway(backend)
-    v = filter_pair(_candidate(), left, right, gw)
+    v = filter_pair(_candidate(), left, right, gw, _URIS)
     assert v == PairVerdict(_candidate(), True, "same theme, distinct details")
     assert backend.prompts == [prompt, prompt + _FILTER_SUFFIX]
     assert gw.stats.snapshot() == {"llm_calls": 2, "retries": 0, "reasks": 1}

@@ -334,7 +334,7 @@ def test_dropped_kd_comparison_is_logged(tmp_path, caplog):
     assert run_all(config)[0] == 0
     report_path = Path(config.out_dir) / "kd_report.json"
     config.kd_comparisons = (("caption0", "nope"),)
-    with caplog.at_level("WARNING", logger="kforge.pipeline"):
+    with caplog.at_level("WARNING", logger="kforge.knowledge"):
         run_stage("kd-score", config)
     assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
         "kd.comparisons entry caption0:nope dropped: no profiles for source nope"]
@@ -345,9 +345,13 @@ def test_dropped_kd_comparison_is_logged(tmp_path, caplog):
     ({"mixture": {"rebalance": "false"}}, "mixture.rebalance must be true or false, got 'false'"),
     ({"pairing": {"max_per_image": 2.9}}, "pairing.max_per_image must be a whole number, got 2.9"),
     ({"workers": 1.7}, "workers must be a whole number, got 1.7"),
-], ids=["bool-string", "fractional-int", "fractional-workers"])
+    ({"seed": "abc"}, "seed must be a whole number, got 'abc'"),
+    ({"seed": 2.5}, "seed must be a whole number, got 2.5"),
+], ids=["bool-string", "fractional-int", "fractional-workers", "seed-string",
+        "fractional-seed"])
 def test_cli_config_values_are_not_coerced(tmp_path, patch, message):
-    # each of these was converted (to True, 2 and 1) and the run went on
+    # each of these was converted (to True, 2 and 1) or, for the seeds,
+    # taken as given, and the run went on
     config = make_workspace(tmp_path)
     config_path = _write_config(tmp_path, config)
     doc = json.loads(config_path.read_text(encoding="utf-8"))
@@ -358,6 +362,25 @@ def test_cli_config_values_are_not_coerced(tmp_path, patch, message):
     assert result.exit_code == 2
     assert result.output == f"config error: {message}\n"
     assert not Path(config.out_dir).exists()
+
+
+def test_seed_converts_like_an_integer_key():
+    io = {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}
+    assert [config_from_obj({"io": io, "seed": seed}).seed
+            for seed in (None, 3, "3", 3.0)] == [None, 3, 3, 3]
+
+
+@pytest.mark.parametrize("stage", ["pair", "filter", "pair-caption", "caption", "interleave"])
+def test_cli_lone_stage_without_its_input_exits_one(tmp_path, stage):
+    # each died with a FileNotFoundError traceback from corpus.read_jsonl
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    result = CliRunner().invoke(cli_main, [stage, "--config", str(config_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    descriptors = Path(config.out_dir) / "descriptors.jsonl"
+    assert result.stderr.startswith(f"error: cannot open {descriptors}: ")
+    assert "Traceback" not in result.stderr
 
 
 class _NoCaptionFor(MockBackend):
