@@ -1,9 +1,10 @@
 """`kforge` command line front end.
 
 Every command runs from a JSON pipeline config (`--config`): `run-all` runs
-every stage in order, and each stage has a command that runs it alone. A
-flag sets one key of the config document before it is parsed, so a flag
-value is checked exactly as the same value in the file is.
+every stage in order, and each stage has a command that runs it alone. The
+other flags come from the rows of ``pipeline.SETTINGS``: each sets its
+row's key in the config before it is parsed, so a flag value is checked
+exactly as the same value in the file is.
 Exit codes: 0 success, 1 strict/stage failure, 2 config or spec error.
 """
 from __future__ import annotations
@@ -36,80 +37,44 @@ def _exit_codes(command):
     return guarded
 
 
-def _config_options() -> list[click.Option]:
-    """The options every command takes."""
-    return [click.Option(["--config", "config_path"], type=click.Path(), required=True,
-                         help="Pipeline config JSON."),
-            click.Option(["--strict"], is_flag=True, help="Exit 1 if anything is quarantined."),
-            click.Option(["--seed"], type=int, help="Set the config's seed.")]
-
-
-def _emit(stats: dict) -> None:
-    click.echo(json.dumps(stats, sort_keys=True))
-
-
 @click.group()
 def main() -> None:
     """Knowledge-centric multimodal corpus construction."""
 
 
-@main.command(name="run-all", params=_config_options())
-@_exit_codes
-def run_all(config_path, strict, seed):
-    """Run every stage in pipeline order."""
-    config = pipeline.load_config(config_path, {"seed": seed})
-    code, all_stats = pipeline.run_all(config, strict=strict)
-    for stats in all_stats:
-        _emit(stats)
-    sys.exit(code)
+# each command's flags, by the config key each one sets; a flag that names
+# no command (--seed) belongs to every command
+_OVERRIDES = {command: {s.key: s.flag[1] for s in pipeline.SETTINGS
+                        if s.flag and s.flag[0] in (None, command)}
+              for command in ("run-all", *(stage.name for stage in pipeline.STAGES))}
 
 
-# each stage's own flags, by the config key each one sets
-_OVERRIDES = {
-    "pair": {
-        "pairing.max_per_image": click.Option(["--max-per-image"], type=int),
-        "pairing.min_contrast": click.Option(["--min-contrast"], type=float),
-    },
-    "vqa-synth": {
-        "vqa_policy.min_items": click.Option(["--min-items"], type=int),
-        "vqa_policy.max_items": click.Option(["--max-items"], type=int),
-        "vqa_policy.detail_to_global_min_ratio": click.Option(["--ratio"], type=float),
-        "vqa_policy.grounding_min_overlap": click.Option(["--grounding"], type=float),
-    },
-    "kd-score": {
-        "kd.comparisons": click.Option(
-            ["--compare"], multiple=True, help="sourceA:sourceB (repeatable).",
-            callback=lambda ctx, param, value: [c.split(":", 1) for c in value] or None),
-    },
-    "mix": {
-        "mixture.spec": click.Option(["--spec"], help="Spec JSON path or builtin:<name>."),
-        "mixture.budget": click.Option(["--budget"], type=int,
-                                       help="Budget for builtin specs."),
-        "mixture.unit": click.Option(["--unit"], type=click.Choice(["samples", "tokens"])),
-        "mixture.rebalance": click.Option(["--rebalance"], is_flag=True, default=None),
-    },
-}
-
-
-def _stage_command(stage: pipeline.Stage) -> None:
-    overrides = _OVERRIDES.get(stage.name, {})
-    flags = {option.name: key for key, option in overrides.items()}
+def _command(name: str, help: str) -> None:
+    """Register ``run-all``, or the command that runs the stage ``name``."""
+    flags = {option.name: key for key, option in _OVERRIDES[name].items()}
 
     @_exit_codes
-    def command(config_path, strict, seed, **values):
-        patch = {"seed": seed, **{flags[name]: value for name, value in values.items()}}
-        stats = pipeline.run_stage(stage.name, pipeline.load_config(config_path, patch),
-                                   strict=strict)
-        _emit(stats)
-        if stats["strict_failure"]:
-            sys.exit(1)
+    def command(config_path, strict, **values):
+        config = pipeline.load_config(config_path, {flags[n]: v for n, v in values.items()})
+        if name == "run-all":
+            code, all_stats = pipeline.run_all(config, strict=strict)
+        else:
+            all_stats = [pipeline.run_stage(name, config, strict=strict)]
+            code = int(all_stats[0]["strict_failure"])
+        for stats in all_stats:
+            click.echo(json.dumps(stats, sort_keys=True))
+        sys.exit(code)
 
-    main.command(name=stage.name, help=stage.run.__doc__,
-                 params=[*_config_options(), *overrides.values()])(command)
+    main.command(name=name, help=help, params=[
+        click.Option(["--config", "config_path"], type=click.Path(), required=True,
+                     help="Pipeline config JSON."),
+        click.Option(["--strict"], is_flag=True, help="Exit 1 if anything is quarantined."),
+        *_OVERRIDES[name].values()])(command)
 
 
+_command("run-all", "Run every stage in pipeline order.")
 for _stage in pipeline.STAGES:
-    _stage_command(_stage)
+    _command(_stage.name, _stage.run.__doc__)
 
 
 if __name__ == "__main__":

@@ -236,15 +236,20 @@ def json_line(obj) -> str:
 
 
 def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]:
-    """``from_obj`` of each non-blank line of a JSONL file, in file order."""
+    """``from_obj`` of each non-blank line of a JSONL file, in file order; a
+    line that is not JSON raises ``ParseError`` naming the file."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ShardIoError(f"cannot open {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield from_obj(json.loads(line))
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # invalid, or too deep
+                    raise ParseError(lineno, f"invalid JSON in {path}: {exc}") from exc
+                yield from_obj(obj)
 
 
 def record_from_obj(obj: dict, line: int | None = None) -> Record:

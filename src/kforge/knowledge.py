@@ -108,8 +108,9 @@ def build_report(profiles: Iterable[ProfileCounts], source_of: dict[str, str],
 
     ``source_of`` maps profile sample ids to source labels; every profile
     must resolve. ``comparisons`` lists (source_a, source_b) pairs reported
-    as mean ratios; a pair naming a source with no profiles is left out of
-    the report with one warning, rather than treating the mean as zero.
+    as mean ratios; a pair naming a source with no profiles, or whose second
+    source's mean is 0, is left out of the report with one warning, rather
+    than treating the mean as zero or dividing by it.
     """
     groups: dict[str, list[ProfileCounts]] = {}
     for p in profiles:
@@ -133,9 +134,10 @@ def build_report(profiles: Iterable[ProfileCounts], source_of: dict[str, str],
     comparison_rows = []
     for source_a, source_b in comparisons:
         missing = [source for source in (source_a, source_b) if source not in per_source]
-        if missing:
-            logger.warning("kd.comparisons entry %s:%s dropped: no profiles for source %s",
-                           source_a, source_b, ", ".join(missing))
+        if missing or not per_source[source_b]["mean_kd"]:
+            logger.warning("kd.comparisons entry %s:%s dropped: %s", source_a, source_b,
+                           f"no profiles for source {', '.join(missing)}" if missing
+                           else f"mean kd of source {source_b} is 0")
             continue
         ratio = per_source[source_a]["mean_kd"] / per_source[source_b]["mean_kd"]
         comparison_rows.append({

@@ -1,5 +1,11 @@
 """Pipeline orchestration: config, reply store, quarantine, stages.
 
+Every config key is one row of ``SETTINGS``: its dotted key, the
+``PipelineConfig`` attribute it sets, its conversion, its range check and
+message, an environment fallback and the command-line flag that sets it.
+``config_from_obj``, ``load_config``, ``validate_config``, the ``kforge``
+commands and README's config table all follow that table.
+
 Every run recomputes each stage it runs from the current inputs and
 settings, and publishes every output through ``corpus.publish`` (temp file,
 fsync, rename, directory fsync). Only model calls are not repeated: the
@@ -23,10 +29,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 from itertools import chain
 from pathlib import Path
 from typing import Callable
+
+import click
 
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
@@ -68,171 +77,226 @@ class PipelineConfig:
     workers: int = 1
 
 
-# each config section's keys -> PipelineConfig fields
-_CONFIG_KEYS = {
-    "backend": {"kind": "backend_kind", "endpoint": "endpoint", "model": "model",
-                "api_key": "api_key", "rps": "rps", "in_flight": "in_flight"},
-    "pairing": {"max_per_image": "max_per_image", "min_contrast": "min_contrast"},
-    "interleave": {"min_group": "interleave_min", "max_group": "interleave_max"},
-    "mixture": {"spec": "mixture_spec", "budget": "mixture_budget",
-                "unit": "mixture_unit", "rebalance": "rebalance"},
-    "kd": {"comparisons": "kd_comparisons"},
-}
-_TOP_LEVEL_KEYS = ("seed", "workers")
-# PipelineConfig field -> its config key, as errors name it
-_FIELD_KEYS = {name: f"{section}.{key}" for section, keys in _CONFIG_KEYS.items()
-               for key, name in keys.items()}
+# --- settings: one row per config key ----------------------------------------
+# A conversion takes (key, value) and returns the value as its field holds
+# it, or raises the ConfigInvalid that names the key. A check is a (predicate
+# of the converted value and the config, message) pair; the message is
+# formatted with the key and the value.
+
+def _as_given(key: str, value):
+    return value
 
 
-# a field's declared type -> the conversion of its config value; a field of
-# any other type (the strings, backend.rps, kd.comparisons) takes the value
-# as given, and validate_config checks it
-_CONVERSIONS = {"bool": bool, "int": int, "int | None": int, "float": float}
+def _bool(key: str, value) -> bool:
+    if value not in (0, 1):  # true and false are 1 and 0
+        raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
+    return bool(value)
 
 
-def _from_values(cls, values: dict, prefix: str = "", **fixed):
-    """``cls`` with the fields ``values`` names and the ``fixed`` ones; the
-    rest keep their defaults. A value is converted by its field's declared
-    type (``_CONVERSIONS``), and ``null`` stays ``null`` where that type
-    allows it; a ``ConfigInvalid`` names the key (``prefix`` and the field's
-    key) of a boolean that is not true, false, 0 or 1, of an integer with a
-    fractional part, and of a number that does not convert."""
-    for f in fields(cls):
-        if f.name in values and f.name not in fixed:
-            value, convert = values[f.name], _CONVERSIONS.get(f.type)
-            if convert is None or value is None and f.type.endswith("| None"):
-                fixed[f.name] = value
-                continue
-            key = prefix + _FIELD_KEYS.get(f.name, f.name)
-            if convert is bool and value not in (0, 1):
-                raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
-            what = "a whole number" if convert is int else "a number"
-            if convert is int and isinstance(value, float) and not value.is_integer():
-                raise ConfigInvalid(f"{key} must be {what}, got {value!r}")
-            try:
-                fixed[f.name] = convert(value)
-            except (TypeError, ValueError):
-                raise ConfigInvalid(f"{key} must be {what}, got {value!r}") from None
-    return cls(**fixed)
+def _number(kind: type, null: bool = False):
+    """Conversion by ``kind``; an integer refuses a fractional part, and
+    with ``null`` a ``None`` stays ``None``."""
+    def convert(key: str, value):
+        try:
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError
+            return None if null and value is None else kind(value)
+        except (TypeError, ValueError):
+            what = "a whole number" if kind is int else "a number"
+            raise ConfigInvalid(f"{key} must be {what}, got {value!r}") from None
+    return convert
 
 
-def _section(doc, label: str, keys) -> dict:
-    """One config section's object, empty when absent; unknown keys are rejected."""
-    doc = doc or {}
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"config section {label} must be an object")
-    unknown = set(doc) - set(keys)
+def _instance(types, what: str):
+    """Conversion that takes a value of ``types`` as given."""
+    def convert(key: str, value):
+        if not isinstance(value, types):
+            raise ConfigInvalid(f"{key} must be {what}")
+        return value
+    return convert
+
+
+def _pairs(key: str, value) -> tuple[tuple[str, str], ...]:
+    try:
+        pairs = tuple(tuple(pair) for pair in value)
+    except TypeError:
+        raise ConfigInvalid(f"{key} must be a list of source-name pairs, got {value!r}") from None
+    for pair in pairs:
+        if len(pair) != 2 or not all(isinstance(source, str) for source in pair):
+            raise ConfigInvalid(f"{key} entries must be two source names, got {list(pair)!r}")
+    return pairs
+
+
+def _flag(command: str | None, *decls: str, **attrs) -> tuple[str | None, click.Option]:
+    """The option ``decls`` of ``command`` (``None``: of every command)."""
+    return command, click.Option(list(decls), **attrs)
+
+
+_int, _float, _path = _number(int), _number(float), _instance((str, os.PathLike), "a string")
+_str_or_null = _instance((str, type(None)), "a string or null")
+_AT_LEAST_1 = (lambda value, config: value >= 1, "{key} must be >= 1")
+_POSITIVE = (lambda value, config: value > 0, "{key} must be > 0")
+_FINITE = (lambda value, config: 0 <= value < math.inf,
+           "{key} must be a finite number >= 0, got {value!r}")
+_UNITS = (mixture.UNIT_SAMPLES, mixture.UNIT_TOKENS)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One config key: ``key`` in the document sets ``attr``, a path on
+    ``PipelineConfig`` such as ``retry.backoff_base`` (the key itself when
+    empty), to ``convert(key, value)``, which ``check`` must accept. A key
+    the document leaves empty reads the environment variable ``env``.
+    ``flag`` is the command-line option that sets the key."""
+    key: str
+    convert: Callable = _as_given
+    check: tuple[Callable, str] | None = None
+    attr: str = ""
+    env: str | None = None
+    flag: tuple[str | None, click.Option] | None = None
+
+    def get(self, config: PipelineConfig):
+        return reduce(getattr, (self.attr or self.key).split("."), config)
+
+
+# every config key, in the order validate_config checks them: a row whose
+# check reads another key comes after that key's row. README's config table
+# lists the same rows in the same order.
+SETTINGS = (
+    Setting("io.in_dir", _path, attr="in_dir"),
+    Setting("io.out_dir", _path, attr="out_dir"),
+    Setting("io.quarantine_dir", _path, attr="quarantine_dir"),
+    Setting("backend.kind", check=(lambda value, config: value in ("mock", "http"),
+                                   "unknown backend kind {value!r}"), attr="backend_kind"),
+    Setting("backend.endpoint", _str_or_null, attr="endpoint", env=ENV_ENDPOINT),
+    Setting("backend.model", _str_or_null, attr="model", env=ENV_MODEL),
+    Setting("backend.api_key", _str_or_null, attr="api_key", env=ENV_API_KEY),
+    # a bool is an int to Python but not a rate; inf and nan are no rate either
+    Setting("backend.rps", check=(lambda value, config: value is None or (
+        not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value < math.inf),
+        "{key} must be null or a number > 0, got {value!r}"), attr="rps"),
+    Setting("backend.in_flight", _int, _AT_LEAST_1, attr="in_flight"),
+    Setting("backend.retry.max_attempts", _int, _AT_LEAST_1, attr="retry.max_attempts"),
+    Setting("backend.retry.backoff_base", _float, _FINITE, attr="retry.backoff_base"),
+    Setting("backend.retry.backoff_factor", _float, _FINITE, attr="retry.backoff_factor"),
+    Setting("pairing.max_per_image", _int, _AT_LEAST_1, attr="max_per_image",
+            flag=_flag("pair", "--max-per-image", type=int)),
+    Setting("pairing.min_contrast", _float, (lambda value, config: 0 <= value <= 1,
+                                             "{key} must be within [0, 1]"),
+            attr="min_contrast", flag=_flag("pair", "--min-contrast", type=float)),
+    Setting("vqa_policy.max_items", _int, flag=_flag("vqa-synth", "--max-items", type=int)),
+    Setting("vqa_policy.min_items", _int, (
+        lambda value, config: 1 <= value <= config.vqa_policy.max_items,
+        "{key} must be >= 1 and <= max_items"), flag=_flag("vqa-synth", "--min-items", type=int)),
+    Setting("vqa_policy.min_global", _int, (
+        lambda value, config: 0 <= value <= config.vqa_policy.max_items,
+        "{key} must be >= 0 and <= max_items")),
+    Setting("vqa_policy.detail_to_global_min_ratio", _float, _POSITIVE,
+            flag=_flag("vqa-synth", "--ratio", type=float)),
+    Setting("vqa_policy.grounding_min_overlap", _float, _POSITIVE,
+            flag=_flag("vqa-synth", "--grounding", type=float)),
+    Setting("interleave.max_group", _int, attr="interleave_max"),
+    Setting("interleave.min_group", _int, (
+        lambda value, config: 2 <= value <= config.interleave_max,
+        "{key} must be >= 2 and <= max_group"), attr="interleave_min"),
+    Setting("mixture.spec", _instance(str, "a string"), attr="mixture_spec",
+            flag=_flag("mix", "--spec", help="Spec JSON path or builtin:<name>.")),
+    Setting("mixture.budget", _int, _AT_LEAST_1, attr="mixture_budget",
+            flag=_flag("mix", "--budget", type=int, help="Budget for builtin specs.")),
+    Setting("mixture.unit", check=(lambda value, config: value in _UNITS,
+                                   "{key} must be samples or tokens, got {value!r}"),
+            attr="mixture_unit", flag=_flag("mix", "--unit", type=click.Choice(_UNITS))),
+    Setting("mixture.rebalance", _bool, attr="rebalance",
+            flag=_flag("mix", "--rebalance", is_flag=True, default=None)),
+    Setting("kd.comparisons", _pairs, attr="kd_comparisons", flag=_flag(
+        "kd-score", "--compare", multiple=True, help="sourceA:sourceB (repeatable).",
+        callback=lambda ctx, param, value: [c.split(":", 1) for c in value] or None)),
+    Setting("seed", _number(int, null=True),
+            flag=_flag(None, "--seed", type=int, help="Set the config's seed.")),
+    Setting("workers", _int, _AT_LEAST_1),
+)
+
+# the fields without a default, which every document sets
+_REQUIRED = [f.name for f in fields(PipelineConfig)
+             if f.default is MISSING and f.default_factory is MISSING]
+
+
+def _given(doc: dict, section: str = "") -> dict:
+    """The value of each key that ``doc``, the document or one of its
+    sections, sets; an unknown key, or a section that is not an object, is
+    refused. An absent or empty section reads as ``{}``."""
+    prefix = f"{section}." if section else ""
+    names = {s.key[len(prefix):].split(".")[0] for s in SETTINGS if s.key.startswith(prefix)}
+    unknown = set(doc) - names
     if unknown:
-        raise ConfigInvalid(f"unknown keys in config section {label}: {sorted(unknown)}")
-    return doc
+        raise ConfigInvalid(f"unknown keys in config section {section}: {sorted(unknown)}"
+                            if section else f"unknown config sections: {sorted(unknown)}")
+    given = {}
+    for name, value in doc.items():
+        key = prefix + name
+        if not any(s.key.startswith(f"{key}.") for s in SETTINGS):
+            given[key] = value
+        elif isinstance(value or {}, dict):
+            given.update(_given(value or {}, key))
+        else:
+            raise ConfigInvalid(f"config section {key} must be an object")
+    return given
 
 
-def config_from_obj(obj: dict) -> PipelineConfig:
-    """Parse the JSON config document; unknown sections and keys are rejected."""
+def config_from_obj(obj: dict, patch: dict | None = None) -> PipelineConfig:
+    """Parse the JSON config document, each value of ``patch`` replacing the
+    document's under its key. Each key is converted and checked by its
+    ``SETTINGS`` row; unknown sections and keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"config must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - {"io", "vqa_policy", *_CONFIG_KEYS, *_TOP_LEVEL_KEYS}
-    if unknown:
-        raise ConfigInvalid(f"unknown config sections: {sorted(unknown)}")
-    values = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
-    for section, keys in _CONFIG_KEYS.items():
-        doc = _section(obj.get(section), section,
-                       [*keys, "retry"] if section == "backend" else keys)
-        values.update((name, doc[key]) for key, name in keys.items() if key in doc)
-    for name, env in (("endpoint", ENV_ENDPOINT), ("model", ENV_MODEL),
-                      ("api_key", ENV_API_KEY)):
-        values[name] = values.get(name) or os.environ.get(env)
-    io = _section(obj.get("io"), "io", ("in_dir", "out_dir", "quarantine_dir"))
-    retry = _section((obj.get("backend") or {}).get("retry"), "backend.retry",
-                     [f.name for f in fields(RetryPolicy)])
-    vqa_policy = _section(obj.get("vqa_policy"), "vqa_policy",
-                          [f.name for f in fields(VqaValidationPolicy)])
-    try:
-        if "kd_comparisons" in values:
-            values["kd_comparisons"] = tuple(tuple(c) for c in values["kd_comparisons"])
-        config = _from_values(
-            PipelineConfig, values,
-            in_dir=io["in_dir"], out_dir=io["out_dir"], quarantine_dir=io["quarantine_dir"],
-            retry=_from_values(RetryPolicy, retry, "backend.retry."),
-            vqa_policy=_from_values(VqaValidationPolicy, vqa_policy, "vqa_policy."))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad config: {exc}") from exc
-    config = validate_config(config)
-    sizing = [key for key in ("budget", "unit") if f"mixture_{key}" in values]
-    if sizing and not config.mixture_spec.startswith(mixture.BUILTIN_PREFIX):
-        raise ConfigInvalid(f"mixture.{sizing[0]} applies to builtin: specs only; "
-                            f"the spec file {config.mixture_spec} sets its own")
-    return config
+    given = {**_given(obj), **(patch or {})}
+    for s in SETTINGS:
+        if s.env:
+            given[s.key] = given.get(s.key) or os.environ.get(s.env)
+    missing = [s.attr for s in SETTINGS if s.attr in _REQUIRED and s.key not in given]
+    if missing:
+        raise ConfigInvalid(f"bad config: {missing[0]!r}")
+    return validate_config(PipelineConfig(**dict.fromkeys(_REQUIRED)), given)
 
 
 def load_config(path: str | Path, patch: dict | None = None) -> PipelineConfig:
-    """Parse the config file at ``path`` after setting each non-``None`` value
-    of ``patch`` into the document under its key (``seed``,
-    ``pairing.min_contrast``), so a patched value is checked as a value in
-    the file is."""
+    """Parse the config file at ``path``; each non-``None`` value of
+    ``patch`` replaces the file's under its dotted key, and is checked as a
+    value in the file is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    for key, value in (patch or {}).items():
-        if value is None or not isinstance(obj, dict):
-            continue  # config_from_obj rejects a document that is not an object
-        section, _, name = key.rpartition(".")
-        doc = obj
-        if section:  # an absent or empty section reads as {}, as in _section
-            doc = obj[section] = obj.get(section) or {}
-        if isinstance(doc, dict):  # config_from_obj names any other section
-            doc[name] = value
-    return config_from_obj(obj)
+    return config_from_obj(obj, {k: v for k, v in (patch or {}).items() if v is not None})
 
 
-def validate_config(config: PipelineConfig) -> PipelineConfig:
+def validate_config(config: PipelineConfig, given: dict | None = None) -> PipelineConfig:
     """``config``, or a ``ConfigInvalid`` naming the first setting that a
-    stage would reject later, after model calls and publishes."""
-    paths = {"io.in_dir": config.in_dir, "io.out_dir": config.out_dir,
-             "io.quarantine_dir": config.quarantine_dir}
-    for key, value in paths.items():
-        if not isinstance(value, (str, os.PathLike)):
-            raise ConfigInvalid(f"{key} must be a string")
-    for key, value in (("backend.endpoint", config.endpoint), ("backend.model", config.model),
-                       ("backend.api_key", config.api_key)):
-        if not isinstance(value, (str, type(None))):
-            raise ConfigInvalid(f"{key} must be a string or null")
-    if not isinstance(config.mixture_spec, str):
-        raise ConfigInvalid("mixture.spec must be a string")
-    if len({str(Path(p)) for p in paths.values()}) != 3:
+    stage would reject later, after model calls and publishes. Each
+    ``SETTINGS`` row in turn converts and checks its value, which a
+    document's ``given`` values, by key, first set on ``config``; the rules
+    that tie settings together come last."""
+    given = given or {}
+    for s in SETTINGS:
+        value = s.convert(s.key, given[s.key] if s.key in given else s.get(config))
+        if s.check is not None and not s.check[0](value, config):
+            raise ConfigInvalid(s.check[1].format(key=s.key, value=value))
+        if s.key in given:
+            head, _, name = (s.attr or s.key).rpartition(".")
+            if head:  # a field of a frozen policy: replace the policy
+                value, name = replace(getattr(config, head), **{name: value}), head
+            setattr(config, name, value)
+    if len({str(Path(p)) for p in (config.in_dir, config.out_dir, config.quarantine_dir)}) != 3:
         raise ConfigInvalid("in_dir, out_dir, and quarantine_dir must be distinct")
-    if config.backend_kind not in ("mock", "http"):
-        raise ConfigInvalid(f"unknown backend kind {config.backend_kind!r}")
     if config.backend_kind == "http" and not (config.endpoint and config.model):
         raise ConfigInvalid("http backend needs an endpoint and model "
                             f"(config or {ENV_ENDPOINT}/{ENV_MODEL})")
-    if config.workers < 1:
-        raise ConfigInvalid("workers must be >= 1")
-    if config.in_flight < 1:
-        raise ConfigInvalid("backend.in_flight must be >= 1")
-    rps = config.rps
-    # a bool is an int to Python but not a rate; inf and nan are no rate either
-    if rps is not None and (isinstance(rps, bool) or not isinstance(rps, (int, float))
-                            or not 0 < rps < math.inf):
-        raise ConfigInvalid(f"backend.rps must be null or a number > 0, got {rps!r}")
-    if config.max_per_image < 1:
-        raise ConfigInvalid("pairing.max_per_image must be >= 1")
-    if not 0 <= config.min_contrast <= 1:
-        raise ConfigInvalid("pairing.min_contrast must be within [0, 1]")
-    policy = config.vqa_policy
-    if not 1 <= policy.min_items <= policy.max_items:
-        raise ConfigInvalid("vqa_policy.min_items must be >= 1 and <= max_items")
-    for key in ("detail_to_global_min_ratio", "grounding_min_overlap"):
-        if not getattr(policy, key) > 0:
-            raise ConfigInvalid(f"vqa_policy.{key} must be > 0")
-    if not 2 <= config.interleave_min <= config.interleave_max:
-        raise ConfigInvalid("interleave.min_group must be >= 2 and <= max_group")
-    for pair in config.kd_comparisons:
-        if len(pair) != 2 or not all(isinstance(source, str) for source in pair):
-            raise ConfigInvalid("kd.comparisons entries must be two source names, "
-                                f"got {list(pair)!r}")
+    sizing = [s.key for s in SETTINGS
+              if s.key in given and s.attr in ("mixture_budget", "mixture_unit")]
+    if sizing and not config.mixture_spec.startswith(mixture.BUILTIN_PREFIX):
+        raise ConfigInvalid(f"{sizing[0]} applies to builtin: specs only; "
+                            f"the spec file {config.mixture_spec} sets its own")
     return config
 
 

@@ -163,6 +163,17 @@ def test_report_leaves_out_comparison_without_profiles(caplog):
         "kd.comparisons entry a:missing dropped: no profiles for source missing"]
 
 
+def test_report_leaves_out_comparison_with_zero_second_mean(caplog):
+    # divided by the zero mean: ZeroDivisionError after every kd-score model call
+    profiles = [ProfileCounts("x", 3, 3, 0), ProfileCounts("y", 0, 0, 0)]
+    with caplog.at_level("WARNING", logger="kforge.knowledge"):
+        report = build_report(profiles, {"x": "a", "y": "b"}, [("a", "b"), ("b", "a")], "mock")
+    assert [(row["source_a"], row["source_b"], row["mean_ratio"])
+            for row in report["comparisons"]] == [("b", "a", 0.0)]
+    assert [r.getMessage() for r in caplog.records] == [
+        "kd.comparisons entry a:b dropped: mean kd of source b is 0"]
+
+
 def test_report_stats_and_backend_metadata():
     profiles, source_of = _profiles({"a": [1, 2, 9]})
     report = build_report(profiles, source_of, [], backend_id="mock")

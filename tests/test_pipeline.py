@@ -341,6 +341,41 @@ def test_dropped_kd_comparison_is_logged(tmp_path, caplog):
     assert json.loads(report_path.read_text(encoding="utf-8"))["comparisons"] == []
 
 
+def test_kd_comparison_with_zero_mean_source_is_left_out(tmp_path, caplog):
+    # a source whose text is all stopwords scores 0; the report was never published
+    config = make_workspace(tmp_path)
+    blank = [corpus.Record(id=f"sw-{i}", kind="pure_text", image_uris=(),
+                           payload={"text": "the of and to"}, source="stopwords", meta={})
+             for i in range(3)]
+    write_shard(blank, Path(config.in_dir) / "stopwords.jsonl")
+    config.kd_comparisons = (("pure_text", "stopwords"), ("stopwords", "pure_text"))
+    with caplog.at_level("WARNING", logger="kforge.knowledge"):
+        stats = run_stage("kd-score", config)
+    assert stats["quarantined"] == 0
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "kd.comparisons entry pure_text:stopwords dropped: mean kd of source stopwords is 0"]
+    report = json.loads((Path(config.out_dir) / "kd_report.json").read_text(encoding="utf-8"))
+    assert report["per_source"]["stopwords"]["mean_kd"] == 0
+    assert [(row["source_a"], row["source_b"], row["mean_ratio"])
+            for row in report["comparisons"]] == [("stopwords", "pure_text", 0.0)]
+
+
+def test_cli_damaged_generated_file_exits_one(tmp_path):
+    # a truncated descriptors.jsonl let a JSONDecodeError out as a traceback
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["annotate", "--config", str(config_path)]).exit_code == 0
+    descriptors = Path(config.out_dir) / "descriptors.jsonl"
+    first = descriptors.read_text(encoding="utf-8").splitlines()[0]
+    descriptors.write_text(first[:-1] + "\n", encoding="utf-8")
+    result = runner.invoke(cli_main, ["pair", "--config", str(config_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: line 1: invalid JSON in {descriptors}: ")
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("patch, message", [
     ({"mixture": {"rebalance": "false"}}, "mixture.rebalance must be true or false, got 'false'"),
     ({"pairing": {"max_per_image": 2.9}}, "pairing.max_per_image must be a whole number, got 2.9"),
@@ -1113,6 +1148,75 @@ def test_vqa_policy_range_error_names_its_key(tmp_path, policy, message):
         config_from_obj(doc)
 
 
+# one value each setting refuses, and the exact message; written out, not
+# built from pipeline.SETTINGS, so that it checks the table
+_BAD_VALUES = [
+    ("io.in_dir", 5, "io.in_dir must be a string"),
+    ("io.out_dir", None, "io.out_dir must be a string"),
+    ("io.quarantine_dir", ["q"], "io.quarantine_dir must be a string"),
+    ("backend.kind", "grpc", "unknown backend kind 'grpc'"),
+    ("backend.endpoint", 5, "backend.endpoint must be a string or null"),
+    ("backend.model", ["m"], "backend.model must be a string or null"),
+    ("backend.api_key", 5, "backend.api_key must be a string or null"),
+    ("backend.rps", "2.5", "backend.rps must be null or a number > 0, got '2.5'"),
+    ("backend.in_flight", 0, "backend.in_flight must be >= 1"),
+    ("backend.retry.max_attempts", 0, "backend.retry.max_attempts must be >= 1"),
+    ("backend.retry.backoff_base", -1,
+     "backend.retry.backoff_base must be a finite number >= 0, got -1.0"),
+    ("backend.retry.backoff_base", float("nan"),
+     "backend.retry.backoff_base must be a finite number >= 0, got nan"),
+    ("backend.retry.backoff_factor", float("inf"),
+     "backend.retry.backoff_factor must be a finite number >= 0, got inf"),
+    ("pairing.max_per_image", 0, "pairing.max_per_image must be >= 1"),
+    ("pairing.min_contrast", 2, "pairing.min_contrast must be within [0, 1]"),
+    ("vqa_policy.min_items", 0, "vqa_policy.min_items must be >= 1 and <= max_items"),
+    ("vqa_policy.max_items", 2.5, "vqa_policy.max_items must be a whole number, got 2.5"),
+    ("vqa_policy.max_items", 4, "vqa_policy.min_items must be >= 1 and <= max_items"),
+    ("vqa_policy.min_global", 99, "vqa_policy.min_global must be >= 0 and <= max_items"),
+    ("vqa_policy.min_global", -1, "vqa_policy.min_global must be >= 0 and <= max_items"),
+    ("vqa_policy.detail_to_global_min_ratio", 0,
+     "vqa_policy.detail_to_global_min_ratio must be > 0"),
+    ("vqa_policy.grounding_min_overlap", -0.5, "vqa_policy.grounding_min_overlap must be > 0"),
+    ("interleave.min_group", 1, "interleave.min_group must be >= 2 and <= max_group"),
+    ("interleave.max_group", "x", "interleave.max_group must be a whole number, got 'x'"),
+    ("mixture.spec", 5, "mixture.spec must be a string"),
+    ("mixture.budget", 0, "mixture.budget must be >= 1"),
+    ("mixture.unit", "bytes", "mixture.unit must be samples or tokens, got 'bytes'"),
+    ("mixture.rebalance", "yes", "mixture.rebalance must be true or false, got 'yes'"),
+    ("kd.comparisons", 5, "kd.comparisons must be a list of source-name pairs, got 5"),
+    ("kd.comparisons", [["a"]], "kd.comparisons entries must be two source names, got ['a']"),
+    ("seed", "abc", "seed must be a whole number, got 'abc'"),
+    ("workers", 0, "workers must be >= 1"),
+]
+
+
+def test_bad_values_cover_every_setting():
+    assert {key for key, _, _ in _BAD_VALUES} == {s.key for s in pipeline.SETTINGS}
+
+
+@pytest.mark.parametrize("key, value, message", _BAD_VALUES)
+def test_every_setting_refuses_its_bad_value(tmp_path, monkeypatch, key, value, message):
+    """A value outside its setting's row exits 2 naming the key, before any
+    model call and with nothing published."""
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    *sections, name = key.split(".")
+    section = doc
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = value
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, *a: calls.append(a))
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"config error: {message}\n"
+    assert calls == []
+    assert not Path(config.out_dir).exists()
+    assert not Path(config.quarantine_dir).exists()
+
+
 def test_cli_kd_score_standalone(tmp_path, shard_dir):
     """`kforge kd-score` run on its own, the comparison set by a flag."""
     result = CliRunner().invoke(cli_main, [
@@ -1263,6 +1367,28 @@ def test_readme_config_example_parses(monkeypatch):
     assert config == dataclasses.replace(
         PipelineConfig("corpus/in", "corpus/out", "corpus/quarantine"),
         mixture_budget=100000, seed=5)
+
+
+def test_readme_config_table_matches_the_settings():
+    """README's config table names the keys of ``pipeline.SETTINGS`` in its
+    order, each with its default and its flag, and nothing else."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([\w.]+)` \| (.*?) \| .*? \|(.*?)\|$", readme, flags=re.M)
+    assert [key for key, _, _ in rows] == [s.key for s in pipeline.SETTINGS]
+    required = {f.name for f in dataclasses.fields(PipelineConfig)
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    defaults = PipelineConfig("a", "b", "c")
+    for (key, default, flag), setting in zip(rows, pipeline.SETTINGS):
+        if setting.attr in required:
+            assert default == "required", key
+        else:
+            assert json.loads(default.strip("`")) == json.loads(
+                json.dumps(setting.get(defaults))), key
+        command, option = re.fullmatch(r"(?:`(?:([\w-]+) )?(--[\w-]+)[^`]*`.*)?",
+                                       flag.strip()).groups()
+        assert ((command, option) if option else None) == (
+            setting.flag and (setting.flag[0], setting.flag[1].opts[0])), key
 
 
 def test_cli_pair_flag_overrides(tmp_path):
