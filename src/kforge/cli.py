@@ -42,9 +42,16 @@ def main() -> None:
     """Knowledge-centric multimodal corpus construction."""
 
 
+def _option(option: str, attrs: dict) -> click.Option:
+    """The ``click.Option`` of a ``pipeline.SETTINGS`` flag; a tuple ``type`` is a choice."""
+    if isinstance(attrs.get("type"), tuple):
+        attrs = {**attrs, "type": click.Choice(attrs["type"])}
+    return click.Option([option], **attrs)
+
+
 # each command's flags, by the config key each one sets; a flag that names
 # no command (--seed) belongs to every command
-_OVERRIDES = {command: {s.key: s.flag[1] for s in pipeline.SETTINGS
+_OVERRIDES = {command: {s.key: _option(*s.flag[1:]) for s in pipeline.SETTINGS
                         if s.flag and s.flag[0] in (None, command)}
               for command in ("run-all", *(stage.name for stage in pipeline.STAGES))}
 

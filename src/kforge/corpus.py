@@ -5,12 +5,12 @@ fields ``id, kind, image_uris, payload, source, meta``. ``payload`` is an
 object whose single key names the body variant: ``caption``, ``qa``,
 ``text``, or ``doc``.
 
-``read_shard`` decodes each line once with the JSON scanner (``json.loads``
-only for lines it does not consume whole, which keeps its error messages)
-and checks the decoded fields in one pass. Its ``Record`` keeps the line,
-the fields stages select on (``id``, ``kind``, ``source``, ``image_uris``;
-one ``kind`` and ``source`` string per shard) and the token estimate made
-from the decoded line. ``payload`` and ``meta`` are decoded from the line
+``read_shard`` and ``read_jsonl`` decode each line once with the JSON
+scanner (``json.loads`` only for lines it does not consume whole, which
+keeps its error messages). A shard's ``Record`` keeps the checked line, the
+fields stages select on (``id``, ``kind``, ``source``, ``image_uris``; one
+``kind`` and ``source`` string per shard) and the token estimate made from
+the decoded line. ``payload`` and ``meta`` are decoded from the line
 whenever they are read and are not kept, so a pool costs about its lines.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from kforge.errors import ParseError, ShardIoError, ValidationError
+from kforge.errors import KforgeError, ParseError, ShardIoError, ValidationError
 
 KIND_CAPTION = "caption"
 KIND_VQA = "vqa"
@@ -236,20 +236,22 @@ def json_line(obj) -> str:
 
 
 def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]:
-    """``from_obj`` of each non-blank line of a JSONL file, in file order; a
-    line that is not JSON raises ``ParseError`` naming the file."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ShardIoError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # invalid, or too deep
-                    raise ParseError(lineno, f"invalid JSON in {path}: {exc}") from exc
-                yield from_obj(obj)
+    """``from_obj`` of each non-blank line of a JSONL file, in file order,
+    each line decoded as ``read_shard`` decodes it. A line that is not UTF-8
+    or not JSON, or whose value ``from_obj`` rejects, raises ``ParseError``
+    naming the file and the line."""
+    with _open(path) as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                raw, obj = _decode_line(data, lineno)
+            except ParseError as exc:
+                raise ParseError(lineno, f"invalid JSON in {path}: {exc.cause}") from exc
+            try:
+                if raw:
+                    yield from_obj(obj)
+            except (KeyError, TypeError, AttributeError, ValueError, KforgeError) as exc:
+                raise ParseError(lineno, f"unexpected value in {path}: "
+                                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def record_from_obj(obj: dict, line: int | None = None) -> Record:
@@ -282,6 +284,36 @@ def _check_utf8(obj, line: int) -> None:
         raise ValidationError("record", "text holds an unpaired surrogate", line) from None
 
 
+def _open(path: str | Path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ShardIoError(f"cannot open {path}: {exc}") from exc
+
+
+def _decode_line(data: bytes, lineno: int) -> tuple[str, object]:
+    """The text and the value of one JSONL line, ``("", None)`` for a blank one.
+    ``json.loads`` decides a line the scanner does not consume whole (a BOM,
+    extra data, errors), with its own messages, and its text is stripped,
+    since ``Record._body`` scans a kept line from index 0."""
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, f"not UTF-8: {exc}") from exc
+    try:
+        obj, end = _scan(raw, 0)
+        if raw[end:] in ("", "\n", "\r\n"):
+            return raw, obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    if not raw.strip():
+        return "", None
+    try:
+        return raw.strip(), json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # invalid, or too deep
+        raise ParseError(lineno, str(exc)) from exc
+
+
 def read_shard(path: str | Path,
                on_error: Callable[[Exception, int, str], None] | None = None,
                ) -> Iterator[Record]:
@@ -294,35 +326,13 @@ def read_shard(path: str | Path,
     ``on_error`` turns raising into a callback (error, line_number,
     raw_line) so callers can quarantine and continue.
     """
-    path = Path(path)
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ShardIoError(f"cannot open {path}: {exc}") from exc
     shared: dict[str, str] = {}  # one string per distinct kind and source
-    with fh:
+    with _open(path) as fh:
         for lineno, data in enumerate(fh, start=1):
             try:
-                try:  # each line decoded alone, so a bad byte fails only its line
-                    raw = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raw = data.decode("utf-8", "replace")
-                    raise ParseError(lineno, f"not UTF-8: {exc}") from exc
-                try:
-                    obj, end = _scan(raw, 0)
-                    whole = raw[end:] in ("", "\n", "\r\n")
-                except (StopIteration, ValueError, RecursionError):
-                    whole = False
-                if not whole:
-                    # blank lines, surrounding whitespace, a BOM, extra data and
-                    # errors: json.loads decides, with its own messages
-                    if not raw.strip():
-                        continue
-                    try:
-                        obj = json.loads(raw)
-                    except (ValueError, RecursionError) as exc:  # invalid, or too deep
-                        raise ParseError(lineno, str(exc)) from exc
-                    raw = raw.strip()  # Record._body scans the kept line from index 0
+                raw, obj = _decode_line(data, lineno)
+                if not raw:
+                    continue
                 rid, kind, uris, payload, source, _ = _checked(obj, lineno)
                 # only an escape can spell a lone surrogate; the one-character
                 # search first, since it is many times cheaper per line
@@ -336,7 +346,7 @@ def read_shard(path: str | Path,
             except (ParseError, ValidationError) as exc:
                 if on_error is None:
                     raise
-                on_error(exc, lineno, raw)
+                on_error(exc, lineno, data.decode("utf-8", "replace"))
 
 
 def publish(path: str | Path, chunks: Iterable[str]) -> None:

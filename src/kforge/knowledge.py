@@ -9,18 +9,16 @@ reports record the backend identity.
 ``kd_score`` builds each profile once, as the object one line of
 ``kd_profiles.jsonl`` stores: ``sample_id``, ``kd``, ``n_facts``,
 ``n_abstract``, then ``elements``, each ``{"text", "kind"}`` plus
-``"level": "L1"`` for a fact. ``ProfileCounts.from_line`` reads the counts
-back off a stored line, and ``build_report`` summarizes them per source.
+``"level": "L1"`` for a fact. ``build_report`` summarizes per source the
+``ProfileCounts`` of the profiles that one run scored.
 """
 from __future__ import annotations
 
-import json
 import logging
 import statistics
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from kforge.corpus import KIND_OTHER, Record, publish
+from kforge.corpus import KIND_OTHER, Record
 from kforge.errors import SchemaMismatch, ValidationError
 from kforge.gateway import Gateway, LlmRequest
 from kforge.textnorm import canonicalize
@@ -34,7 +32,7 @@ HISTOGRAM_BUCKET = 5
 
 
 class ProfileCounts(NamedTuple):
-    """The counts ``build_report`` reads, as stored on a profile JSONL line."""
+    """The counts ``build_report`` reads, as a profile line stores them."""
 
     sample_id: str
     kd: int
@@ -42,16 +40,9 @@ class ProfileCounts(NamedTuple):
     n_abstract: int
 
     @classmethod
-    def from_line(cls, line: str) -> ProfileCounts:
-        """Read the counts off one line of ``kd_profiles.jsonl``.
-
-        The counts come before the element list, which is most of the line,
-        so only that head is decoded when the line is compact; any other
-        JSON encoding of a profile object is decoded whole.
-        """
-        cut = line.find(',"elements":')
-        obj = json.loads(line[:cut] + "}" if cut >= 0 else line)
-        return cls(obj["sample_id"], obj["kd"], obj["n_facts"], obj["n_abstract"])
+    def of(cls, profile: dict) -> ProfileCounts:
+        """The counts of a profile that ``kd_score`` built."""
+        return cls(profile["sample_id"], profile["kd"], profile["n_facts"], profile["n_abstract"])
 
 
 def extract_elements(text: str, gateway: Gateway) -> list[dict]:
@@ -155,12 +146,3 @@ def build_report(profiles: Iterable[ProfileCounts], source_of: dict[str, str],
         "per_source": per_source,
         "comparisons": comparison_rows,
     }
-
-
-def publish_report(path: str | Path, profiles: Iterable[ProfileCounts],
-                   source_of: dict[str, str], comparisons: Iterable[tuple[str, str]],
-                   backend_id: str) -> None:
-    """Build the density report and publish it as indented JSON."""
-    report = build_report(profiles, source_of, comparisons, backend_id=backend_id)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    publish(path, [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])

@@ -19,7 +19,8 @@ Each stage's quarantined items, with their error codes, are published as
 one file when the stage ends, so a rerun replaces the rows of the last one.
 Within ``run_all`` the stages share one ``Ingest``, so each shard is read
 and validated once, and an invalid line is quarantined once, under the
-stage that first reads its shard.
+stage that first reads its shard. A stage's missing input is an error, and
+no stage reads back what it publishes: it keeps what its items returned.
 """
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ from functools import reduce
 from itertools import chain
 from pathlib import Path
 from typing import Callable
-
-import click
 
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
@@ -117,19 +116,14 @@ def _instance(types, what: str):
 
 
 def _pairs(key: str, value) -> tuple[tuple[str, str], ...]:
-    try:
-        pairs = tuple(tuple(pair) for pair in value)
+    try:  # a string is one name, not a pair of letters
+        pairs = [pair if isinstance(pair, str) else list(pair) for pair in value]
     except TypeError:
         raise ConfigInvalid(f"{key} must be a list of source-name pairs, got {value!r}") from None
     for pair in pairs:
-        if len(pair) != 2 or not all(isinstance(source, str) for source in pair):
-            raise ConfigInvalid(f"{key} entries must be two source names, got {list(pair)!r}")
-    return pairs
-
-
-def _flag(command: str | None, *decls: str, **attrs) -> tuple[str | None, click.Option]:
-    """The option ``decls`` of ``command`` (``None``: of every command)."""
-    return command, click.Option(list(decls), **attrs)
+        if isinstance(pair, str) or len(pair) != 2 or not all(isinstance(s, str) for s in pair):
+            raise ConfigInvalid(f"{key} entries must be two source names, got {pair!r}")
+    return tuple(map(tuple, pairs))
 
 
 _int, _float, _path = _number(int), _number(float), _instance((str, os.PathLike), "a string")
@@ -146,14 +140,14 @@ class Setting:
     """One config key: ``key`` in the document sets ``attr``, a path on
     ``PipelineConfig`` such as ``retry.backoff_base`` (the key itself when
     empty), to ``convert(key, value)``, which ``check`` must accept. A key
-    the document leaves empty reads the environment variable ``env``.
-    ``flag`` is the command-line option that sets the key."""
+    the document leaves empty reads the environment variable ``env``, and
+    ``flag`` (command or ``None`` for all, option, ``click.Option`` keywords) sets it."""
     key: str
     convert: Callable = _as_given
     check: tuple[Callable, str] | None = None
     attr: str = ""
     env: str | None = None
-    flag: tuple[str | None, click.Option] | None = None
+    flag: tuple[str | None, str, dict] | None = None
 
     def get(self, config: PipelineConfig):
         return reduce(getattr, (self.attr or self.key).split("."), config)
@@ -180,39 +174,39 @@ SETTINGS = (
     Setting("backend.retry.backoff_base", _float, _FINITE, attr="retry.backoff_base"),
     Setting("backend.retry.backoff_factor", _float, _FINITE, attr="retry.backoff_factor"),
     Setting("pairing.max_per_image", _int, _AT_LEAST_1, attr="max_per_image",
-            flag=_flag("pair", "--max-per-image", type=int)),
+            flag=("pair", "--max-per-image", dict(type=int))),
     Setting("pairing.min_contrast", _float, (lambda value, config: 0 <= value <= 1,
                                              "{key} must be within [0, 1]"),
-            attr="min_contrast", flag=_flag("pair", "--min-contrast", type=float)),
-    Setting("vqa_policy.max_items", _int, flag=_flag("vqa-synth", "--max-items", type=int)),
+            attr="min_contrast", flag=("pair", "--min-contrast", dict(type=float))),
+    Setting("vqa_policy.max_items", _int, flag=("vqa-synth", "--max-items", dict(type=int))),
     Setting("vqa_policy.min_items", _int, (
         lambda value, config: 1 <= value <= config.vqa_policy.max_items,
-        "{key} must be >= 1 and <= max_items"), flag=_flag("vqa-synth", "--min-items", type=int)),
+        "{key} must be >= 1 and <= max_items"), flag=("vqa-synth", "--min-items", dict(type=int))),
     Setting("vqa_policy.min_global", _int, (
         lambda value, config: 0 <= value <= config.vqa_policy.max_items,
         "{key} must be >= 0 and <= max_items")),
     Setting("vqa_policy.detail_to_global_min_ratio", _float, _POSITIVE,
-            flag=_flag("vqa-synth", "--ratio", type=float)),
+            flag=("vqa-synth", "--ratio", dict(type=float))),
     Setting("vqa_policy.grounding_min_overlap", _float, _POSITIVE,
-            flag=_flag("vqa-synth", "--grounding", type=float)),
+            flag=("vqa-synth", "--grounding", dict(type=float))),
     Setting("interleave.max_group", _int, attr="interleave_max"),
     Setting("interleave.min_group", _int, (
         lambda value, config: 2 <= value <= config.interleave_max,
         "{key} must be >= 2 and <= max_group"), attr="interleave_min"),
     Setting("mixture.spec", _instance(str, "a string"), attr="mixture_spec",
-            flag=_flag("mix", "--spec", help="Spec JSON path or builtin:<name>.")),
+            flag=("mix", "--spec", dict(help="Spec JSON path or builtin:<name>."))),
     Setting("mixture.budget", _int, _AT_LEAST_1, attr="mixture_budget",
-            flag=_flag("mix", "--budget", type=int, help="Budget for builtin specs.")),
+            flag=("mix", "--budget", dict(type=int, help="Budget for builtin specs."))),
     Setting("mixture.unit", check=(lambda value, config: value in _UNITS,
                                    "{key} must be samples or tokens, got {value!r}"),
-            attr="mixture_unit", flag=_flag("mix", "--unit", type=click.Choice(_UNITS))),
+            attr="mixture_unit", flag=("mix", "--unit", dict(type=_UNITS))),
     Setting("mixture.rebalance", _bool, attr="rebalance",
-            flag=_flag("mix", "--rebalance", is_flag=True, default=None)),
-    Setting("kd.comparisons", _pairs, attr="kd_comparisons", flag=_flag(
-        "kd-score", "--compare", multiple=True, help="sourceA:sourceB (repeatable).",
-        callback=lambda ctx, param, value: [c.split(":", 1) for c in value] or None)),
+            flag=("mix", "--rebalance", dict(is_flag=True, default=None))),
+    Setting("kd.comparisons", _pairs, attr="kd_comparisons", flag=("kd-score", "--compare", dict(
+        multiple=True, help="sourceA:sourceB (repeatable).",
+        callback=lambda ctx, param, value: [c.split(":", 1) for c in value] or None))),
     Setting("seed", _number(int, null=True),
-            flag=_flag(None, "--seed", type=int, help="Set the config's seed.")),
+            flag=(None, "--seed", dict(type=int, help="Set the config's seed."))),
     Setting("workers", _int, _AT_LEAST_1),
 )
 
@@ -253,9 +247,9 @@ def config_from_obj(obj: dict, patch: dict | None = None) -> PipelineConfig:
     for s in SETTINGS:
         if s.env:
             given[s.key] = given.get(s.key) or os.environ.get(s.env)
-    missing = [s.attr for s in SETTINGS if s.attr in _REQUIRED and s.key not in given]
+    missing = [s.key for s in SETTINGS if s.attr in _REQUIRED and s.key not in given]
     if missing:
-        raise ConfigInvalid(f"bad config: {missing[0]!r}")
+        raise ConfigInvalid(f"{missing[0]} is required")
     return validate_config(PipelineConfig(**dict.fromkeys(_REQUIRED)), given)
 
 
@@ -411,10 +405,8 @@ class Ingest:
         return {d.image_id: d for d in self.descriptors(config)}
 
     def selected_pairs(self, config: PipelineConfig) -> tuple[pairing.PairCandidate, ...]:
-        path = _out(config, "pairs_selected.jsonl")
-        if not path.exists():
-            return ()
-        return self._cached("pairs", path, lambda p: tuple(pairing.read_candidates(p)))
+        return self._cached("pairs", _out(config, "pairs_selected.jsonl"),
+                            lambda p: tuple(pairing.read_candidates(p)))
 
 
 @dataclass
@@ -438,13 +430,13 @@ def _source_records(config: PipelineConfig, ingest: Ingest,
 
 
 def _run_llm_items(config: PipelineConfig, items, process, final_path: Path,
-                   quarantine: Quarantine) -> tuple[int, int]:
+                   quarantine: Quarantine) -> list:
     """Run work items through an LLM-backed processor and publish the output.
 
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
-    one output line or raises a KforgeError (quarantined). The lines stream
-    to ``final_path`` in input order, whatever the number of workers;
-    returns the item and line counts.
+    (output line, value) or raises a KforgeError (quarantined). The lines
+    stream to ``final_path`` in input order, whatever the number of workers;
+    returns the values of the published lines, in the same order.
     """
     def run_one(entry):
         work_id, payload = entry
@@ -453,21 +445,27 @@ def _run_llm_items(config: PipelineConfig, items, process, final_path: Path,
         except KforgeError as exc:
             return work_id, None, exc
 
-    published = 0
+    values = []
 
     def lines():
-        nonlocal published
         with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
               else nullcontext()) as pool:
-            for work_id, line, exc in (pool.map if pool else map)(run_one, items):
+            for work_id, out, exc in (pool.map if pool else map)(run_one, items):
                 if exc is not None:
                     quarantine.put(work_id, exc)
                 else:
-                    published += 1
-                    yield line + "\n"
+                    values.append(out[1])
+                    yield out[0] + "\n"
 
     publish(final_path, lines())
-    return len(items), published
+    return values
+
+
+def _run_llm_lines(config: PipelineConfig, items, process, final_path: Path,
+                   quarantine: Quarantine) -> tuple[int, int]:
+    """``_run_llm_items`` for a ``process`` that returns a line alone: the item and line counts."""
+    return len(items), len(_run_llm_items(config, items, lambda payload: (process(payload), None),
+                                          final_path, quarantine))
 
 
 def _uri(uris: dict[str, str], image_id: str) -> str:
@@ -485,7 +483,7 @@ def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
     items = sorted(((r.id, (r.id, r.image_uris[0]))
                     for r in _source_records(config, ingest, quarantine)
                     if r.kind in (KIND_CAPTION, KIND_VQA)), key=lambda kv: kv[0])
-    return _run_llm_items(config, items, lambda p: annotation.descriptor_to_json(
+    return _run_llm_lines(config, items, lambda p: annotation.descriptor_to_json(
         annotation.annotate_image(*p, gateway)), _out(config, "descriptors.jsonl"), quarantine)
 
 
@@ -503,23 +501,22 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
                  ingest: Ingest):
     """Run the semantic filter over candidate pairs."""
     descriptors = ingest.descriptor_map(config)
-    candidates = list(pairing.read_candidates(_out(config, "pair_candidates.jsonl")))
+    items = [(f"{c.left_id}~{c.right_id}", c)
+             for c in pairing.read_candidates(_out(config, "pair_candidates.jsonl"))]
     uris = ingest.uris(config, quarantine)
-    items = [(f"{c.left_id}~{c.right_id}", c) for c in candidates]
 
     def process(candidate):
         verdict = pairing.filter_pair(
             candidate, descriptors[candidate.left_id], descriptors[candidate.right_id],
             gateway, uris=(_uri(uris, candidate.left_id), _uri(uris, candidate.right_id)))
-        return json_line(pairing.verdict_to_obj(verdict))
+        return json_line(pairing.verdict_to_obj(verdict)), verdict
 
-    verdicts_path = _out(config, "pair_verdicts.jsonl")
-    counts = _run_llm_items(config, items, process, verdicts_path, quarantine)
-    verdicts = sorted(corpus.read_jsonl(verdicts_path, pairing.verdict_from_obj),
-                      key=lambda v: v.candidate.pair_id)
-    pairing.write_candidates(pairing.select_pairs(verdicts),
-                             _out(config, "pairs_selected.jsonl"))
-    return counts
+    verdicts = _run_llm_items(config, items, process, _out(config, "pair_verdicts.jsonl"),
+                              quarantine)
+    pairing.write_candidates(
+        pairing.select_pairs(sorted(verdicts, key=lambda v: v.candidate.pair_id)),
+        _out(config, "pairs_selected.jsonl"))
+    return len(items), len(verdicts)
 
 
 def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
@@ -530,7 +527,7 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
               for image_id in pair.pair_id}
     uris = ingest.uris(config, quarantine)
     items = [(image_id, image_id) for image_id in sorted(descriptors) if image_id not in paired]
-    return _run_llm_items(config, items, lambda image_id: record_to_json(
+    return _run_llm_lines(config, items, lambda image_id: record_to_json(
         generation.generate_caption(image_id, _uri(uris, image_id), gateway)),
         _out(config, "caption1.jsonl"), quarantine)
 
@@ -554,7 +551,7 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
             verdict=verdicts.get(candidate.pair_id))
         return record_to_json(record)
 
-    return _run_llm_items(config, items, process,
+    return _run_llm_lines(config, items, process,
                           _out(config, "pair_caption.jsonl"), quarantine)
 
 
@@ -583,7 +580,7 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
         ingest.selected_pairs(config), descriptors,
         min_size=config.interleave_min, max_size=config.interleave_max, seed=seed)
     items = [("g~" + "~".join(group), group) for group in groups]
-    return _run_llm_items(config, items, lambda group: record_to_json(
+    return _run_llm_lines(config, items, lambda group: record_to_json(
         generation.generate_interleaved(
             [GroupMember(i, _uri(uris, i), descriptors[i]) for i in group], gateway)),
         _out(config, "interleaved.jsonl"), quarantine)
@@ -592,10 +589,8 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
 def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
                     ingest: Ingest):
     """Reconstruct VQA supervision from generated captions."""
-    path = _out(config, "caption1.jsonl")
-    captions = ingest.shard(path) if path.exists() else ()
-    items = [(r.id, r) for r in captions]
-    return _run_llm_items(config, items, lambda r: record_to_json(
+    items = [(r.id, r) for r in ingest.shard(_out(config, "caption1.jsonl"))]
+    return _run_llm_lines(config, items, lambda r: record_to_json(
         generation.synthesize_vqa(r, config.vqa_policy, gateway)), _out(config, "vqa1.jsonl"),
         quarantine)
 
@@ -607,15 +602,18 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
                                           include_generated=True)
                if r.kind != KIND_OTHER]
     items = [(r.id, r) for r in records]
-    source_of = {r.id: r.source for r in records}
-    profiles_path = _out(config, "kd_profiles.jsonl")
-    counts = _run_llm_items(config, items, lambda r: json_line(knowledge.kd_score(r, gateway)),
-                            profiles_path, quarantine)
-    with open(profiles_path, "r", encoding="utf-8") as fh:
-        profiles = [knowledge.ProfileCounts.from_line(line) for line in fh]
-    knowledge.publish_report(_out(config, "kd_report.json"), profiles, source_of,
-                             config.kd_comparisons, gateway.backend_id)
-    return counts
+
+    def process(record):
+        profile = knowledge.kd_score(record, gateway)
+        return json_line(profile), knowledge.ProfileCounts.of(profile)
+
+    profiles = _run_llm_items(config, items, process, _out(config, "kd_profiles.jsonl"),
+                              quarantine)
+    report = knowledge.build_report(profiles, {r.id: r.source for r in records},
+                                    config.kd_comparisons, gateway.backend_id)
+    publish(_out(config, "kd_report.json"),
+            [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
+    return len(items), len(profiles)
 
 
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,

@@ -1,8 +1,8 @@
 """Prompt template registry, rendering and reply contracts.
 
 Templates carry named placeholders in ``{name}`` form. Only declared
-placeholders are substituted, so literal braces in prompt bodies (JSON
-format examples and the like) pass through untouched.
+placeholders are substituted, in one pass, so literal braces in prompt
+bodies (JSON format examples and the like) and in values pass through.
 
 Each template's ``expected_output`` names its reply contract in
 ``CONTRACTS``: the check that turns a reply into its value, and the line a
@@ -10,7 +10,8 @@ re-ask appends to the prompt.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 
 from kforge import jsonx
 from kforge.corpus import marker_problems
@@ -31,6 +32,17 @@ class PromptTemplate:
     expected_output: str
     # (min images, max images or None)
     image_arity: tuple[int, int | None]
+    # the body split at its placeholders: text at even indices, names at odd
+    pieces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        marks = "|".join(re.escape("{" + name + "}") for name in self.placeholders)
+        pieces = re.split(f"({marks})", self.body) if marks else [self.body]
+        pieces[1::2] = [mark[1:-1] for mark in pieces[1::2]]
+        for name in self.placeholders:
+            if name not in pieces[1::2]:
+                raise AssertionError(f"{self.template_id}: placeholder {name} not in body")
+        object.__setattr__(self, "pieces", tuple(pieces))
 
 
 SINGLE_CAPTION_BODY = """\
@@ -586,21 +598,11 @@ CONTRACTS = {
 }
 
 
-def _check_registry() -> None:
-    for t in REGISTRY.values():
-        for name in t.placeholders:
-            if "{" + name + "}" not in t.body:
-                raise AssertionError(f"{t.template_id}: placeholder {name} not in body")
-
-
-_check_registry()
-
-
 def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
     """Substitute declared placeholders; raise MissingBinding for unbound ones."""
-    body = template.body
     for name in template.placeholders:
         if name not in bindings:
             raise MissingBinding(name)
-        body = body.replace("{" + name + "}", str(bindings[name]))
-    return body
+    pieces = list(template.pieces)
+    pieces[1::2] = [str(bindings[name]) for name in pieces[1::2]]
+    return "".join(pieces)

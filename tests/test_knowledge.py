@@ -201,16 +201,3 @@ def test_profile_roundtrip(tmp_path):
     path = tmp_path / "p.jsonl"
     publish(path, [json_line(p) + "\n" for p in profiles])
     assert list(read_jsonl(path, lambda obj: obj)) == profiles
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert [ProfileCounts.from_line(line) for line in lines] == [
-        (p["sample_id"], p["kd"], p["n_facts"], p["n_abstract"]) for p in profiles]
-
-
-def test_profile_counts_read_compact_and_indented_lines():
-    gw = mock_gateway()
-    texts = [PAIR_SINGLE_A, PAIR_SINGLE_B, PAIR_JOINT, INTERLEAVE_TEXT]
-    profiles = [kd_score(_text_record(f"r{i}", t), gw) for i, t in enumerate(texts)]
-    counts = [ProfileCounts.from_line(json_line(p)) for p in profiles]
-    assert counts == [ProfileCounts.from_line(json.dumps(p, indent=1)) for p in profiles]
-    assert counts == [(p["sample_id"], p["kd"], p["n_facts"], p["n_abstract"])
-                      for p in profiles]

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import kforge
-from kforge import annotation, cli, corpus, gateway, jsonx, mixture, pairing, pipeline
+from kforge import annotation, cli, corpus, gateway, jsonx, knowledge, mixture, pairing, pipeline
 from kforge.cli import main as cli_main
 from kforge.corpus import read_shard, write_shard
 from kforge.errors import BackendError, ConfigInvalid, KforgeError, ParseError
@@ -360,6 +360,26 @@ def test_kd_comparison_with_zero_mean_source_is_left_out(tmp_path, caplog):
             for row in report["comparisons"]] == [("stopwords", "pure_text", 0.0)]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kd_report_is_built_from_the_published_profiles(tmp_path, workers):
+    config = make_workspace(tmp_path)
+    config.workers = workers
+    code, stats = run_all(config)
+    assert code == 0
+    out = Path(config.out_dir)
+    counts = list(corpus.read_jsonl(out / "kd_profiles.jsonl", lambda obj: knowledge.ProfileCounts(
+        obj["sample_id"], obj["kd"], obj["n_facts"], obj["n_abstract"])))
+    assert len(counts) == next(s["out"] for s in stats if s["stage"] == "kd-score")
+    shards = [*Path(config.in_dir).glob("*.jsonl"), *(out / name for name in (
+        "caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl", "vqa1.jsonl"))]
+    source_of = {r.id: r.source for path in shards for r in read_shard(path)}
+    report = knowledge.build_report(counts, source_of, config.kd_comparisons,
+                                    Gateway(MockBackend()).backend_id)
+    assert report["comparisons"]
+    assert json.loads((out / "kd_report.json").read_text(encoding="utf-8")) == json.loads(
+        json.dumps(report))
+
+
 def test_cli_damaged_generated_file_exits_one(tmp_path):
     # a truncated descriptors.jsonl let a JSONDecodeError out as a traceback
     config = make_workspace(tmp_path)
@@ -374,6 +394,31 @@ def test_cli_damaged_generated_file_exits_one(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: line 1: invalid JSON in {descriptors}: ")
     assert "Traceback" not in result.stderr
+
+    # a byte that is not UTF-8, a line that is no object and a candidate
+    # without a key let a UnicodeDecodeError, an AttributeError and a
+    # KeyError out as tracebacks
+    for command in ("annotate", "pair"):
+        assert runner.invoke(cli_main, [command, "--config", str(config_path)]).exit_code == 0
+    lines = descriptors.read_bytes().splitlines(keepends=True)
+    candidates = Path(config.out_dir) / "pair_candidates.jsonl"
+    candidate = json.loads(candidates.read_text(encoding="utf-8").splitlines()[0])
+    del candidate["alignment_level"]
+    for stage, path, text, message in [
+        ("pair", descriptors, lines[0] + lines[1].replace(b'":"', b'":"\xff', 1),
+         f"error: line 2: invalid JSON in {descriptors}: not UTF-8: "),
+        ("pair", descriptors, b"[1, 2]\n",
+         f"error: line 1: unexpected value in {descriptors}: AttributeError: "),
+        ("filter", candidates, json.dumps(candidate).encode("utf-8") + b"\n",
+         f"error: line 1: unexpected value in {candidates}: KeyError: 'alignment_level'\n"),
+    ]:
+        assert runner.invoke(cli_main, ["annotate", "--config", str(config_path)]).exit_code == 0
+        path.write_bytes(text)
+        result = runner.invoke(cli_main, [stage, "--config", str(config_path)])
+        assert result.exit_code == 1, message
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(message)
+        assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -399,22 +444,48 @@ def test_cli_config_values_are_not_coerced(tmp_path, patch, message):
     assert not Path(config.out_dir).exists()
 
 
+def test_missing_required_key_is_named():
+    with pytest.raises(ConfigInvalid, match=r"^io\.out_dir is required$"):
+        config_from_obj({"io": {"in_dir": "a"}})
+
+
+def test_importing_the_pipeline_leaves_click_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(kforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import sys, kforge.pipeline; "
+                          "print('click' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_seed_converts_like_an_integer_key():
     io = {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}
     assert [config_from_obj({"io": io, "seed": seed}).seed
             for seed in (None, 3, "3", 3.0)] == [None, 3, 3, 3]
 
 
-@pytest.mark.parametrize("stage", ["pair", "filter", "pair-caption", "caption", "interleave"])
-def test_cli_lone_stage_without_its_input_exits_one(tmp_path, stage):
-    # each died with a FileNotFoundError traceback from corpus.read_jsonl
+@pytest.mark.parametrize("before, stage, missing", [
+    *(((), stage, "descriptors.jsonl")
+      for stage in ("pair", "filter", "pair-caption", "caption", "interleave")),
+    # caption captioned every image and interleave published no group, as
+    # if no pair were selected; vqa-synth published an empty vqa1.jsonl
+    (("annotate", "pair"), "caption", "pairs_selected.jsonl"),
+    (("annotate", "pair"), "pair-caption", "pair_verdicts.jsonl"),
+    (("annotate", "pair"), "interleave", "pairs_selected.jsonl"),
+    ((), "vqa-synth", "caption1.jsonl"),
+], ids=["pair", "filter", "pair-caption", "caption", "interleave", "caption-after-pair",
+        "pair-caption-after-pair", "interleave-after-pair", "vqa-synth"])
+def test_cli_lone_stage_without_its_input_exits_one(tmp_path, before, stage, missing):
+    # the first five died with a FileNotFoundError traceback from corpus.read_jsonl
     config = make_workspace(tmp_path)
     config_path = _write_config(tmp_path, config)
-    result = CliRunner().invoke(cli_main, [stage, "--config", str(config_path)])
+    runner = CliRunner()
+    for command in before:
+        assert runner.invoke(cli_main, [command, "--config", str(config_path)]).exit_code == 0
+    result = runner.invoke(cli_main, [stage, "--config", str(config_path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    descriptors = Path(config.out_dir) / "descriptors.jsonl"
-    assert result.stderr.startswith(f"error: cannot open {descriptors}: ")
+    assert result.stderr.startswith(f"error: cannot open {Path(config.out_dir) / missing}: ")
     assert "Traceback" not in result.stderr
 
 
@@ -1185,6 +1256,7 @@ _BAD_VALUES = [
     ("mixture.rebalance", "yes", "mixture.rebalance must be true or false, got 'yes'"),
     ("kd.comparisons", 5, "kd.comparisons must be a list of source-name pairs, got 5"),
     ("kd.comparisons", [["a"]], "kd.comparisons entries must be two source names, got ['a']"),
+    ("kd.comparisons", ["ab"], "kd.comparisons entries must be two source names, got 'ab'"),
     ("seed", "abc", "seed must be a whole number, got 'abc'"),
     ("workers", 0, "workers must be >= 1"),
 ]
@@ -1388,7 +1460,7 @@ def test_readme_config_table_matches_the_settings():
         command, option = re.fullmatch(r"(?:`(?:([\w-]+) )?(--[\w-]+)[^`]*`.*)?",
                                        flag.strip()).groups()
         assert ((command, option) if option else None) == (
-            setting.flag and (setting.flag[0], setting.flag[1].opts[0])), key
+            setting.flag and setting.flag[:2]), key
 
 
 def test_cli_pair_flag_overrides(tmp_path):

@@ -67,3 +67,25 @@ def test_image_arities():
     assert arity["caption_to_vqa"] == (0, 0)
     assert arity["knowledge_extract"] == (0, 0)
     assert arity["interleave"] == (3, None)
+
+
+def test_render_leaves_placeholders_inside_values():
+    # the value bound to left was searched for {right}, which was replaced
+    out = render_prompt(REGISTRY["pair_filter"], {"left": "a {right} b", "right": "RIGHT"})
+    assert "a {right} b" in out
+    assert "a RIGHT b" not in out
+
+
+def _replace_each(template, bindings: dict[str, str]) -> str:
+    """Reference rendering: one ``str.replace`` per declared placeholder."""
+    body = template.body
+    for name in template.placeholders:
+        body = body.replace("{" + name + "}", str(bindings[name]))
+    return body
+
+
+def test_render_matches_replacing_each_placeholder():
+    for template in REGISTRY.values():
+        bindings = {name: f"value of {name}: <Image_1> {{json}} line\nnext"
+                    for name in template.placeholders}
+        assert render_prompt(template, bindings) == _replace_each(template, bindings)
