@@ -315,7 +315,7 @@ def _decode_line(data: bytes, lineno: int) -> tuple[str, object]:
 
 
 def read_shard(path: str | Path,
-               on_error: Callable[[Exception, int, str], None] | None = None,
+               on_error: Callable[[Exception, int], None] | None = None,
                ) -> Iterator[Record]:
     """Yield records from one JSONL shard in file order.
 
@@ -323,8 +323,8 @@ def read_shard(path: str | Path,
     raise ``ParseError``/``ValidationError`` carrying the 1-based line
     number; a line that is not UTF-8, or whose text holds an unpaired
     surrogate (an escape such as ``\\ud800``), is invalid. Passing
-    ``on_error`` turns raising into a callback (error, line_number,
-    raw_line) so callers can quarantine and continue.
+    ``on_error`` turns raising into a callback (error, line_number) so
+    callers can quarantine and continue.
     """
     shared: dict[str, str] = {}  # one string per distinct kind and source
     with _open(path) as fh:
@@ -346,7 +346,7 @@ def read_shard(path: str | Path,
             except (ParseError, ValidationError) as exc:
                 if on_error is None:
                     raise
-                on_error(exc, lineno, data.decode("utf-8", "replace"))
+                on_error(exc, lineno)
 
 
 def publish(path: str | Path, chunks: Iterable[str]) -> None:

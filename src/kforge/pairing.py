@@ -7,6 +7,7 @@ relationship is coherent enough to explain simply.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -70,12 +71,23 @@ def build_index(descriptors: Iterable[SemanticDescriptor]) -> DescriptorIndex:
     return DescriptorIndex(by_subcategory=by_sub, by_domain=by_dom, descriptors=all_desc)
 
 
-def _bucket_pairs(index: DescriptorIndex, members: list[str], alignment: str,
-                  min_contrast: float) -> list[tuple[float, str, str, str]]:
-    """Score every pair of bucket members; keep ``(-score, left, right, alignment)``.
+def _bucket_candidates(index: DescriptorIndex, members: list[str], alignment: str,
+                       max_per_image: int | None,
+                       min_contrast: float) -> list[tuple[float, str, str, str]]:
+    """The bucket's capped pairs as ``(-score, left, right, alignment)``.
 
-    Keys and concepts become int bitmasks over the bucket's own vocabulary,
-    so each set operation is one int operation plus ``int.bit_count``.
+    Greedy b-matching, computed lazily. Row *i* holds the pairs (*i*, *j* > *i*)
+    best first, in ``(-score, j)`` order, at most ``2 * cap + 2`` at a time;
+    a heap merges the row heads in the global ``(-score, left, right)`` order,
+    and a popped pair is kept while both images hold fewer than ``cap`` pairs.
+    A score is at most 1.0, so row *r* is filled only once the heap top
+    scores below 1.0: until then every row before *r* holds a pair ahead of
+    all of row *r*'s. A fill skips full partners and stops once its buffer
+    holds only 1.0s; an emptied buffer is refilled from after its last
+    entry. A row whose image is full is dropped. Memory is linear in the
+    bucket. Keys and concepts become int bitmasks over the bucket's own
+    vocabulary, so each set operation is one int operation plus
+    ``int.bit_count``.
     """
     bits: dict[str, int] = {}
 
@@ -85,22 +97,74 @@ def _bucket_pairs(index: DescriptorIndex, members: list[str], alignment: str,
             m |= bits.setdefault(v, 1 << len(bits))
         return m
 
+    n = len(members)
     descs = [index.descriptors[m] for m in members]
     keys = [mask(d.distinguishing_key_information) for d in descs]
     need_shared = alignment != ALIGN_SUBCATEGORY
     concepts = [mask(d.core_concepts) for d in descs] if need_shared else []
-    out = []
-    for i in range(len(members) - 1):
-        left, ki = members[i], keys[i]
-        for j in range(i + 1, len(members)):
+    cap = n if max_per_image is None else max_per_image  # n: no image fills up
+    width = 2 * cap + 2
+    load = [0] * n
+
+    def fill(i: int, after_score: float,
+             after_j: int) -> tuple[list[tuple[float, int]], bool]:
+        """Row *i*'s best ``width`` entries after ``(-after_score, after_j)``,
+        worst first, and whether the row may hold more."""
+        ki = keys[i]
+        ci = concepts[i] if need_shared else 0
+        found = []
+        ones = 0
+        cut = False
+        for j in range(i + 1, n):
+            if load[j] >= cap:
+                continue
             kj = keys[j]
             n_diff = (ki ^ kj).bit_count()
-            if n_diff == 0 or (need_shared and not concepts[i] & concepts[j]):
+            if n_diff == 0 or (need_shared and not ci & concepts[j]):
                 continue
             score = n_diff / (ki | kj).bit_count()
-            if score >= min_contrast:
-                out.append((-score, left, members[j], alignment))
-    return out
+            if score < min_contrast or score > after_score or (
+                    score == after_score and j <= after_j):
+                continue
+            found.append((-score, j))
+            if score == 1.0:
+                ones += 1
+                if ones == width:  # no later entry of this row sorts before these
+                    cut = True
+                    break
+        found.sort(reverse=True)
+        return found[-width:], cut or len(found) > width
+
+    heap: list[tuple[float, int, int, list[tuple[float, int]], bool]] = []
+
+    def push_next(i: int, buf: list[tuple[float, int]], more: bool,
+                  neg_score: float, j: int) -> None:
+        """Put row *i*'s next live entry after ``(neg_score, j)`` on the heap."""
+        while load[i] < cap:
+            while buf:
+                neg_score, j = buf.pop()
+                if load[j] < cap:
+                    # one head per row: the tuple order never reaches buf
+                    heapq.heappush(heap, (neg_score, i, j, buf, more))
+                    return
+            if not more:
+                return
+            buf, more = fill(i, -neg_score, j)
+
+    kept = []
+    filled = 0
+    while True:
+        while filled < n and (not heap or heap[0][0] > -1.0):
+            push_next(filled, [], True, -2.0, n)  # -2.0: before every entry
+            filled += 1
+        if not heap:
+            return kept
+        neg_score, i, j, buf, more = heapq.heappop(heap)
+        if load[i] < cap and load[j] < cap:
+            load[i] += 1
+            load[j] += 1
+            kept.append((neg_score, members[i], members[j], alignment))
+        push_next(i, buf, more, neg_score, j)
 
 
 def _candidate(index: DescriptorIndex, neg_score: float, left: str, right: str,
@@ -121,8 +185,12 @@ def propose_pairs(index: DescriptorIndex,
     a singleton fall back to domain-bucket pairing with other singletons.
     Candidates need a non-empty key difference, a concept overlap unless
     subcategory-aligned, and a contrast score of at least ``min_contrast``.
-    Per image at most ``max_per_image`` pairs survive, best score first
-    (``None`` means unlimited). Output is sorted by pair id.
+    Per image at most ``max_per_image`` pairs survive (``None`` means
+    unlimited). The cap is exact greedy: within a bucket, pairs are taken in
+    ``(-score, pair id)`` order and kept while both images hold fewer than
+    ``max_per_image``. It is computed lazily, scoring an image's partners
+    only while the image can still place a pair, so memory is linear in the
+    bucket. Output is sorted by pair id.
     """
     if max_per_image is not None and max_per_image < 1:
         raise ValueError("max_per_image must be >= 1")
@@ -143,27 +211,10 @@ def propose_pairs(index: DescriptorIndex,
 
     kept: list[tuple[float, str, str, str]] = []
     for members, alignment in buckets:
-        kept.extend(_cap(_bucket_pairs(index, members, alignment, min_contrast),
-                         max_per_image))
+        kept.extend(_bucket_candidates(index, members, alignment, max_per_image,
+                                       min_contrast))
     kept.sort(key=lambda t: (t[1], t[2]))
     return [_candidate(index, *t) for t in kept]
-
-
-def _cap(scored: list[tuple[float, str, str, str]],
-         max_per_image: int | None) -> list[tuple[float, str, str, str]]:
-    """Greedy per-image cap: best score first, ties by pair id."""
-    if max_per_image is None:
-        return scored
-    scored.sort()  # (-score, pair id): pair ids are unique
-    load: dict[str, int] = {}
-    kept = []
-    for t in scored:
-        left, right = t[1], t[2]
-        if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
-            kept.append(t)
-            load[left] = load.get(left, 0) + 1
-            load[right] = load.get(right, 0) + 1
-    return kept
 
 
 def filter_pair(candidate: PairCandidate, left: SemanticDescriptor,

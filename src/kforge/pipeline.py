@@ -375,7 +375,7 @@ class Ingest:
         def decode(p):
             errors = []
             records = tuple(corpus.read_shard(
-                p, on_error=lambda exc, lineno, raw: errors.append((lineno, exc))))
+                p, on_error=lambda exc, lineno: errors.append((lineno, exc))))
             return _Shard(records, errors)
 
         entry = self._cached("shard", path, decode)

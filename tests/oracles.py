@@ -53,6 +53,23 @@ def oracle_propose_pairs(descriptors, min_contrast: float = 0.0):
     return sorted(out)
 
 
+def oracle_greedy_cap(rows, max_per_image):
+    """The documented cap over ``oracle_propose_pairs`` rows: best score first,
+    ties by pair id, keep a pair while both images hold fewer than
+    ``max_per_image`` (``None``: keep all). Output by pair id."""
+    if max_per_image is None:
+        return sorted(rows)
+    load: dict[str, int] = {}
+    kept = []
+    for row in sorted(rows, key=lambda r: (-r[5], r[0], r[1])):
+        left, right = row[0], row[1]
+        if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
+            kept.append(row)
+            load[left] = load.get(left, 0) + 1
+            load[right] = load.get(right, 0) + 1
+    return sorted(kept, key=lambda r: (r[0], r[1]))
+
+
 def oracle_extract_json(text: str, expected: str):
     """Reference JSON recovery: try raw_decode at every candidate offset."""
     lines = [ln for ln in text.split("\n") if not ln.lstrip().startswith("```")]

@@ -198,7 +198,7 @@ def test_read_on_error_callback_continues(tmp_path, corpus30):
     lines.insert(1, "not json")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     errors = []
-    out = list(read_shard(path, on_error=lambda e, n, raw: errors.append((n, e))))
+    out = list(read_shard(path, on_error=lambda e, n: errors.append((n, e))))
     assert len(out) == 3
     assert [n for n, _ in errors] == [2]
 
@@ -508,7 +508,7 @@ def test_read_shard_decodes_like_json_loads(tmp_path, seed):
     text = "\n".join(lines) + rng.choice(["", "\n"])
     path.write_text(text, encoding="utf-8")
     errors = []
-    got = list(read_shard(path, on_error=lambda exc, n, raw: errors.append(
+    got = list(read_shard(path, on_error=lambda exc, n: errors.append(
         (n, type(exc).__name__, str(exc)))))
     want_records, want_errors = _oracle_read(path)
     assert got == want_records
@@ -523,7 +523,7 @@ def test_read_shard_too_deep_is_a_parse_error(tmp_path, corpus30):
     path.write_text("\n".join([record_to_json(corpus30[0]), deep,
                                record_to_json(corpus30[1])]) + "\n", encoding="utf-8")
     errors = []
-    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    records = list(read_shard(path, on_error=lambda exc, n: errors.append((exc, n))))
     assert [r.id for r in records] == [corpus30[0].id, corpus30[1].id]
     assert [(type(exc), n, exc.line) for exc, n in errors] == [(ParseError, 2, 2)]
     with pytest.raises(ParseError) as err:
@@ -541,7 +541,7 @@ def test_read_shard_lone_surrogate_is_a_validation_error(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text("\n".join(line(t) for t in texts) + "\n", encoding="utf-8")
     errors = []
-    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    records = list(read_shard(path, on_error=lambda exc, n: errors.append((exc, n))))
     # a surrogate pair decodes to one character; an escaped backslash is text
     assert [r.payload["caption"] for r in records] == ["pair \U0001f600 ok", "a \\ud800 b"]
     assert [(type(exc), str(exc)) for exc, _ in errors] == [
@@ -555,7 +555,7 @@ def test_read_shard_invalid_utf8_fails_only_its_line(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     errors = []
-    records = list(read_shard(path, on_error=lambda exc, n, raw: errors.append((exc, n))))
+    records = list(read_shard(path, on_error=lambda exc, n: errors.append((exc, n))))
     assert [r.id for r in records] == [r.id for r in make_corpus()[:3:2]]
     assert [(type(exc), n, exc.line) for exc, n in errors] == [(ParseError, 2, 2)]
     assert str(errors[0][0]).startswith("line 2: not UTF-8: ")

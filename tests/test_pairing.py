@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kforge.errors import DuplicateImageId, MalformedOutput
 from kforge.gateway import Gateway, mock_gateway
@@ -15,12 +18,16 @@ from kforge.pairing import (PairCandidate, PairVerdict,
 from kforge.prompts import REGISTRY, render_prompt
 
 from conftest import ReplayBackend, make_descriptor, random_descriptors
-from oracles import oracle_propose_pairs
+from oracles import oracle_greedy_cap, oracle_propose_pairs
+
+
+def _rows(candidates):
+    return [(c.left_id, c.right_id, c.alignment_level, c.shared_concepts,
+             c.differing_keys, c.contrast_score) for c in candidates]
 
 
 def _as_oracle_shape(candidates):
-    return sorted((c.left_id, c.right_id, c.alignment_level, c.shared_concepts,
-                   c.differing_keys, c.contrast_score) for c in candidates)
+    return sorted(_rows(candidates))
 
 
 # --- index ---------------------------------------------------------------------
@@ -141,28 +148,94 @@ def test_oracle_equivalence_with_min_contrast():
     assert _as_oracle_shape(out) == oracle_propose_pairs(ds, min_contrast=0.4)
 
 
-def _oracle_greedy_cap(rows, max_per_image):
-    """The documented cap: best score first, ties by pair id, output by pair id."""
-    load: dict[str, int] = {}
-    kept = []
-    for row in sorted(rows, key=lambda r: (-r[5], r[0], r[1])):
-        left, right = row[0], row[1]
-        if load.get(left, 0) < max_per_image and load.get(right, 0) < max_per_image:
-            kept.append(row)
-            load[left] = load.get(left, 0) + 1
-            load[right] = load.get(right, 0) + 1
-    return sorted(kept, key=lambda r: (r[0], r[1]))
-
-
 @pytest.mark.parametrize("max_per_image", [1, 2, 3])
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 16])
 def test_greedy_cap_matches_oracle(seed, max_per_image):
     rng = random.Random(seed)
     ds = random_descriptors(rng, rng.randint(4, 40))
     out = propose_pairs(build_index(ds), max_per_image=max_per_image, min_contrast=0.0)
-    expected = _oracle_greedy_cap(oracle_propose_pairs(ds), max_per_image)
-    assert [(c.left_id, c.right_id, c.alignment_level, c.shared_concepts,
-             c.differing_keys, c.contrast_score) for c in out] == expected
+    assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds), max_per_image)
+
+
+@st.composite
+def single_buckets(draw):
+    """One subcategory bucket, or one domain bucket of subcategory loners,
+    of up to 80 images over a 3-8 word key vocabulary: many scores tie and
+    many are 1.0."""
+    subcategory_aligned = draw(st.booleans())
+    vocab = [f"k{v}" for v in range(draw(st.integers(3, 8)))]
+    concepts = st.lists(st.sampled_from(["depth", "trade", "light"]), max_size=2,
+                        unique=True)
+    keys = st.lists(st.sampled_from(vocab), max_size=4, unique=True)
+    return [make_descriptor(f"i{k:02d}", "reef" if subcategory_aligned else f"sub{k}",
+                            "geo", concepts=draw(concepts), keys=draw(keys))
+            for k in range(draw(st.integers(2, 80)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_buckets(), st.sampled_from([None, 1, 2, 3]),
+       st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_lazy_cap_matches_oracle_on_tied_buckets(ds, max_per_image, min_contrast):
+    out = propose_pairs(build_index(ds), max_per_image, min_contrast)
+    assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds, min_contrast),
+                                           max_per_image)
+
+
+def test_row_refills_once_every_buffered_partner_is_full():
+    # At cap 1 a row buffers 4 partners. r0 scores 1/3 against each of r1-r5,
+    # which score 1/2 against each other, so r1-r2 and r3-r4 fill r0's whole
+    # buffer before r0 is used; only a refill of r0's row reaches r5.
+    ds = [make_descriptor("r0", "reef", "geo", keys=("a", "b"))]
+    ds += [make_descriptor(f"r{k}", "reef", "geo", keys=("a", "b", f"c{k}"))
+           for k in range(1, 6)]
+    out = propose_pairs(build_index(ds), max_per_image=1, min_contrast=0.0)
+    assert [(c.left_id, c.right_id, c.contrast_score) for c in out] == [
+        ("r0", "r5", pytest.approx(1 / 3)), ("r1", "r2", 0.5), ("r3", "r4", 0.5)]
+    assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds), 1)
+
+
+def test_row_refill_starts_after_the_pair_it_kept_last():
+    # One domain bucket at cap 2: a row buffers 6 partners. b scores 1/3
+    # against each of p1-p7. The 1/2 pairs (f with p4 and p5, and among
+    # p1-p5, which share concept u) fill p1-p5 first, so b keeps p6, the
+    # last of its buffer, and then refills to reach p7. Concepts v and w
+    # keep p6 and p7 out of every other pair.
+    def d(image_id, concepts, keys):
+        return make_descriptor(image_id, f"sub-{image_id}", "geo", concepts=concepts,
+                               keys=keys)
+
+    ds = [d("b", ("u", "v", "w"), ("a", "b")), d("f", ("z",), ("a", "b", "cf"))]
+    ds += [d(f"p{k}", ("u", "z") if k in (4, 5) else ("u",), ("a", "b", f"c{k}"))
+           for k in range(1, 6)]
+    ds += [d("p6", ("v",), ("a", "b", "c6")), d("p7", ("w",), ("a", "b", "c7"))]
+    out = propose_pairs(build_index(ds), max_per_image=2, min_contrast=0.0)
+    assert [c.pair_id for c in out] == [
+        ("b", "p6"), ("b", "p7"), ("f", "p4"), ("f", "p5"), ("p1", "p2"), ("p1", "p3"),
+        ("p2", "p3"), ("p4", "p5")]
+    assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds), 2)
+
+
+def test_propose_pairs_memory_stays_linear_in_the_bucket():
+    # One 2,000-image bucket has 2.0 M pairs, nearly all above min_contrast.
+    # Holding them all in one list takes over 100 MB; the capped proposal
+    # buffers a few partners per image.
+    rng = random.Random(3)
+    vocab = [f"key{v}" for v in range(40)]
+    ds = [make_descriptor(f"i{k:04d}", "reef", "geo", keys=rng.sample(vocab, 3))
+          for k in range(2000)]
+    index = build_index(ds)
+    tracemalloc.start()
+    try:
+        out = propose_pairs(index, max_per_image=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    load: dict[str, int] = {}
+    for c in out:
+        load[c.left_id] = load.get(c.left_id, 0) + 1
+        load[c.right_id] = load.get(c.right_id, 0) + 1
+    assert max(load.values()) == 2
 
 
 def test_low_value_surface_info_never_influences_pairing():
