@@ -18,9 +18,12 @@ received are read back, and an OS crash loses at most about
 Each stage's quarantined items, with their error codes, are published as
 one file when the stage ends, so a rerun replaces the rows of the last one.
 Within ``run_all`` the stages share one ``Ingest``, so each shard is read
-and validated once, and an invalid line is quarantined once, under the
-stage that first reads its shard. A stage's missing input is an error, and
-no stage reads back what it publishes: it keeps what its items returned.
+once, and an invalid line is quarantined once, under the stage that first
+reads its shard. Each run and each lone stage reads its shards through
+their indexes under ``out_dir/.work/shards``, so a shard is decoded and
+validated once per content, not once per read (see ``corpus.ShardIndex``).
+A stage's missing input is an error, and no stage reads back what it
+publishes: it keeps what its items returned.
 """
 from __future__ import annotations
 
@@ -346,10 +349,15 @@ class Ingest:
     invalid line goes to the quarantine of the first stage that reads its
     shard, only there. Cached records, descriptors and pairs are shared by
     every stage that reads them and must not be mutated.
+
+    With a ``work_dir``, a shard is read through its index under
+    ``work_dir/shards`` (see ``corpus.ShardIndex``): across runs and
+    commands, each shard content is decoded and validated once.
     """
 
-    def __init__(self):
+    def __init__(self, work_dir: Path | None = None):
         self._files: dict[tuple[str, Path], tuple[tuple[int, int, int], object]] = {}
+        self._index_dir = None if work_dir is None else Path(work_dir) / "shards"
 
     def _cached(self, kind: str, path: Path, decode):
         # stat before decoding: a file replaced in between is stored under
@@ -374,8 +382,8 @@ class Ingest:
         """
         def decode(p):
             errors = []
-            records = tuple(corpus.read_shard(
-                p, on_error=lambda exc, lineno: errors.append((lineno, exc))))
+            records = corpus.read_indexed(
+                p, self._index_dir, lambda exc, lineno: errors.append((lineno, exc)))
             return _Shard(records, errors)
 
         entry = self._cached("shard", path, decode)
@@ -665,6 +673,11 @@ STAGES = (
 )
 
 
+def _ingest(config: PipelineConfig) -> Ingest:
+    """A run's reader, keeping its shard indexes beside the reply store."""
+    return Ingest(Path(config.out_dir) / ".work")
+
+
 @contextmanager
 def _stage_gateway(config: PipelineConfig, gateway: Gateway | None):
     """``gateway``, or one built from ``config`` and closed on exit, answering
@@ -688,8 +701,9 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     A model call answered before is read back from the reply store, which
     ``run_all`` opens once per run and a lone call opens for itself.
     ``ingest`` is the run's shared reader; without one the stage reads its
-    inputs through a fresh ``Ingest``. The stage's quarantine file is
-    published once its function has returned.
+    inputs through a fresh ``Ingest`` over the shard indexes in
+    ``out_dir/.work``. The stage's quarantine file is published once its
+    function has returned.
     """
     run = next((s.run for s in STAGES if s.name == stage), None)
     if run is None:
@@ -699,11 +713,12 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
         quarantine = Quarantine(Path(config.quarantine_dir), stage)
         before = gateway.stats.snapshot()
         n_in, n_out = run(config, gateway, quarantine,
-                          ingest if ingest is not None else Ingest())
+                          ingest if ingest is not None else _ingest(config))
         after = gateway.stats.snapshot()
     quarantine.publish()
     stats = {"stage": stage, "in": n_in, "out": n_out, "quarantined": len(quarantine.rows),
              "retried": after["retries"] - before["retries"],
+             "reasked": after["reasks"] - before["reasks"],
              "llm_calls": after["llm_calls"] - before["llm_calls"],
              "strict_failure": bool(strict and quarantine.rows)}
     logger.info("stage %s done: %s", stage, stats)
@@ -716,7 +731,8 @@ def run_all(config: PipelineConfig, strict: bool = False,
 
     A killed run resumes by running again: every stage is recomputed, and
     the model calls answered before are read back from the reply store. All
-    stages share one ``Ingest``, so each input file is read once. The
+    stages share one ``Ingest``, so each input file is read once, and a
+    shard validated by an earlier run is rebuilt from its index. The
     settings a later stage would reject are checked before the first stage
     runs, so a bad seed or mixture spec costs no model call.
     """
@@ -724,7 +740,7 @@ def run_all(config: PipelineConfig, strict: bool = False,
     _seed(config, "interleave grouping")
     _mixture_spec(config)
     all_stats = []
-    ingest = Ingest()
+    ingest = _ingest(config)
     with _stage_gateway(config, gateway) as gateway:
         for stage in STAGES:
             stats = run_stage(stage.name, config, gateway=gateway, strict=strict,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import tempfile
 import time
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kforge import corpus
 from kforge.corpus import (IMAGE_ARITY, KINDS, Record, dedupe_by_id,
                            estimate_tokens, read_shard, record_from_obj,
                            publish, record_to_json, validate_record, write_shard)
@@ -569,6 +571,164 @@ def test_read_shard_crlf_lines_read_as_lf(tmp_path):
     crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
     assert ([record_to_json(r) for r in read_shard(crlf)]
             == [record_to_json(r) for r in read_shard(lf)] == lines)
+
+
+# --- shard index ---------------------------------------------------------------
+
+def _fields(record: Record) -> tuple:
+    return (record.id, record.kind, record.image_uris, record.source, record._line,
+            record._tokens, record.payload, record.meta)
+
+
+def _read_through_index(path, index_dir) -> tuple[tuple, list[tuple]]:
+    errors = []
+    records = corpus.read_indexed(path, index_dir, lambda exc, n: errors.append(
+        (type(exc), str(exc), n)))
+    return records, errors
+
+
+def _counting_read_shard(monkeypatch) -> list[Path]:
+    calls = []
+    read = corpus.read_shard
+
+    def counting(path, *args, **kwargs):
+        calls.append(Path(path))
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "read_shard", counting)
+    return calls
+
+
+@st.composite
+def shard_lines(draw):
+    """One shard line's bytes, of a kind the index holds or leaves out."""
+    line = record_to_json(draw(records())).encode("utf-8")
+    kind = draw(st.sampled_from([
+        "record", "record", "record", "crlf", "bom", "spaces", "tab_crlf", "blank",
+        "space", "whitespace", "not_json", "not_record", "not_utf8", "surrogate"]))
+    return {
+        "record": line,
+        "crlf": line + b"\r",
+        "bom": b"\xef\xbb\xbf" + line,
+        "spaces": b"  " + line + b" ",
+        "tab_crlf": b"\t" + line + b"\t\r",
+        "blank": b"",
+        "space": b" ",
+        "whitespace": b" \t \r",
+        "not_json": b'{"id": "x", ',
+        "not_record": b'{"id": "x"}',
+        "not_utf8": line.replace(b'"source":"', b'"source":"\xff', 1),
+        "surrogate": line.replace(b'"source":"', b'"source":"\\ud800', 1),
+    }[kind]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(shard_lines(), min_size=1, max_size=12), st.booleans())
+def test_warm_read_equals_read_shard(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
+        path.write_bytes(data)
+        errors = []
+        want = list(read_shard(path, on_error=lambda exc, n: errors.append(
+            (type(exc), str(exc), n))))
+        cold = _read_through_index(path, index_dir)
+        warm_errors = []
+        warm = corpus.ShardIndex(path, index_dir).load(
+            lambda exc, n: warm_errors.append((type(exc), str(exc), n)))
+    assert warm is not None
+    for records, got_errors in (cold, (warm, warm_errors)):
+        assert [_fields(r) for r in records] == [_fields(r) for r in want]
+        assert got_errors == errors
+
+
+def test_warm_records_share_one_kind_and_source_string(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_shard(make_corpus(), path)
+    with open(path, "ab") as fh:
+        fh.write(b" " + record_to_json(make_corpus()[0]).replace('"c0-000"', '"c0-x"')
+                 .encode() + b"\n")
+    _read_through_index(path, tmp_path / "index")
+    warm, _ = _read_through_index(path, tmp_path / "index")
+    assert warm[-1].id == "c0-x" and warm[-1]._line.startswith("{")
+    for name in ("kind", "source"):
+        values = {getattr(r, name) for r in warm}
+        assert len({id(getattr(r, name)) for r in warm}) == len(values)
+
+
+def test_warm_read_calls_read_shard_only_for_changed_bytes(tmp_path, monkeypatch):
+    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    write_shard(make_corpus(), path)
+    calls = _counting_read_shard(monkeypatch)
+    first, _ = _read_through_index(path, index_dir)
+    second, _ = _read_through_index(path, index_dir)
+    assert len(calls) == 1
+    assert [_fields(r) for r in second] == [_fields(r) for r in first]
+    # the same bytes published again hit; one index file per shard
+    write_shard(first, path)
+    _read_through_index(path, index_dir)
+    assert len(calls) == 1
+    assert len(list(index_dir.iterdir())) == 1
+
+
+def test_same_size_rewrite_with_restored_mtime_misses_the_index(tmp_path, monkeypatch):
+    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    write_shard(make_corpus(), path)
+    calls = _counting_read_shard(monkeypatch)
+    _read_through_index(path, index_dir)
+    st_before = os.stat(path)
+    data = path.read_bytes()
+    with open(path, "r+b") as fh:  # in place: the inode stays
+        fh.write(data.replace(b"harbor", b"HARBOR"))
+    os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+    st_after = os.stat(path)
+    assert ((st_after.st_ino, st_after.st_size, st_after.st_mtime_ns)
+            == (st_before.st_ino, st_before.st_size, st_before.st_mtime_ns))
+    records, _ = _read_through_index(path, index_dir)
+    assert len(calls) == 2
+    assert [r._line for r in records] == [r._line for r in read_shard(path)]
+    assert any("HARBOR" in r._line for r in records)
+    assert len(list(index_dir.iterdir())) == 1
+
+
+def test_index_of_other_code_is_not_used(tmp_path, monkeypatch):
+    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    write_shard(make_corpus(), path)
+    calls = _counting_read_shard(monkeypatch)
+    _read_through_index(path, index_dir)
+    monkeypatch.setattr(corpus, "_code_digest", lambda: "0" * 64)
+    _read_through_index(path, index_dir)
+    assert len(calls) == 2
+    (index_file,) = index_dir.iterdir()
+    assert index_file.read_bytes().split(b"\n", 1)[0].split()[-3] == b"0" * 64
+    _read_through_index(path, index_dir)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip_body", "flip_header", "empty",
+                                    "no_header"])
+def test_damaged_index_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
+    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    write_shard(make_corpus(), path)
+    with open(path, "ab") as fh:
+        fh.write(b"{not json\n")
+    want = _read_through_index(path, index_dir)
+    (index_file,) = index_dir.iterdir()
+    good = index_file.read_bytes()
+    header_end = good.index(b"\n")
+    damaged = {
+        "truncate": good[:len(good) // 2],
+        "flip_body": good[:-3] + bytes([good[-3] ^ 0x40]) + good[-2:],
+        "flip_header": good[:header_end - 1] + b"0" + good[header_end:],
+        "empty": b"",
+        "no_header": good[header_end + 1:],
+    }[damage]
+    index_file.write_bytes(damaged)
+    calls = _counting_read_shard(monkeypatch)
+    got = _read_through_index(path, index_dir)
+    assert len(calls) == 1
+    assert ([_fields(r) for r in got[0]], got[1]) == ([_fields(r) for r in want[0]], want[1])
+    assert index_file.read_bytes() == good
 
 
 # --- dedupe -------------------------------------------------------------------

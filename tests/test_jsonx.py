@@ -4,7 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kforge import jsonx
 from kforge.errors import KforgeError, NoJsonFound
 from kforge.jsonx import JSON_LIST, JSON_OBJECT, extract_json, strip_code_fences
 
@@ -155,3 +158,53 @@ def test_random_bracket_text_matches_oracle(expected):
                 extract_json(raw, expected)
         else:
             assert extract_json(raw, expected) == want
+
+
+_HOSTILE_PIECES = list('[]{}"\\,:1x') + [" ", "\n", "\n```\n", "\n```json\n", "\n  ``` x\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_HOSTILE_PIECES), max_size=80).map("".join),
+       st.sampled_from([JSON_LIST, JSON_OBJECT]))
+def test_bracket_text_matches_oracle(raw, expected):
+    want = oracle_extract_json(raw, expected)
+    if want is None:
+        with pytest.raises(NoJsonFound):
+            extract_json(raw, expected)
+    else:
+        assert extract_json(raw, expected) == want
+
+
+class _CountingDecoder:
+    def __init__(self):
+        self.attempts = 0
+
+    def raw_decode(self, text, index):
+        self.attempts += 1
+        return json.JSONDecoder().raw_decode(text, index)
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("[" * 20000, "no JSON list in output; invalid JSON at offset 0: "
+                  "maximum recursion depth exceeded while decoding a JSON array "
+                  "from a unicode string"),
+    ('["' + "x[" * 16000, "no JSON list in output; invalid JSON at offset 0: "
+                          "Unterminated string starting at: line 1 column 2 (char 1)"),
+])
+def test_unclosed_brackets_are_decoded_once(monkeypatch, raw, message):
+    # no list can start after the last "]": only the first "[" is decoded,
+    # and its error is the one the message names
+    decoder = _CountingDecoder()
+    monkeypatch.setattr(jsonx, "_DECODER", decoder)
+    with pytest.raises(NoJsonFound) as err:
+        extract_json(raw, JSON_LIST)
+    assert str(err.value) == message
+    assert decoder.attempts == 1
+
+
+def test_decodes_stop_at_the_last_closing_bracket(monkeypatch):
+    decoder = _CountingDecoder()
+    monkeypatch.setattr(jsonx, "_DECODER", decoder)
+    with pytest.raises(NoJsonFound):
+        extract_json("{x {y} {z {w", JSON_OBJECT)
+    assert decoder.attempts == 2  # "{z" and "{w" open after the last "}"

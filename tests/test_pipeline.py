@@ -612,6 +612,70 @@ def test_ingest_keeps_lines_not_object_graphs(tmp_path):
     assert retained / len(records) < 760
 
 
+def test_ingest_keeps_lines_not_object_graphs_when_warm(tmp_path):
+    """Records rebuilt from a shard's index keep what a validated read keeps."""
+    path = tmp_path / "shard.jsonl"
+    write_shard(make_corpus(n_caption=1000, n_vqa=1000, n_text=1000, n_other=1000, seed=3),
+                path)
+    cold = pipeline.Ingest(tmp_path / ".work").shard(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = pipeline.Ingest(tmp_path / ".work").shard(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [(r.id, r._line, r._tokens) for r in records] == [
+        (r.id, r._line, r._tokens) for r in cold]
+    assert len(records) == 4000
+    assert retained / len(records) < 760
+
+
+def test_second_mix_over_unchanged_workspace_reads_no_shard(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("this is not json\n")
+    assert run_all(config)[0] == 0
+    run_stage("mix", config)
+    out, quarantine = _tree_bytes(config.out_dir), _tree_bytes(config.quarantine_dir)
+    assert quarantine["mix.jsonl"]
+    calls = []
+    read = corpus.read_shard
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "read_shard", counting)
+    stats = run_stage("mix", config)
+    assert calls == []
+    assert stats["quarantined"] == 1
+    assert _tree_bytes(config.out_dir) == out
+    assert _tree_bytes(config.quarantine_dir) == quarantine
+
+
+class _BadFirstReply(MockBackend):
+    """Breaks the contract of the first reply it gives, then answers as the mock."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request, prompt):
+        self.calls += 1
+        return "no JSON here" if self.calls == 1 else super().complete(request, prompt)
+
+
+def test_stage_stats_report_reasks(tmp_path):
+    config = make_workspace(tmp_path, corpus=make_corpus(n_caption=1, n_vqa=0, n_text=0,
+                                                         n_other=0))
+    gateway = Gateway(_BadFirstReply(), retry=RetryPolicy(backoff_base=0.001))
+    stats = run_stage("annotate", config, gateway=gateway)
+    assert (stats["reasked"], stats["llm_calls"], stats["retried"]) == (1, 2, 0)
+    assert (stats["in"], stats["out"], stats["quarantined"]) == (1, 1, 0)
+
+
 def test_ingest_quarantines_a_bad_line_once(tmp_path):
     path = tmp_path / "shard.jsonl"
     corpus.write_shard(make_corpus(n_caption=2, n_vqa=0, n_text=0, n_other=0), path)
