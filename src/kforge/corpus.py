@@ -12,11 +12,15 @@ fields stages select on (``id``, ``kind``, ``source``, ``image_uris``; one
 ``kind`` and ``source`` string per shard) and the token estimate made from
 the decoded line. ``payload`` and ``meta`` are decoded from the line
 whenever they are read and are not kept, so a pool costs about its lines.
+Validation also decides once whether a line is *plain*: exactly
+``record_to_json`` of its record, with ``meta`` ``{}``. ``stamped_line``
+writes a plain line with a stamp by splicing it in, without a decode.
 
 ``read_shard`` is the only validator. ``read_indexed`` reads a shard
-through its ``ShardIndex``, which keeps those fields for one exact content
-of the shard under this module's code, so a shard read again unchanged is
-rebuilt from its index and its raw lines, without a decode or a check.
+through its ``ShardIndex``, which keeps those fields and the plain bit for
+one exact content of the shard under this module's code, so a shard read
+again unchanged is rebuilt from its index and its raw lines, without a
+decode or a check.
 """
 from __future__ import annotations
 
@@ -93,6 +97,8 @@ class Record:
 
     A record read by ``read_shard`` keeps its validated line and leaves
     ``payload`` and ``meta`` unset; reading either decodes it from the line.
+    Its line is plain when it is ``record_to_json`` of the record followed
+    by ``\n`` and ``meta`` is ``{}``.
     """
 
     id: str
@@ -104,6 +110,7 @@ class Record:
     _line: str | None = field(default=None, init=False, repr=False, compare=False)
     # estimate_tokens' estimate: made at ingest, or kept by its first call
     _tokens: int | None = field(default=None, init=False, repr=False, compare=False)
+    _plain: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __getattr__(self, name: str):
         # only an unset slot gets here: the payload or meta of a read record
@@ -239,6 +246,19 @@ def record_to_json(record: Record, stamp: dict[str, str] | None = None) -> str:
         "meta": dict(sorted(meta.items())) if meta else {}})
 
 
+def stamped_line(stamp: dict[str, str]) -> Callable[[Record], str]:
+    """The function ``record -> record_to_json(record, stamp) + "\\n"``. A
+    plain record's line gets the stamp, encoded once here, in place of its
+    empty ``meta``; any other record goes through ``record_to_json``."""
+    tail = json_line(dict(sorted(stamp.items()))) + "}\n"
+
+    def line(record: Record) -> str:
+        if record._plain:
+            return record._line[:-len("{}}\n")] + tail
+        return record_to_json(record, stamp) + "\n"
+    return line
+
+
 def json_line(obj) -> str:
     """Compact single-line JSON, the encoding of every JSONL line kforge writes."""
     return "".join(_iterencode(obj, 0))
@@ -324,6 +344,36 @@ def _decode_line(data: bytes, lineno: int) -> tuple[str, object, bool]:
         raise ParseError(lineno, str(exc)) from exc
 
 
+# the canonical line of a record whose meta is {}
+_PLAIN_TAIL = ',"meta":{}}\n'
+_PLAIN_LINE = ('{"id":"%s","kind":"%s","image_uris":[%s],"payload":{"%s":%s},"source":"%s"'
+               + _PLAIN_TAIL)
+
+
+def _is_plain(raw: str, rid: str, kind: str, uris: tuple, payload: dict, source: str) -> bool:
+    """Whether a validated line with no backslash is plain: ``raw`` is compared
+    with the canonical line rebuilt from its decoded fields. With no
+    backslash the line spells no escape, and the strict scanner admits no
+    control character, so no decoded string needs one: each is written as
+    it is, between quotes. A VQA item is written with its scope or
+    ``detail``, as ``record_to_json`` writes it."""
+    if not raw.endswith(_PLAIN_TAIL):
+        return False
+    key = PAYLOAD_KEY[kind]
+    body = payload[key]
+    if kind == KIND_VQA:
+        body = "[%s]" % ",".join([
+            '{"question":"%s","answer":"%s","scope":"%s"}'
+            % (item["question"], item["answer"], item.get("scope", SCOPE_DETAIL))
+            for item in body])
+    elif kind == KIND_OTHER:
+        body = json_line(body)
+    else:
+        body = '"%s"' % body
+    return raw == _PLAIN_LINE % (rid, kind, ",".join(['"%s"' % uri for uri in uris]), key, body,
+                                 source)
+
+
 def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> tuple[Record | None, bool]:
     """The record of one shard line (None for a blank one) and whether the
     scanner took the line whole; raises ``ParseError``/``ValidationError``."""
@@ -333,12 +383,14 @@ def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> tuple[Rec
     rid, kind, uris, payload, source, _ = _checked(obj, lineno)
     # only an escape can spell a lone surrogate; the one-character
     # search first, since it is many times cheaper per line
-    if "\\" in raw and "\\u" in raw:
+    escaped = "\\" in raw
+    if escaped and "\\u" in raw:
         _check_utf8(obj, lineno)
     record = object.__new__(Record)  # payload and meta stay unset
     record.id, record.kind, record.image_uris, record.source = (
         rid, shared.setdefault(kind, kind), uris, shared.setdefault(source, source))
     record._line, record._tokens = raw, _estimate(kind, payload, len(uris))
+    record._plain = not escaped and _is_plain(raw, rid, kind, uris, payload, source)
     return record, whole
 
 
@@ -394,9 +446,9 @@ class ShardIndex:
     path, so each shard has one, replaced whenever the shard is validated
     again. Its header line holds the SHA-256 of this module's source, of the
     shard's bytes and of the marshalled body. The body holds one list per
-    field (id, kind, source, image URIs, token estimate) of the lines the
-    JSON scanner took whole and that validated, in file order, and the
-    numbers of the other lines: blank, invalid, or decided by
+    field (id, kind, source, image URIs, token estimate, plain bit) of the
+    lines the JSON scanner took whole and that validated, in file order, and
+    the numbers of the other lines: blank, invalid, or decided by
     ``json.loads``. Those are decided again on every read by
     ``read_shard``'s per-line code, so their errors and text always come
     from the running code.
@@ -425,7 +477,8 @@ class ShardIndex:
         records = self.records
         body = marshal.dumps((self.others, [r.id for r in records],
                               [r.kind for r in records], [r.source for r in records],
-                              [r.image_uris for r in records], [r._tokens for r in records]))
+                              [r.image_uris for r in records], [r._tokens for r in records],
+                              [r._plain for r in records]))
         header = (f"{_INDEX_FORMAT} {_code_digest()} {self.digest} "
                   f"{hashlib.sha256(body).hexdigest()}\n")
         with contextlib.suppress(OSError):
@@ -445,7 +498,7 @@ class ShardIndex:
                 return None
             others, *columns = marshal.loads(body)
             skip = set(others)
-            if len(columns) != 5 or len({len(c) for c in columns}) != 1:
+            if len(columns) != 6 or len({len(c) for c in columns}) != 1:
                 return None
             fields = zip(*columns)
         except (OSError, ValueError, TypeError, EOFError):
@@ -466,7 +519,7 @@ class ShardIndex:
                     else:
                         record = object.__new__(Record)
                         (record.id, record.kind, record.source, record.image_uris,
-                         record._tokens) = next(fields)
+                         record._tokens, record._plain) = next(fields)
                         record._line = data.decode("utf-8")
                     records.append(record)
         except (OSError, StopIteration, UnicodeDecodeError):

@@ -152,3 +152,9 @@ class PoolRecordMissing(KforgeError):
 
 class ConfigInvalid(KforgeError):
     code = "config_invalid"
+
+
+class WorkspaceBusy(KforgeError):
+    """Another process holds the lock of the output directory."""
+
+    code = "workspace_busy"

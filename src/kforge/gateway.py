@@ -418,13 +418,17 @@ class ReplyStore:
     The first lookup opens the file and indexes it as key -> offset and
     length, cut at its first torn or undecodable line; a hit is read back
     with ``os.pread``, so memory grows with the number of replies, not with
-    their text. Nothing is removed: deleting the file forces fresh calls."""
+    their text. A line read back must begin with the key looked up: one
+    that does not (the log was changed by another writer) is a miss, logged
+    once, and never another key's reply. Nothing is removed: deleting the
+    file forces fresh calls."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._fh = None
         self._index: dict[bytes, int] = {}  # key -> offset << 32 | line length
-        self._end, self._synced_at = 0, 0.0
+        self._synced_at = 0.0
+        self._foreign_logged = False
         self._lock = threading.Lock()
 
     def __enter__(self) -> ReplyStore:
@@ -441,6 +445,7 @@ class ReplyStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a+b")
             self._fh.seek(0)
+            end = 0
             for raw in self._fh:
                 try:
                     if not raw.endswith(b"\n") or raw[64:65] != b" ":
@@ -449,39 +454,55 @@ class ReplyStore:
                     json.loads(raw[65:])
                 except ValueError:
                     break
-                self._index[key] = self._end << 32 | len(raw)
-                self._end += len(raw)
-            self._fh.truncate(self._end)
+                self._index[key] = end << 32 | len(raw)
+                end += len(raw)
+            self._fh.truncate(end)
             self._synced_at = time.monotonic()
         return self._fh
+
+    def _stored(self, key: bytes) -> bytes | None:
+        """The reply JSON stored under ``key``, or None; an entry whose line
+        begins with another key is dropped. Hold the lock."""
+        fh = self._file()
+        entry = self._index.get(key)
+        if entry is None:
+            return None
+        raw = os.pread(fh.fileno(), entry & 0xFFFFFFFF, entry >> 32)
+        if raw[:65] != key.hex().encode("ascii") + b" ":
+            del self._index[key]
+            if not self._foreign_logged:
+                self._foreign_logged = True
+                logger.warning("reply store %s: a line holds another key than its index "
+                               "entry; the log was changed by another writer, so such "
+                               "lookups are misses", self.path)
+            return None
+        return raw[65:]
 
     def get(self, key: bytes):
         """The reply stored under ``key``, or None."""
         with self._lock:
-            fh = self._file()
-            entry = self._index.get(key)
-            if entry is None:
-                return None
-            raw = os.pread(fh.fileno(), entry & 0xFFFFFFFF, entry >> 32)
-        return json.loads(raw[65:])
+            raw = self._stored(key)
+        return None if raw is None else json.loads(raw)
 
     def put(self, key: bytes, reply: str) -> str:
         """Store ``reply`` under ``key`` and return it; when the same request
-        was answered meanwhile, the reply stored first is kept and returned."""
+        was answered meanwhile, the reply stored first is kept and returned.
+        A line's offset is the file's end after its append, so lines that
+        other writers appended before it do not shift it."""
         line = f"{key.hex()} {json.dumps(reply)}\n".encode("ascii")
         with self._lock:
-            fh = self._file()
-            if key not in self._index:
+            raw = self._stored(key)
+            if raw is None:
+                fh = self._fh
                 fh.write(line)
                 fh.flush()
-                self._index[key] = self._end << 32 | len(line)
-                self._end += len(line)
+                self._index[key] = (fh.tell() - len(line)) << 32 | len(line)
                 now = time.monotonic()
                 if now - self._synced_at >= SYNC_INTERVAL_S:
                     os.fsync(fh.fileno())
                     self._synced_at = now
                 return reply
-        return self.get(key)
+        return json.loads(raw)
 
 
 @dataclass

@@ -8,8 +8,10 @@ round-robin, without replacement. Each interleave draw equals
 ``random.choices`` over the sorted categories weighted by their remaining
 counts. Pool records arrive as validated lines with their token estimates
 (``corpus.read_shard``). Sampling returns each drawn record with its
-category, and ``publish_mixture`` decodes each once to write its line
-with the category and spec name stamped into ``meta``.
+category, and ``publish_mixture`` writes its line with the category and
+spec name stamped into ``meta``: a plain pool line (``corpus.Record``)
+takes the stamp, encoded once per category, in place of its empty
+``meta``; any other record is decoded once and re-encoded.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
-from kforge.corpus import Record, estimate_tokens, publish, record_to_json
+from kforge.corpus import Record, estimate_tokens, publish, stamped_line
 from kforge.errors import AllPoolsEmpty, PoolRecordMissing, SpecInvalid
 
 UNIT_SAMPLES = "samples"
@@ -318,9 +320,9 @@ def publish_mixture(out_dir: str | Path, plan: MixturePlan,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = plan.spec
-    publish(out_dir / "mixture.jsonl", (
-        record_to_json(r, {CATEGORY_META_KEY: category, SPEC_META_KEY: spec.name}) + "\n"
-        for category, r in sampled))
+    lines = {category: stamped_line({CATEGORY_META_KEY: category, SPEC_META_KEY: spec.name})
+             for category in {category for category, _ in sampled}}
+    publish(out_dir / "mixture.jsonl", (lines[category](r) for category, r in sampled))
     publish(out_dir / "mixture_plan.json", [json.dumps({
         "spec": spec.name, "unit": spec.unit, "budget": spec.budget,
         "targets": plan.targets, "achieved": plan.achieved,

@@ -23,14 +23,17 @@ reads its shard. Each run and each lone stage reads its shards through
 their indexes under ``out_dir/.work/shards``, so a shard is decoded and
 validated once per content, not once per read (see ``corpus.ShardIndex``).
 A stage's missing input is an error, and no stage reads back what it
-publishes: it keeps what its items returned.
+publishes: it keeps what its items returned. One process at a time runs
+stages over an ``out_dir``: each run holds ``out_dir/.work/lock``.
 """
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -42,7 +45,7 @@ from typing import Callable
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
                            dedupe_by_id, json_line, publish, record_to_json)
-from kforge.errors import ConfigInvalid, KforgeError, ValidationError
+from kforge.errors import ConfigInvalid, KforgeError, ValidationError, WorkspaceBusy
 from kforge.gateway import Gateway, HttpBackend, MockBackend, ReplyStore, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
 
@@ -340,15 +343,17 @@ class Ingest:
     """Run-scoped reader: every input file is decoded at most once per run.
 
     A decoded file is cached under its path with its identity (inode, size,
-    mtime in ns), which ``os.stat`` checks on every access. ``corpus.publish``
-    renames, so a republished file has a new identity and is read again;
-    nothing stale is served. A cached shard holds ``read_shard``'s records:
-    each keeps its validated line, id, kind, source, image URIs and token
-    estimate, and decodes its payload only for the stage that reads it, so
-    the cache grows with the shards' text, not with payload objects. Each
-    invalid line goes to the quarantine of the first stage that reads its
-    shard, only there. Cached records, descriptors and pairs are shared by
-    every stage that reads them and must not be mutated.
+    mtime and ctime in ns), which ``os.stat`` checks on every access.
+    ``corpus.publish`` renames, so a republished file has a new identity and
+    is read again, and a rewrite in place changes the ctime, which
+    ``os.utime`` cannot restore; nothing stale is served. A cached shard
+    holds ``read_shard``'s records: each keeps its validated line, id, kind,
+    source, image URIs, token estimate and plain bit, and decodes its
+    payload only for the stage that reads it, so the cache grows with the
+    shards' text, not with payload objects. Each invalid line goes to the
+    quarantine of the first stage that reads its shard, only there. Cached
+    records, descriptors and pairs are shared by every stage that reads
+    them and must not be mutated.
 
     With a ``work_dir``, a shard is read through its index under
     ``work_dir/shards`` (see ``corpus.ShardIndex``): across runs and
@@ -356,7 +361,7 @@ class Ingest:
     """
 
     def __init__(self, work_dir: Path | None = None):
-        self._files: dict[tuple[str, Path], tuple[tuple[int, int, int], object]] = {}
+        self._files: dict[tuple[str, Path], tuple[tuple[int, ...], object]] = {}
         self._index_dir = None if work_dir is None else Path(work_dir) / "shards"
 
     def _cached(self, kind: str, path: Path, decode):
@@ -366,7 +371,7 @@ class Ingest:
             st = os.stat(path)
         except OSError:
             return decode(path)  # let the decoder report the missing file
-        identity = (st.st_ino, st.st_size, st.st_mtime_ns)
+        identity = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
         hit = self._files.get((kind, path))
         if hit is not None and hit[0] == identity:
             return hit[1]
@@ -656,6 +661,8 @@ def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine
 class Stage:
     name: str
     run: Callable[[PipelineConfig, Gateway, Quarantine, Ingest], tuple[int, int]]
+    # raises for a setting the stage would reject; made before any stage runs
+    check: Callable[[PipelineConfig], object] | None = None
 
 
 # every stage, in run_all order; a command's help is its run function's docstring
@@ -665,10 +672,10 @@ STAGES = (
     Stage("filter", stage_filter),
     Stage("pair-caption", stage_pair_caption),
     Stage("caption", stage_caption),
-    Stage("interleave", stage_interleave),
+    Stage("interleave", stage_interleave, lambda config: _seed(config, "interleave grouping")),
     Stage("vqa-synth", stage_vqa_synth),
     Stage("kd-score", stage_kd_score),
-    Stage("mix", stage_mix),
+    Stage("mix", stage_mix, _mixture_spec),
     Stage("stats", stage_stats),
 )
 
@@ -676,6 +683,35 @@ STAGES = (
 def _ingest(config: PipelineConfig) -> Ingest:
     """A run's reader, keeping its shard indexes beside the reply store."""
     return Ingest(Path(config.out_dir) / ".work")
+
+
+_held = threading.local()  # the out_dir locks this thread holds
+
+
+@contextmanager
+def _one_writer(config: PipelineConfig):
+    """Hold ``out_dir/.work/lock`` for the call: an exclusive ``flock``,
+    taken without waiting, so a second process raises ``WorkspaceBusy``. A
+    stage run within ``run_all`` runs under ``run_all``'s hold. The kernel
+    drops the lock of a process that dies, so a killed run does not block
+    its resume."""
+    path = (Path(config.out_dir) / ".work" / "lock").absolute()
+    held = _held.__dict__.setdefault("paths", set())
+    if path in held:
+        yield
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "ab") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise WorkspaceBusy(f"{path} is locked: another kforge process is running "
+                                f"over {config.out_dir}") from None
+        held.add(path)
+        try:
+            yield
+        finally:
+            held.discard(path)
 
 
 @contextmanager
@@ -703,19 +739,23 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     ``ingest`` is the run's shared reader; without one the stage reads its
     inputs through a fresh ``Ingest`` over the shard indexes in
     ``out_dir/.work``. The stage's quarantine file is published once its
-    function has returned.
+    function has returned. The stage's settings check runs first; the
+    stage itself runs under the ``out_dir`` lock (``_one_writer``).
     """
-    run = next((s.run for s in STAGES if s.name == stage), None)
-    if run is None:
+    row = next((s for s in STAGES if s.name == stage), None)
+    if row is None:
         raise ConfigInvalid(f"unknown stage {stage!r}")
     validate_config(config)
-    with _stage_gateway(config, gateway) as gateway:
-        quarantine = Quarantine(Path(config.quarantine_dir), stage)
-        before = gateway.stats.snapshot()
-        n_in, n_out = run(config, gateway, quarantine,
-                          ingest if ingest is not None else _ingest(config))
-        after = gateway.stats.snapshot()
-    quarantine.publish()
+    if row.check is not None:
+        row.check(config)
+    with _one_writer(config):
+        with _stage_gateway(config, gateway) as gateway:
+            quarantine = Quarantine(Path(config.quarantine_dir), stage)
+            before = gateway.stats.snapshot()
+            n_in, n_out = row.run(config, gateway, quarantine,
+                                  ingest if ingest is not None else _ingest(config))
+            after = gateway.stats.snapshot()
+        quarantine.publish()
     stats = {"stage": stage, "in": n_in, "out": n_out, "quarantined": len(quarantine.rows),
              "retried": after["retries"] - before["retries"],
              "reasked": after["reasks"] - before["reasks"],
@@ -734,14 +774,16 @@ def run_all(config: PipelineConfig, strict: bool = False,
     stages share one ``Ingest``, so each input file is read once, and a
     shard validated by an earlier run is rebuilt from its index. The
     settings a later stage would reject are checked before the first stage
-    runs, so a bad seed or mixture spec costs no model call.
+    runs, so a bad seed or mixture spec costs no model call. The whole run
+    holds the ``out_dir`` lock (``_one_writer``).
     """
     validate_config(config)
-    _seed(config, "interleave grouping")
-    _mixture_spec(config)
+    for stage in STAGES:
+        if stage.check is not None:
+            stage.check(config)
     all_stats = []
     ingest = _ingest(config)
-    with _stage_gateway(config, gateway) as gateway:
+    with _one_writer(config), _stage_gateway(config, gateway) as gateway:
         for stage in STAGES:
             stats = run_stage(stage.name, config, gateway=gateway, strict=strict,
                               ingest=ingest)

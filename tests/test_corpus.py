@@ -731,6 +731,76 @@ def test_damaged_index_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
     assert index_file.read_bytes() == good
 
 
+# --- plain lines and the stamp splice ----------------------------------------------
+
+_STAMP = {"mixture_category": "c", "mixture_spec": "mix"}
+
+
+@st.composite
+def pool_lines(draw):
+    """(decoded object, line): the oracle's line of a drawn record, with its
+    ``meta`` or with none, or one of ``noncanonical_lines``."""
+    if draw(st.booleans()):
+        return draw(noncanonical_lines())
+    record = draw(records())
+    obj = {"id": record.id, "kind": record.kind, "image_uris": list(record.image_uris),
+           "payload": record.payload, "source": record.source,
+           "meta": draw(st.sampled_from([{}, record.meta]))}
+    return obj, oracle_record_json(obj)
+
+
+def _published(out_dir: Path, records) -> str:
+    spec = MixtureSpec("mix", {"c": 1.0}, "samples", len(records), 0, {"c": ("s",)})
+    publish_mixture(out_dir, MixturePlan(spec, {}, {}, {}), [("c", r) for r in records])
+    return (out_dir / "mixture.jsonl").read_text(encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pool_lines(), min_size=1, max_size=6))
+def test_stamped_lines_equal_the_oracle_cold_and_warm(drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
+        path.write_text("".join(line + "\n" for _, line in drawn), encoding="utf-8")
+        cold, _ = _read_through_index(path, index_dir)
+        warm = corpus.ShardIndex(path, index_dir).load(lambda exc, n: None)
+        assert warm is not None
+        published = [_published(Path(tmp) / name, records)
+                     for name, records in (("cold", cold), ("warm", warm))]
+    assert [r._plain for r in warm] == [r._plain for r in cold]
+    want = "".join(oracle_record_json(obj, _STAMP) + "\n" for obj, _ in drawn)
+    assert published == [want, want]
+
+
+_VQA_LINE = ('{"id":"v1","kind":"vqa","image_uris":["file:///v1.jpg"],"payload":{"qa":'
+             '[{"question":"What is shown?","answer":"A caf\u00e9","scope":"global"}]},'
+             '"source":"vqa0","meta":{}}')
+
+
+@pytest.mark.parametrize("data, plain", [
+    (_VQA_LINE + "\n", True),
+    ('{"id":"o1","kind":"other","image_uris":[],"payload":{"doc":{"n":1.5,"t":"x"}},'
+     '"source":"other","meta":{}}\n', True),
+    (_VQA_LINE.replace(',"scope":"global"', "") + "\n", False),
+    (_VQA_LINE.replace('"meta":{}', '"meta":{"b":"1","a":"2"}') + "\n", False),
+    (_VQA_LINE.replace('"meta":{}', '"meta":{"a":"1"}') + "\n", False),
+    (_VQA_LINE + "\r\n", False),
+    (_VQA_LINE, False),
+    (_VQA_LINE.replace("caf\u00e9", "caf\\u00e9") + "\n", False),
+    (_VQA_LINE.replace('{"id":"v1",', '{"id":"v1","id":"v1",') + "\n", False),
+    ('{"id":"o1","kind":"other","image_uris":[],"payload":{"doc":{"n":1e5}},'
+     '"source":"other","meta":{}}\n', False),
+], ids=["canonical", "other", "no-scope", "unsorted-meta", "meta", "crlf", "no-newline",
+        "escape", "duplicate-key", "other-exponent"])
+def test_only_a_canonical_line_with_empty_meta_is_plain(tmp_path, data, plain):
+    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    path.write_bytes(data.encode("utf-8"))
+    cold, _ = _read_through_index(path, index_dir)
+    warm = corpus.ShardIndex(path, index_dir).load(lambda exc, n: None)
+    assert [r._plain for r in cold] == [r._plain for r in warm] == [plain]
+    assert (corpus.stamped_line(_STAMP)(warm[0])
+            == oracle_record_json(json.loads(data), _STAMP) + "\n")
+
+
 # --- dedupe -------------------------------------------------------------------
 
 def _text_record(rid: str) -> Record:

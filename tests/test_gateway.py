@@ -4,6 +4,7 @@ import base64
 import contextlib
 import hashlib
 import json
+import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -378,6 +379,34 @@ def test_store_cuts_a_reply_torn_before_its_newline(tmp_path):
         store.put(second, "b again")
     with ReplyStore(path) as store:
         assert (store.get(first), store.get(second)) == ("a", "b again")
+
+
+def test_two_stores_on_one_log_never_return_another_keys_reply(tmp_path):
+    path = tmp_path / "replies.log"
+    k1, k2 = (hashlib.sha256(k).digest() for k in (b"one", b"two"))
+    with ReplyStore(path) as a, ReplyStore(path) as b:
+        assert a.get(k1) is None and b.get(k2) is None
+        a.put(k1, "reply for ONE")
+        b.put(k2, "reply for TWO")
+        assert b.get(k2) == "reply for TWO"
+        assert a.get(k1) == "reply for ONE"
+    with ReplyStore(path) as store:
+        assert (store.get(k1), store.get(k2)) == ("reply for ONE", "reply for TWO")
+
+
+def test_line_of_another_key_is_a_miss_logged_once(tmp_path, caplog):
+    path = tmp_path / "replies.log"
+    k1, k2, k3 = (hashlib.sha256(k).digest() for k in (b"one", b"two", b"three"))
+    with ReplyStore(path) as store:
+        store.put(k1, "reply 1")
+        store.put(k2, "reply 2")
+        # another writer rewrites the log in place: k3's lines at k1's and k2's offsets
+        path.write_bytes(f"{k3.hex()} {json.dumps('reply 3')}\n".encode("ascii") * 2)
+        with caplog.at_level(logging.WARNING, logger="kforge.gateway"):
+            assert (store.get(k1), store.get(k2), store.get(k1)) == (None, None, None)
+        assert [r.getMessage().count("another key") for r in caplog.records] == [1]
+        assert store.put(k1, "reply 1 again") == "reply 1 again"
+        assert store.get(k1) == "reply 1 again"
 
 
 def test_hits_are_not_calls_and_do_not_wait(tmp_path):

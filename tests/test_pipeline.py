@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -633,6 +634,47 @@ def test_ingest_keeps_lines_not_object_graphs_when_warm(tmp_path):
     assert retained / len(records) < 760
 
 
+def test_ingest_rereads_a_shard_rewritten_in_place_with_its_mtime_restored(tmp_path):
+    path = tmp_path / "shard.jsonl"
+    write_shard(make_corpus(), path)
+    ingest = pipeline.Ingest(tmp_path / ".work")
+    before = ingest.shard(path)
+    st = os.stat(path)
+    data = path.read_bytes()
+    time.sleep(0.02)  # past the file system's timestamp granularity
+    with open(path, "r+b") as fh:  # in place, at the same size: the inode stays
+        fh.write(data.replace(b"harbor", b"HARBOR"))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = ingest.shard(path)
+    assert not any("HARBOR" in r._line for r in before)
+    assert any("HARBOR" in r._line for r in after)
+    assert [r._line for r in after] == [r._line for r in read_shard(path)]
+
+
+def test_mix_writes_the_same_bytes_with_the_plain_bit_off(tmp_path, monkeypatch):
+    """A spliced line is the line ``record_to_json`` writes: a pool whose every
+    other line is not plain gives the mixture that no plain line gives."""
+    calls = []
+    write = corpus.record_to_json
+    monkeypatch.setattr(corpus, "record_to_json",
+                        lambda *args: calls.append(args) or write(*args))
+    trees, written = {}, {}
+    for name in ("plain", "forced_off"):
+        config = make_workspace(tmp_path, name)
+        shard = Path(config.in_dir) / "corpus.jsonl"
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        shard.write_text("".join((json.dumps(json.loads(line)) if i % 2 else line) + "\n"
+                                 for i, line in enumerate(lines)), encoding="utf-8")
+        if name == "forced_off":
+            monkeypatch.setattr(corpus, "_is_plain", lambda *args: False)
+        calls.clear()
+        assert run_stage("mix", config)["out"] == 20
+        trees[name] = _tree_bytes(Path(config.out_dir) / "mixture")
+        written[name] = len(calls)
+    assert trees["plain"] == trees["forced_off"]
+    assert 0 < written["plain"] < written["forced_off"] == 20
+
+
 def test_second_mix_over_unchanged_workspace_reads_no_shard(tmp_path, monkeypatch):
     config = make_workspace(tmp_path)
     with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
@@ -1088,6 +1130,36 @@ def _write_config(tmp_path: Path, config: PipelineConfig) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_config_doc(Path(config.in_dir).parent)), encoding="utf-8")
     return path
+
+
+# holds a lock file until its stdin closes
+_HOLD_LOCK = """
+import fcntl, sys
+with open(sys.argv[1], "ab") as fh:
+    fcntl.flock(fh, fcntl.LOCK_EX)
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_second_process_on_one_out_dir_exits_1_naming_the_lock(tmp_path):
+    config = make_workspace(tmp_path)
+    config_path = str(_write_config(tmp_path, config))
+    lock = Path(config.out_dir) / ".work" / "lock"
+    lock.parent.mkdir(parents=True)
+    holder = subprocess.Popen([sys.executable, "-c", _HOLD_LOCK, str(lock)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        for command in ("run-all", "annotate", "mix"):
+            result = CliRunner().invoke(cli_main, [command, "--config", config_path])
+            assert result.exit_code == 1
+            assert result.stderr.startswith("error: ")
+            assert str(lock) in result.stderr
+    finally:
+        holder.communicate("", timeout=60)
+    assert sorted(p.name for p in Path(config.out_dir).rglob("*")) == [".work", "lock"]
+    assert run_all(config)[0] == 0
 
 
 def test_cli_annotate_emits_stats(tmp_path):
