@@ -531,7 +531,7 @@ class ShardIndex:
         return tuple(records)
 
 
-def read_indexed(path: str | Path, index_dir: Path | None,
+def read_indexed(path: str | Path, index_dir: Path,
                  on_error: Callable[[Exception, int], None]) -> tuple[Record, ...]:
     """``read_shard``'s records of one shard, through its index in ``index_dir``.
 
@@ -539,11 +539,8 @@ def read_indexed(path: str | Path, index_dir: Path | None,
     without decoding or checking the lines it holds. Any other index is
     ignored: ``read_shard`` reads the shard, and its index replaces the old
     one. The lines an index leaves out are decided again, so ``on_error``
-    hears of every invalid line on every read, in line order. Without
-    ``index_dir`` this is ``read_shard`` alone.
+    hears of every invalid line on every read, in line order.
     """
-    if index_dir is None:
-        return tuple(read_shard(path, on_error))
     index = ShardIndex(path, index_dir)
     records = index.load(on_error)
     if records is None:

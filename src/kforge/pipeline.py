@@ -17,14 +17,16 @@ received are read back, and an OS crash loses at most about
 
 Each stage's quarantined items, with their error codes, are published as
 one file when the stage ends, so a rerun replaces the rows of the last one.
-Within ``run_all`` the stages share one ``Ingest``, so each shard is read
-once, and an invalid line is quarantined once, under the stage that first
-reads its shard. Each run and each lone stage reads its shards through
-their indexes under ``out_dir/.work/shards``, so a shard is decoded and
-validated once per content, not once per read (see ``corpus.ShardIndex``).
 A stage's missing input is an error, and no stage reads back what it
-publishes: it keeps what its items returned. One process at a time runs
-stages over an ``out_dir``: each run holds ``out_dir/.work/lock``.
+publishes: it keeps what its items returned.
+
+``run_all`` and a lone ``run_stage`` each open one run (``_run``). It
+checks the settings its stages would reject, takes ``out_dir/.work/lock``,
+attaches the reply store to the gateway and creates the one ``Ingest``
+that all its stages share, over the shard indexes in ``.work/shards``. So
+a shard is decoded and validated once per content (see
+``corpus.ShardIndex``), and an invalid line is quarantined once per run,
+under the stage that first reads its shard.
 """
 from __future__ import annotations
 
@@ -334,9 +336,7 @@ class Quarantine:
 # --- shared stage plumbing ----------------------------------------------------
 
 def _out(config: PipelineConfig, name: str) -> Path:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+    return Path(config.out_dir) / name
 
 
 class Ingest:
@@ -355,14 +355,15 @@ class Ingest:
     records, descriptors and pairs are shared by every stage that reads
     them and must not be mutated.
 
-    With a ``work_dir``, a shard is read through its index under
-    ``work_dir/shards`` (see ``corpus.ShardIndex``): across runs and
-    commands, each shard content is decoded and validated once.
+    A shard is read through its index under ``work_dir/shards`` (see
+    ``corpus.ShardIndex``): across runs and commands, each shard content is
+    decoded and validated once. A run creates one reader over
+    ``out_dir/.work``, which all its stages share.
     """
 
-    def __init__(self, work_dir: Path | None = None):
+    def __init__(self, work_dir: Path):
         self._files: dict[tuple[str, Path], tuple[tuple[int, ...], object]] = {}
-        self._index_dir = None if work_dir is None else Path(work_dir) / "shards"
+        self._index_dir = Path(work_dir) / "shards"
 
     def _cached(self, kind: str, path: Path, decode):
         # stat before decoding: a file replaced in between is stored under
@@ -680,81 +681,66 @@ STAGES = (
 )
 
 
-def _ingest(config: PipelineConfig) -> Ingest:
-    """A run's reader, keeping its shard indexes beside the reply store."""
-    return Ingest(Path(config.out_dir) / ".work")
-
-
-_held = threading.local()  # the out_dir locks this thread holds
+_runs = threading.local()  # the run this thread is in: (.work path, gateway, reader)
 
 
 @contextmanager
-def _one_writer(config: PipelineConfig):
-    """Hold ``out_dir/.work/lock`` for the call: an exclusive ``flock``,
-    taken without waiting, so a second process raises ``WorkspaceBusy``. A
-    stage run within ``run_all`` runs under ``run_all``'s hold. The kernel
-    drops the lock of a process that dies, so a killed run does not block
-    its resume."""
-    path = (Path(config.out_dir) / ".work" / "lock").absolute()
-    held = _held.__dict__.setdefault("paths", set())
-    if path in held:
-        yield
+def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, ...]):
+    """The run over ``out_dir/.work``; yields its gateway and its ``Ingest``.
+
+    The outermost entry checks the settings, with ``validate_config`` and
+    each of ``stages``' ``check``. It then takes ``.work/lock``, an
+    exclusive ``flock`` taken without waiting, so a second process raises
+    ``WorkspaceBusy``; the kernel drops a dead process's lock. It attaches
+    ``.work/replies.log``, which resume reads, as the store of ``gateway``
+    (or of one built from ``config``), and creates the reader. On exit the
+    gateway gets its previous store back. An entry within this thread's run
+    over the same ``.work``, as each stage of ``run_all``, reuses that run."""
+    work = (Path(config.out_dir) / ".work").absolute()
+    outer = getattr(_runs, "current", None)
+    if outer is not None and outer[0] == work:
+        yield outer[1:]
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "ab") as fh:
+    validate_config(config)
+    for stage in stages:
+        if stage.check is not None:
+            stage.check(config)
+    work.mkdir(parents=True, exist_ok=True)
+    with open(work / "lock", "ab") as lock:
         try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise WorkspaceBusy(f"{path} is locked: another kforge process is running "
-                                f"over {config.out_dir}") from None
-        held.add(path)
-        try:
-            yield
-        finally:
-            held.discard(path)
-
-
-@contextmanager
-def _stage_gateway(config: PipelineConfig, gateway: Gateway | None):
-    """``gateway``, or one built from ``config`` and closed on exit, answering
-    from the reply store under ``out_dir/.work``; a gateway that has a store
-    already, as within ``run_all``, keeps it."""
-    with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
-        if gateway.store is not None:
-            yield gateway
-            return
-        with ReplyStore(Path(config.out_dir) / ".work" / "replies.log") as gateway.store:
-            try:
-                yield gateway
-            finally:
-                gateway.store = None
+            raise WorkspaceBusy(f"{work / 'lock'} is locked: another kforge process is "
+                                f"running over {config.out_dir}") from None
+        with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
+            store = gateway.store
+            with ReplyStore(work / "replies.log") as gateway.store:
+                _runs.current = (work, gateway, Ingest(work))
+                try:
+                    yield _runs.current[1:]
+                finally:
+                    gateway.store, _runs.current = store, outer
 
 
 def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None,
-              strict: bool = False, ingest: Ingest | None = None) -> dict:
+              strict: bool = False) -> dict:
     """Run one stage from its current inputs; returns the stats document.
 
-    A model call answered before is read back from the reply store, which
-    ``run_all`` opens once per run and a lone call opens for itself.
-    ``ingest`` is the run's shared reader; without one the stage reads its
-    inputs through a fresh ``Ingest`` over the shard indexes in
-    ``out_dir/.work``. The stage's quarantine file is published once its
-    function has returned. The stage's settings check runs first; the
-    stage itself runs under the ``out_dir`` lock (``_one_writer``).
+    A lone call is a run of its own (see ``_run``): the stage's settings
+    check, the ``out_dir`` lock, the reply store ``out_dir/.work/replies.log``
+    on ``gateway`` and a reader over the shard indexes in ``out_dir/.work``.
+    Within ``run_all`` the stage runs in ``run_all``'s run, with its
+    gateway and reader. The stage's quarantine file is published once its
+    function has returned.
     """
     row = next((s for s in STAGES if s.name == stage), None)
     if row is None:
         raise ConfigInvalid(f"unknown stage {stage!r}")
-    validate_config(config)
-    if row.check is not None:
-        row.check(config)
-    with _one_writer(config):
-        with _stage_gateway(config, gateway) as gateway:
-            quarantine = Quarantine(Path(config.quarantine_dir), stage)
-            before = gateway.stats.snapshot()
-            n_in, n_out = row.run(config, gateway, quarantine,
-                                  ingest if ingest is not None else _ingest(config))
-            after = gateway.stats.snapshot()
+    with _run(config, gateway, (row,)) as (gateway, ingest):
+        quarantine = Quarantine(Path(config.quarantine_dir), stage)
+        before = gateway.stats.snapshot()
+        n_in, n_out = row.run(config, gateway, quarantine, ingest)
+        after = gateway.stats.snapshot()
         quarantine.publish()
     stats = {"stage": stage, "in": n_in, "out": n_out, "quarantined": len(quarantine.rows),
              "retried": after["retries"] - before["retries"],
@@ -769,24 +755,19 @@ def run_all(config: PipelineConfig, strict: bool = False,
             gateway: Gateway | None = None) -> tuple[int, list[dict]]:
     """Run every stage in order from the current inputs and settings.
 
-    A killed run resumes by running again: every stage is recomputed, and
-    the model calls answered before are read back from the reply store. All
-    stages share one ``Ingest``, so each input file is read once, and a
-    shard validated by an earlier run is rebuilt from its index. The
-    settings a later stage would reject are checked before the first stage
-    runs, so a bad seed or mixture spec costs no model call. The whole run
-    holds the ``out_dir`` lock (``_one_writer``).
+    The stages run in one run (see ``_run``): the settings every stage would
+    reject are checked before the first stage runs, so a bad seed or
+    mixture spec costs no model call; then the run holds the ``out_dir``
+    lock, the reply store and one ``Ingest``, so each input file is read
+    once, and a shard validated by an earlier run is rebuilt from its
+    index. Each stage goes through ``run_stage``. A killed run resumes by
+    running again: every stage is recomputed, and the model calls answered
+    before are read back from the reply store.
     """
-    validate_config(config)
-    for stage in STAGES:
-        if stage.check is not None:
-            stage.check(config)
     all_stats = []
-    ingest = _ingest(config)
-    with _one_writer(config), _stage_gateway(config, gateway) as gateway:
+    with _run(config, gateway, STAGES):
         for stage in STAGES:
-            stats = run_stage(stage.name, config, gateway=gateway, strict=strict,
-                              ingest=ingest)
+            stats = run_stage(stage.name, config, strict=strict)
             all_stats.append(stats)
             if stats["strict_failure"]:
                 return 1, all_stats

@@ -476,14 +476,20 @@ def test_seed_converts_like_an_integer_key():
     ((), "vqa-synth", "caption1.jsonl"),
 ], ids=["pair", "filter", "pair-caption", "caption", "interleave", "caption-after-pair",
         "pair-caption-after-pair", "interleave-after-pair", "vqa-synth"])
-def test_cli_lone_stage_without_its_input_exits_one(tmp_path, before, stage, missing):
+def test_cli_lone_stage_without_its_input_exits_one(tmp_path, monkeypatch, before, stage,
+                                                    missing):
     # the first five died with a FileNotFoundError traceback from corpus.read_jsonl
     config = make_workspace(tmp_path)
     config_path = _write_config(tmp_path, config)
     runner = CliRunner()
     for command in before:
         assert runner.invoke(cli_main, [command, "--config", str(config_path)]).exit_code == 0
+    calls = []
+    complete = MockBackend.complete
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, *args: calls.append(args) or complete(self, *args))
     result = runner.invoke(cli_main, [stage, "--config", str(config_path)])
+    assert calls == []  # it fails before any model call
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: cannot open {Path(config.out_dir) / missing}: ")
@@ -539,6 +545,35 @@ def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
         "interleaved.jsonl", "vqa1.jsonl"])
 
 
+def test_run_all_runs_each_stage_through_the_module_run_stage(tmp_path, monkeypatch):
+    """perfbench's per-stage spans wrap ``pipeline.run_stage`` as this test does."""
+    config = make_workspace(tmp_path)
+    stages = []
+    run = pipeline.run_stage
+
+    def wrapper(*args, **kwargs):
+        stages.append(args[0] if args else kwargs["stage"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_stage", wrapper)
+    assert run_all(config)[0] == 0
+    assert stages == [s.name for s in pipeline.STAGES]
+
+
+def test_stage_stores_replies_in_its_out_dir_whatever_store_the_gateway_holds(tmp_path):
+    """Resume reads ``out_dir/.work/replies.log``, so a run stores its replies
+    there, and then gives the gateway its own store back."""
+    config = make_workspace(tmp_path)
+    gateway = Gateway(MockBackend(), retry=RetryPolicy(backoff_base=0.001))
+    with ReplyStore(tmp_path / "other.log") as other:
+        gateway.store = other
+        assert run_stage("annotate", config, gateway=gateway)["llm_calls"] > 0
+        assert gateway.store is other
+    assert not (tmp_path / "other.log").exists()
+    assert (Path(config.out_dir) / ".work" / "replies.log").stat().st_size > 0
+    assert run_stage("annotate", config)["llm_calls"] == 0
+
+
 def test_run_all_parses_each_json_reply_once(tmp_path, monkeypatch):
     config = make_workspace(tmp_path)
     json_requests: list[str] = []
@@ -576,7 +611,7 @@ def test_ingest_rereads_republished_shard(tmp_path, monkeypatch):
         return read_shard(p, *args, **kwargs)
 
     monkeypatch.setattr(corpus, "read_shard", counting)
-    ingest = pipeline.Ingest()
+    ingest = pipeline.Ingest(tmp_path / ".work")
     first = ingest.shard(path)
     assert ingest.shard(path) is first and len(calls) == 1
     # same size and timestamps, new content: only the rename shows the change
@@ -603,7 +638,7 @@ def test_ingest_keeps_lines_not_object_graphs(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ingest = pipeline.Ingest()
+        ingest = pipeline.Ingest(tmp_path / ".work")
         records = ingest.shard(path)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -723,7 +758,7 @@ def test_ingest_quarantines_a_bad_line_once(tmp_path):
     corpus.write_shard(make_corpus(n_caption=2, n_vqa=0, n_text=0, n_other=0), path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
-    ingest = pipeline.Ingest()
+    ingest = pipeline.Ingest(tmp_path / ".work")
     with pytest.raises(ParseError):
         ingest.shard(path)  # no quarantine yet: the bad line raises
     first, second = (Quarantine(tmp_path / "q", name) for name in ("first", "second"))
@@ -1597,6 +1632,14 @@ def test_readme_config_table_matches_the_settings():
                                        flag.strip()).groups()
         assert ((command, option) if option else None) == (
             setting.flag and setting.flag[:2]), key
+
+
+def test_readme_stage_table_matches_the_stages():
+    """README's stage table names the stages of ``pipeline.STAGES`` in their order."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Pipeline"):readme.index("### Config")]
+    assert re.findall(r"^\| `([\w-]+)` +\|", section, flags=re.M) == [
+        s.name for s in pipeline.STAGES]
 
 
 def test_cli_pair_flag_overrides(tmp_path):
