@@ -5,16 +5,20 @@ fields ``id, kind, image_uris, payload, source, meta``. ``payload`` is an
 object whose single key names the body variant: ``caption``, ``qa``,
 ``text``, or ``doc``.
 
-``read_shard`` and ``read_jsonl`` decode each line once with the JSON
-scanner (``json.loads`` only for lines it does not consume whole, which
-keeps its error messages). A shard's ``Record`` keeps the checked line, the
-fields stages select on (``id``, ``kind``, ``source``, ``image_uris``; one
-``kind`` and ``source`` string per shard) and the token estimate made from
-the decoded line. ``payload`` and ``meta`` are decoded from the line
-whenever they are read and are not kept, so a pool costs about its lines.
-Validation also decides once whether a line is *plain*: exactly
-``record_to_json`` of its record, with ``meta`` ``{}``. ``stamped_line``
-writes a plain line with a stamp by splicing it in, without a decode.
+A shard line is *plain* when it is exactly ``record_to_json`` of its
+record, with ``meta`` ``{}``, and spells no escape. ``read_shard`` decides
+a plain line by one match against its kind's canonical layout, without a
+decode: the match captures the fields, the checks a pattern cannot make
+run on the captures, and the token estimate comes from the captured
+lengths. Every other line is decoded once with the JSON scanner
+(``json.loads`` only for lines it does not consume whole, which keeps its
+error messages) and checked; ``read_jsonl`` decodes each line the same
+way. A shard's ``Record`` keeps the checked line, the fields stages select
+on (``id``, ``kind``, ``source``, ``image_uris``; one ``kind`` and
+``source`` string per shard), the token estimate and the plain bit.
+``payload`` and ``meta`` are decoded from the line whenever they are read
+and are not kept, so a pool costs about its lines. ``stamped_line`` writes
+a plain line with a stamp by splicing it in, without a decode.
 
 ``read_shard`` is the only validator. ``read_indexed`` reads a shard
 through its ``ShardIndex``, which keeps those fields and the plain bit for
@@ -98,7 +102,8 @@ class Record:
     A record read by ``read_shard`` keeps its validated line and leaves
     ``payload`` and ``meta`` unset; reading either decodes it from the line.
     Its line is plain when it is ``record_to_json`` of the record followed
-    by ``\n`` and ``meta`` is ``{}``.
+    by ``\n``, with no escape, and ``meta`` is ``{}``: such a line is
+    matched against its kind's canonical layout, and never decoded at read.
     """
 
     id: str
@@ -141,8 +146,11 @@ def _text_units(kind: str, payload: dict) -> list[str]:
 
 
 def _estimate(kind: str, payload: dict, n_images: int) -> int:
-    return (math.ceil(sum(len(u) for u in _text_units(kind, payload)) / 4)
-            + n_images * DEFAULT_IMAGE_TOKENS)
+    return _token_estimate(sum(len(u) for u in _text_units(kind, payload)), n_images)
+
+
+def _token_estimate(chars: int, n_images: int) -> int:
+    return math.ceil(chars / 4) + n_images * DEFAULT_IMAGE_TOKENS
 
 
 def validate_record_id(value: str, line: int | None = None) -> None:
@@ -272,7 +280,7 @@ def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]
     with _open(path) as fh:
         for lineno, data in enumerate(fh, start=1):
             try:
-                raw, obj, _ = _decode_line(data, lineno)
+                raw, obj, _ = _decode_line(_utf8(data, lineno), lineno)
             except ParseError as exc:
                 raise ParseError(lineno, f"invalid JSON in {path}: {exc.cause}") from exc
             try:
@@ -320,16 +328,19 @@ def _open(path: str | Path):
         raise ShardIoError(f"cannot open {path}: {exc}") from exc
 
 
-def _decode_line(data: bytes, lineno: int) -> tuple[str, object, bool]:
-    """The text and the value of one JSONL line, ``("", None, False)`` for a
-    blank one, and whether the JSON scanner took the line whole.
-    ``json.loads`` decides a line the scanner does not consume whole (a BOM,
-    extra data, errors), with its own messages, and its text is stripped,
-    since ``Record._body`` scans a kept line from index 0."""
+def _utf8(data: bytes, lineno: int) -> str:
     try:
-        raw = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(lineno, f"not UTF-8: {exc}") from exc
+
+
+def _decode_line(raw: str, lineno: int) -> tuple[str, object, bool]:
+    """The kept text and the value of one decoded JSONL line, ``("", None,
+    False)`` for a blank one, and whether the JSON scanner took the line
+    whole. ``json.loads`` decides a line the scanner does not consume whole
+    (a BOM, extra data, errors), with its own messages, and its text is
+    stripped, since ``Record._body`` scans a kept line from index 0."""
     try:
         obj, end = _scan(raw, 0)
         if raw[end:] in ("", "\n", "\r\n"):
@@ -348,49 +359,89 @@ def _decode_line(data: bytes, lineno: int) -> tuple[str, object, bool]:
 _PLAIN_TAIL = ',"meta":{}}\n'
 _PLAIN_LINE = ('{"id":"%s","kind":"%s","image_uris":[%s],"payload":{"%s":%s},"source":"%s"'
                + _PLAIN_TAIL)
+# A plain line spells each string between quotes, with no escape and no
+# control character (the JSON scanner admits none unescaped), so the strings
+# of a line that matches its kind's layout are exactly its captured text.
+_CHARS = r'[^"\\\x00-\x1f]+'
+# a URI or a text, which is not only whitespace (``\s`` is ``str.isspace``)
+_TEXT = r'(?=\s*[^\s"])' + _CHARS
+_STRING = f'"{_TEXT}"'
+_QA_ITEM = r'\{"question":%s,"answer":%s,"scope":"(?:global|detail)"\}' % (_STRING, _STRING)
+# what a VQA item spells besides its question and answer, with the comma
+# after it; both scopes are six letters long
+_QA_LAYOUT = len('{"question":"","answer":"","scope":"global"},')
+# kind -> (its image URIs, its payload body with one capture group)
+_PLAIN_PARTS = {
+    KIND_CAPTION: (_STRING, f'"({_TEXT})"'),
+    KIND_VQA: (_STRING, rf"(\[{_QA_ITEM}(?:,{_QA_ITEM})*\])"),
+    KIND_PAIR_CAPTION: (f"{_STRING},{_STRING}", f'"({_TEXT})"'),
+    KIND_INTERLEAVED: (f"{_STRING},{_STRING},{_STRING}(?:,{_STRING})*", f'"({_TEXT})"'),
+    KIND_PURE_TEXT: ("", f'"({_TEXT})"'),
+    KIND_OTHER: (f"(?:{_STRING}(?:,{_STRING})*)?", r"(\{[^\\]*\})"),  # no escape, as above
+}
+# kind -> the layout of its plain lines; groups: id, URIs, body, source
+_PLAIN_PATTERNS = {
+    kind: re.compile(re.escape(_PLAIN_LINE) % (
+        "([A-Za-z0-9._~-]{1,128})", kind, f"({uris})", PAYLOAD_KEY[kind], body, f"({_CHARS})"))
+    for kind, (uris, body) in _PLAIN_PARTS.items()}
 
 
-def _is_plain(raw: str, rid: str, kind: str, uris: tuple, payload: dict, source: str) -> bool:
-    """Whether a validated line with no backslash is plain: ``raw`` is compared
-    with the canonical line rebuilt from its decoded fields. With no
-    backslash the line spells no escape, and the strict scanner admits no
-    control character, so no decoded string needs one: each is written as
-    it is, between quotes. A VQA item is written with its scope or
-    ``detail``, as ``record_to_json`` writes it."""
-    if not raw.endswith(_PLAIN_TAIL):
-        return False
-    key = PAYLOAD_KEY[kind]
-    body = payload[key]
-    if kind == KIND_VQA:
-        body = "[%s]" % ",".join([
-            '{"question":"%s","answer":"%s","scope":"%s"}'
-            % (item["question"], item["answer"], item.get("scope", SCOPE_DETAIL))
-            for item in body])
+def _match_plain(raw: str) -> tuple | None:
+    """(id, kind, image URIs, source, token estimate) of a plain line, or
+    None for any other line. A line is plain when it matches its kind's
+    layout and passes the checks a pattern cannot make; only an ``other``
+    line's doc is decoded."""
+    if not raw.endswith(_PLAIN_TAIL):  # a line with a meta fails here at once
+        return None
+    at = raw.find('"', 7) + 10  # past '","kind":"', where a canonical line spells its kind
+    kind = raw[at:raw.find('"', at)]
+    pattern = _PLAIN_PATTERNS.get(kind)
+    match = pattern and pattern.fullmatch(raw)
+    if not match:
+        return None
+    rid, uris, body, source = match.groups()
+    uris = tuple(uris[1:-1].split('","')) if uris else ()
+    if kind == KIND_VQA:  # no text spells a quote, so each '"scope"' is an item's
+        chars = len(body) - 1 - body.count('"scope"') * _QA_LAYOUT
     elif kind == KIND_OTHER:
-        body = json_line(body)
+        try:
+            doc, end = _scan(body, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        if end != len(body) or json_line(doc) != body:
+            return None
+        chars = len(body)  # the sorted encoding: the same characters, its keys reordered
+    elif kind == KIND_INTERLEAVED and any(marker_problems(body, len(uris))):
+        return None
     else:
-        body = '"%s"' % body
-    return raw == _PLAIN_LINE % (rid, kind, ",".join(['"%s"' % uri for uri in uris]), key, body,
-                                 source)
+        chars = len(body)
+    return rid, kind, uris, source, _token_estimate(chars, len(uris))
 
 
 def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> tuple[Record | None, bool]:
     """The record of one shard line (None for a blank one) and whether the
-    scanner took the line whole; raises ``ParseError``/``ValidationError``."""
-    raw, obj, whole = _decode_line(data, lineno)
-    if not raw:
-        return None, False
-    rid, kind, uris, payload, source, _ = _checked(obj, lineno)
-    # only an escape can spell a lone surrogate; the one-character
-    # search first, since it is many times cheaper per line
-    escaped = "\\" in raw
-    if escaped and "\\u" in raw:
-        _check_utf8(obj, lineno)
+    scanner took the line whole; raises ``ParseError``/``ValidationError``.
+    A plain line is matched; any other is decoded and checked, and is not
+    plain."""
+    raw = _utf8(data, lineno)
+    fields = _match_plain(raw)
+    if fields:
+        rid, kind, uris, source, tokens = fields
+        plain = whole = True
+    else:
+        raw, obj, whole = _decode_line(raw, lineno)
+        if not raw:
+            return None, False
+        rid, kind, uris, payload, source, _ = _checked(obj, lineno)
+        # only an escape can spell a lone surrogate; the one-character
+        # search first, since it is many times cheaper per line
+        if "\\" in raw and "\\u" in raw:
+            _check_utf8(obj, lineno)
+        tokens, plain = _estimate(kind, payload, len(uris)), False
     record = object.__new__(Record)  # payload and meta stay unset
     record.id, record.kind, record.image_uris, record.source = (
         rid, shared.setdefault(kind, kind), uris, shared.setdefault(source, source))
-    record._line, record._tokens = raw, _estimate(kind, payload, len(uris))
-    record._plain = not escaped and _is_plain(raw, rid, kind, uris, payload, source)
+    record._line, record._tokens, record._plain = raw, tokens, plain
     return record, whole
 
 
@@ -399,7 +450,9 @@ def read_shard(path: str | Path,
                index: ShardIndex | None = None) -> Iterator[Record]:
     """Yield records from one JSONL shard in file order.
 
-    Lines end at ``\\n`` (a ``\\r`` before it is whitespace). Invalid lines
+    Lines end at ``\\n`` (a ``\\r`` before it is whitespace). A plain line
+    is matched against its kind's canonical layout and not decoded; any
+    other is decoded and checked, with the same errors. Invalid lines
     raise ``ParseError``/``ValidationError`` carrying the 1-based line
     number; a line that is not UTF-8, or whose text holds an unpaired
     surrogate (an escape such as ``\\ud800``), is invalid. Passing
@@ -447,11 +500,11 @@ class ShardIndex:
     again. Its header line holds the SHA-256 of this module's source, of the
     shard's bytes and of the marshalled body. The body holds one list per
     field (id, kind, source, image URIs, token estimate, plain bit) of the
-    lines the JSON scanner took whole and that validated, in file order, and
-    the numbers of the other lines: blank, invalid, or decided by
-    ``json.loads``. Those are decided again on every read by
-    ``read_shard``'s per-line code, so their errors and text always come
-    from the running code.
+    lines matched as plain, or taken whole by the JSON scanner and
+    validated, in file order, and the numbers of the other lines: blank,
+    invalid, or decided by ``json.loads``. Those are decided again on every
+    read by ``read_shard``'s per-line code, so their errors and text always
+    come from the running code.
     """
 
     def __init__(self, shard: str | Path, index_dir: Path):

@@ -433,13 +433,18 @@ class _Shard:
 def _source_records(config: PipelineConfig, ingest: Ingest,
                     quarantine: Quarantine | None = None,
                     include_generated: bool = False) -> list[Record]:
-    """All records from the input shards (optionally plus generated shards)."""
+    """All records from the input shards (optionally plus the generated
+    shards that exist, with one warning for each one that does not)."""
     shard_paths = sorted(Path(config.in_dir).glob("*.jsonl"))
     if include_generated:
-        generated = ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl",
-                     "vqa1.jsonl")
-        shard_paths += [p for p in (Path(config.out_dir) / n for n in generated)
-                        if p.exists()]
+        for name in ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl",
+                     "vqa1.jsonl"):
+            path = Path(config.out_dir) / name
+            if path.exists():
+                shard_paths.append(path)
+            else:
+                logger.warning("generated shard %s not found; reading the shards that exist",
+                               path)
     return ingest.records(shard_paths, quarantine)
 
 

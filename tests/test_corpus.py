@@ -7,6 +7,7 @@ import random
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -799,6 +800,106 @@ def test_only_a_canonical_line_with_empty_meta_is_plain(tmp_path, data, plain):
     assert [r._plain for r in cold] == [r._plain for r in warm] == [plain]
     assert (corpus.stamped_line(_STAMP)(warm[0])
             == oracle_record_json(json.loads(data), _STAMP) + "\n")
+
+
+def _plain(kind: str, **changes) -> str:
+    """The oracle's line of a ``_BASE`` record with ``meta`` ``{}`` and ``changes``."""
+    return oracle_record_json(_obj(kind, meta={}, **changes))
+
+
+# canonical-looking lines that a match on the layout alone would take as plain
+_ADVERSARIAL_LINES = [
+    _plain("caption", payload={"caption": "\u3000"}),
+    _plain("caption", image_uris=["\xa0"]),
+    _plain("pair_caption", image_uris=["file:///a.jpg", " \u2003\u3000"]),
+    _plain("vqa", payload=_qa(answer="\xa0")),
+    _plain("caption", id="x" * 128),
+    _plain("caption", id="x" * 129),
+    _plain("caption", payload={"caption": "a\x1fb"}).replace("\\u001f", "\x1f"),
+    _plain("pure_text", payload={"text": "a\x7fb\u2028c"}),
+    _plain("interleaved", payload={"text": "see <Image_1> then <Image_3>"}),
+    _plain("interleaved", payload={"text": "<Image_1> <Image_2> <Image_2> <Image_3>"}),
+    _plain("vqa", payload=_qa(scope="other")),
+    _plain("vqa", payload=_qa(answer="")),
+    _plain("other", payload={"doc": {"t": 'say "hi"'}}),
+    _plain("other", payload={"doc": {"n": 1.5, "t": "x"}}),
+    _plain("other", payload={"doc": {"a": "1"}}).replace('{"a":"1"}', '{"a":"1","a":"1"}'),
+]
+
+
+@st.composite
+def differential_lines(draw):
+    """A canonical or non-canonical line of ``pool_lines``, or an adversarial one."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(_ADVERSARIAL_LINES))
+    return draw(pool_lines())[1]
+
+
+def _read_all(path) -> tuple[list[tuple], list[tuple]]:
+    errors = []
+    records = read_shard(path, on_error=lambda exc, n: errors.append(
+        (n, type(exc).__name__, str(exc))))
+    return [_read_fields(r) for r in records], errors
+
+
+def _read_fields(record: Record) -> tuple:
+    return (record.id, record.kind, record.image_uris, record.source, record._tokens,
+            record._line, record._plain)
+
+
+def _canonical_with_empty_meta(line: str) -> bool:
+    obj = json.loads(line)
+    return "\\" not in line and obj.get("meta") == {} and line == oracle_record_json(obj) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(differential_lines(), min_size=1, max_size=8))
+def test_matched_lines_read_as_the_general_path_reads_them(lines):
+    """The matcher changes no record and no error, only which lines skip the
+    decode; a line it takes is plain exactly when it is the oracle's line
+    with ``meta`` ``{}`` and no escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        matched, errors = _read_all(path)
+        with mock.patch.object(corpus, "_match_plain", lambda *args: None):
+            general, general_errors = _read_all(path)
+        cold, cold_errors = _read_through_index(path, index_dir)
+        warm_errors = []
+        warm = corpus.ShardIndex(path, index_dir).load(
+            lambda exc, n: warm_errors.append((type(exc), str(exc), n)))
+    assert errors == general_errors
+    assert [r[:-1] for r in matched] == [r[:-1] for r in general]
+    assert not any(r[-1] for r in general)
+    assert [r[-1] for r in matched] == [_canonical_with_empty_meta(r[-2]) for r in matched]
+    assert warm is not None and warm_errors == cold_errors
+    assert [_read_fields(r) for r in warm] == [_read_fields(r) for r in cold] == matched
+
+
+def test_plain_lines_are_matched_without_the_scanner(tmp_path, monkeypatch):
+    """No plain line is scanned: an ``other`` line's doc is decoded alone,
+    and any other plain line not at all. A line with a ``meta`` is scanned
+    whole, once. The token estimate of a matched line is the decoded one's."""
+    calls = []
+    scan = corpus._scan
+    monkeypatch.setattr(corpus, "_scan", lambda text, at: calls.append(text) or scan(text, at))
+    objs = [json.loads(record_to_json(r)) for r in make_corpus()]
+    objs += [_obj(kind, meta={}) for kind in _BASE]
+    # one VQA text length of each residue modulo 4, the divisor of the estimate
+    objs += [_obj("vqa", meta={}, payload=_qa(answer="x" * n)) for n in range(1, 5)]
+    path = tmp_path / "s.jsonl"
+    path.write_text("".join(oracle_record_json(obj) + "\n" for obj in objs), encoding="utf-8")
+    records = list(read_shard(path))
+    assert all(r._plain for r in records)
+    assert [r._tokens for r in records] == [
+        corpus._estimate(obj["kind"], obj["payload"], len(obj["image_uris"])) for obj in objs]
+    assert calls == [json.dumps(obj["payload"]["doc"], separators=(",", ":"))
+                     for obj in objs if obj["kind"] == "other"]
+    calls.clear()
+    lines = [oracle_record_json({**obj, "meta": {"k": "v"}}) + "\n" for obj in objs]
+    path.write_text("".join(lines), encoding="utf-8")
+    assert not any(r._plain for r in read_shard(path))
+    assert calls == lines
 
 
 # --- dedupe -------------------------------------------------------------------

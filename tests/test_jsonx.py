@@ -208,3 +208,20 @@ def test_decodes_stop_at_the_last_closing_bracket(monkeypatch):
     with pytest.raises(NoJsonFound):
         extract_json("{x {y} {z {w", JSON_OBJECT)
     assert decoder.attempts == 2  # "{z" and "{w" open after the last "}"
+
+
+def test_closed_opener_after_a_run_of_openers_is_decoded_second(monkeypatch):
+    # no "[" of the run but the last is closed: the first is decoded for
+    # its error, and then only the last
+    decoder = _CountingDecoder()
+    monkeypatch.setattr(jsonx, "_DECODER", decoder)
+    assert extract_json("[" * 20000 + "]", JSON_LIST) == []
+    assert decoder.attempts <= 2
+
+
+def test_a_stray_quote_does_not_hide_a_later_value():
+    # read from the text's start, "[1]" sits inside a string; read from its
+    # own "[", it is a list
+    assert extract_json('say "x [1]', JSON_LIST) == [1]
+    assert extract_json('a "b {"c": 1}', JSON_OBJECT) == {"c": 1}
+    assert extract_json('[x "\\" [2] " [3]', JSON_LIST) == [2]

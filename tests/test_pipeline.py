@@ -353,12 +353,31 @@ def test_kd_comparison_with_zero_mean_source_is_left_out(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="kforge.knowledge"):
         stats = run_stage("kd-score", config)
     assert stats["quarantined"] == 0
+    out = Path(config.out_dir)
     assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"generated shard {out / name} not found; reading the shards that exist"
+        for name in ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl",
+                     "vqa1.jsonl")] + [
         "kd.comparisons entry pure_text:stopwords dropped: mean kd of source stopwords is 0"]
     report = json.loads((Path(config.out_dir) / "kd_report.json").read_text(encoding="utf-8"))
     assert report["per_source"]["stopwords"]["mean_kd"] == 0
     assert [(row["source_a"], row["source_b"], row["mean_ratio"])
             for row in report["comparisons"]] == [("stopwords", "pure_text", 0.0)]
+
+
+def test_lone_stats_names_each_generated_shard_it_did_not_find(tmp_path, caplog):
+    config = make_workspace(tmp_path)
+    with caplog.at_level("WARNING", logger="kforge.pipeline"):
+        assert run_stage("stats", config)["out"] == 30
+    out = Path(config.out_dir)
+    assert [r.getMessage() for r in caplog.records if r.name == "kforge.pipeline"] == [
+        f"generated shard {out / name} not found; reading the shards that exist"
+        for name in ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl",
+                     "vqa1.jsonl")]
+    caplog.clear()
+    assert run_all(config)[0] == 0
+    run_stage("stats", config)
+    assert not [r for r in caplog.records if r.name == "kforge.pipeline"]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -701,7 +720,7 @@ def test_mix_writes_the_same_bytes_with_the_plain_bit_off(tmp_path, monkeypatch)
         shard.write_text("".join((json.dumps(json.loads(line)) if i % 2 else line) + "\n"
                                  for i, line in enumerate(lines)), encoding="utf-8")
         if name == "forced_off":
-            monkeypatch.setattr(corpus, "_is_plain", lambda *args: False)
+            monkeypatch.setattr(corpus, "_match_plain", lambda *args: False)
         calls.clear()
         assert run_stage("mix", config)["out"] == 20
         trees[name] = _tree_bytes(Path(config.out_dir) / "mixture")
