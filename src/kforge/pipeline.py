@@ -15,10 +15,11 @@ therefore resumes by running again, with any settings: the replies it had
 received are read back, and an OS crash loses at most about
 ``gateway.SYNC_INTERVAL_S`` of them and never a published file.
 
-Each stage's quarantined items, with their error codes, are published as
-one file when the stage ends, so a rerun replaces the rows of the last one.
-A stage's missing input is an error, and no stage reads back what it
-publishes: it keeps what its items returned.
+Each stage is a ``STAGES`` row that names the files under ``out_dir`` it
+reads and writes; ``run_stage`` hands the stage function their paths. A
+missing input is an error, and no stage reads back what it publishes. Each
+stage's quarantined items, with their error codes, are published as one
+file when the stage ends, so a rerun replaces the rows of the last one.
 
 ``run_all`` and a lone ``run_stage`` each open one run (``_run``). It
 checks the settings its stages would reject, takes ``out_dir/.work/lock``,
@@ -36,6 +37,7 @@ import logging
 import math
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -56,6 +58,8 @@ logger = logging.getLogger(__name__)
 ENV_ENDPOINT = "KF_LLM_ENDPOINT"
 ENV_API_KEY = "KF_LLM_API_KEY"
 ENV_MODEL = "KF_LLM_MODEL"
+# the generated shards that kd-score, mix and stats read if present, in this order
+GENERATED_SHARDS = ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl", "vqa1.jsonl")
 
 
 @dataclass
@@ -289,7 +293,9 @@ def validate_config(config: PipelineConfig, given: dict | None = None) -> Pipeli
             if head:  # a field of a frozen policy: replace the policy
                 value, name = replace(getattr(config, head), **{name: value}), head
             setattr(config, name, value)
-    if len({str(Path(p)) for p in (config.in_dir, config.out_dir, config.quarantine_dir)}) != 3:
+    # resolved: a relative and an absolute spelling, or a symlink and its target, are one
+    dirs = {Path(p).resolve() for p in (config.in_dir, config.out_dir, config.quarantine_dir)}
+    if len(dirs) != 3:
         raise ConfigInvalid("in_dir, out_dir, and quarantine_dir must be distinct")
     if config.backend_kind == "http" and not (config.endpoint and config.model):
         raise ConfigInvalid("http backend needs an endpoint and model "
@@ -335,10 +341,6 @@ class Quarantine:
 
 # --- shared stage plumbing ----------------------------------------------------
 
-def _out(config: PipelineConfig, name: str) -> Path:
-    return Path(config.out_dir) / name
-
-
 class Ingest:
     """Run-scoped reader: every input file is decoded at most once per run.
 
@@ -351,9 +353,8 @@ class Ingest:
     source, image URIs, token estimate and plain bit, and decodes its
     payload only for the stage that reads it, so the cache grows with the
     shards' text, not with payload objects. Each invalid line goes to the
-    quarantine of the first stage that reads its shard, only there. Cached
-    records, descriptors and pairs are shared by every stage that reads
-    them and must not be mutated.
+    quarantine of the first stage that reads its shard, only there. What is
+    cached is shared by every stage that reads it and must not be mutated.
 
     A shard is read through its index under ``work_dir/shards`` (see
     ``corpus.ShardIndex``): across runs and commands, each shard content is
@@ -362,10 +363,10 @@ class Ingest:
     """
 
     def __init__(self, work_dir: Path):
-        self._files: dict[tuple[str, Path], tuple[tuple[int, ...], object]] = {}
+        self._files: dict[tuple[object, Path], tuple[tuple[int, ...], object]] = {}
         self._index_dir = Path(work_dir) / "shards"
 
-    def _cached(self, kind: str, path: Path, decode):
+    def _cached(self, kind, path: Path, decode):
         # stat before decoding: a file replaced in between is stored under
         # its old identity, so the next access reads it again
         try:
@@ -396,8 +397,10 @@ class Ingest:
         if entry.errors and not entry.reported:
             if quarantine is None:
                 raise entry.errors[0][1]
+            # a name that is not UTF-8 decodes to surrogates, which a UTF-8 file cannot hold
+            name = os.fsencode(path.name).decode("utf-8", "backslashreplace")
             for lineno, exc in entry.errors:
-                quarantine.put(f"{path.name}:{lineno}", exc)
+                quarantine.put(f"{name}:{lineno}", exc)
             entry.reported = True
         return entry.records
 
@@ -411,16 +414,13 @@ class Ingest:
         return {r.id: r.image_uris[0] for r in _source_records(config, self, quarantine)
                 if len(r.image_uris) == 1}
 
-    def descriptors(self, config: PipelineConfig) -> tuple[annotation.SemanticDescriptor, ...]:
-        return self._cached("descriptors", _out(config, "descriptors.jsonl"),
-                            lambda p: tuple(annotation.read_descriptors(p)))
+    def published(self, path: Path, decode: Callable, *args) -> tuple:
+        """The values that ``decode(path, *args)`` yields, in file order."""
+        return self._cached((decode, *args), path, lambda p: tuple(decode(p, *args)))
 
-    def descriptor_map(self, config: PipelineConfig) -> dict[str, annotation.SemanticDescriptor]:
-        return {d.image_id: d for d in self.descriptors(config)}
-
-    def selected_pairs(self, config: PipelineConfig) -> tuple[pairing.PairCandidate, ...]:
-        return self._cached("pairs", _out(config, "pairs_selected.jsonl"),
-                            lambda p: tuple(pairing.read_candidates(p)))
+    def keep(self, paths) -> None:
+        """Drop every published file but those at ``paths``; shards stay cached."""
+        self._files = {k: v for k, v in self._files.items() if k[0] == "shard" or k[1] in paths}
 
 
 @dataclass
@@ -433,18 +433,14 @@ class _Shard:
 def _source_records(config: PipelineConfig, ingest: Ingest,
                     quarantine: Quarantine | None = None,
                     include_generated: bool = False) -> list[Record]:
-    """All records from the input shards (optionally plus the generated
-    shards that exist, with one warning for each one that does not)."""
+    """All records from the input shards (optionally plus the
+    ``GENERATED_SHARDS`` that exist, with one warning for each one that does not)."""
     shard_paths = sorted(Path(config.in_dir).glob("*.jsonl"))
-    if include_generated:
-        for name in ("caption1.jsonl", "pair_caption.jsonl", "interleaved.jsonl",
-                     "vqa1.jsonl"):
-            path = Path(config.out_dir) / name
-            if path.exists():
-                shard_paths.append(path)
-            else:
-                logger.warning("generated shard %s not found; reading the shards that exist",
-                               path)
+    for path in (Path(config.out_dir) / name for name in GENERATED_SHARDS if include_generated):
+        if path.exists():
+            shard_paths.append(path)
+        else:
+            logger.warning("generated shard %s not found; reading the shards that exist", path)
     return ingest.records(shard_paths, quarantine)
 
 
@@ -496,32 +492,37 @@ def _uri(uris: dict[str, str], image_id: str) -> str:
 
 # --- stages --------------------------------------------------------------------
 
+def _descriptors_by_image(ingest: Ingest, path: Path) -> dict[str, annotation.SemanticDescriptor]:
+    return {d.image_id: d for d in ingest.published(path, annotation.read_descriptors)}
+
+
 def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                   ingest: Ingest):
+                   ingest: Ingest, descriptors_out: Path):
     """Extract semantic descriptors for source images."""
     items = sorted(((r.id, (r.id, r.image_uris[0]))
                     for r in _source_records(config, ingest, quarantine)
                     if r.kind in (KIND_CAPTION, KIND_VQA)), key=lambda kv: kv[0])
     return _run_llm_lines(config, items, lambda p: annotation.descriptor_to_json(
-        annotation.annotate_image(*p, gateway)), _out(config, "descriptors.jsonl"), quarantine)
+        annotation.annotate_image(*p, gateway)), descriptors_out, quarantine)
 
 
 def stage_pair(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-               ingest: Ingest):
+               ingest: Ingest, descriptors_in: Path, candidates_out: Path):
     """Propose aligned, contrasting image pairs from descriptors."""
-    descriptors = ingest.descriptors(config)
+    descriptors = ingest.published(descriptors_in, annotation.read_descriptors)
     index = pairing.build_index(descriptors)
     candidates = pairing.propose_pairs(index, config.max_per_image, config.min_contrast)
-    pairing.write_candidates(candidates, _out(config, "pair_candidates.jsonl"))
+    pairing.write_candidates(candidates, candidates_out)
     return len(descriptors), len(candidates)
 
 
 def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                 ingest: Ingest):
+                 ingest: Ingest, descriptors_in: Path, candidates_in: Path,
+                 verdicts_out: Path, selected_out: Path):
     """Run the semantic filter over candidate pairs."""
-    descriptors = ingest.descriptor_map(config)
+    descriptors = _descriptors_by_image(ingest, descriptors_in)
     items = [(f"{c.left_id}~{c.right_id}", c)
-             for c in pairing.read_candidates(_out(config, "pair_candidates.jsonl"))]
+             for c in ingest.published(candidates_in, pairing.read_candidates)]
     uris = ingest.uris(config, quarantine)
 
     def process(candidate):
@@ -530,48 +531,43 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
             gateway, uris=(_uri(uris, candidate.left_id), _uri(uris, candidate.right_id)))
         return json_line(pairing.verdict_to_obj(verdict)), verdict
 
-    verdicts = _run_llm_items(config, items, process, _out(config, "pair_verdicts.jsonl"),
-                              quarantine)
+    verdicts = _run_llm_items(config, items, process, verdicts_out, quarantine)
     pairing.write_candidates(
-        pairing.select_pairs(sorted(verdicts, key=lambda v: v.candidate.pair_id)),
-        _out(config, "pairs_selected.jsonl"))
+        pairing.select_pairs(sorted(verdicts, key=lambda v: v.candidate.pair_id)), selected_out)
     return len(items), len(verdicts)
 
 
 def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                  ingest: Ingest):
+                  ingest: Ingest, descriptors_in: Path, selected_in: Path, captions_out: Path):
     """Generate captions for images left unpaired."""
-    descriptors = ingest.descriptor_map(config)
-    paired = {image_id for pair in ingest.selected_pairs(config)
+    descriptors = _descriptors_by_image(ingest, descriptors_in)
+    paired = {image_id for pair in ingest.published(selected_in, pairing.read_candidates)
               for image_id in pair.pair_id}
     uris = ingest.uris(config, quarantine)
     items = [(image_id, image_id) for image_id in sorted(descriptors) if image_id not in paired]
     return _run_llm_lines(config, items, lambda image_id: record_to_json(
         generation.generate_caption(image_id, _uri(uris, image_id), gateway)),
-        _out(config, "caption1.jsonl"), quarantine)
+        captions_out, quarantine)
 
 
 def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                       ingest: Ingest):
+                       ingest: Ingest, descriptors_in: Path, verdicts_in: Path,
+                       selected_in: Path, captions_out: Path):
     """Generate joint captions for selected pairs."""
-    descriptors = ingest.descriptor_map(config)
-    verdicts = {v.candidate.pair_id: v for v in corpus.read_jsonl(
-        _out(config, "pair_verdicts.jsonl"), pairing.verdict_from_obj)}
+    descriptors = _descriptors_by_image(ingest, descriptors_in)
+    verdicts = {v.candidate.pair_id: v for v in ingest.published(
+        verdicts_in, corpus.read_jsonl, pairing.verdict_from_obj)}
     uris = ingest.uris(config, quarantine)
-    selected = ingest.selected_pairs(config)
+    selected = ingest.published(selected_in, pairing.read_candidates)
     items = [(f"{c.left_id}~{c.right_id}", c) for c in selected]
 
     def process(candidate):
-        record = generation.generate_pair_caption(
-            candidate,
-            (_uri(uris, candidate.left_id), descriptors[candidate.left_id]),
+        return record_to_json(generation.generate_pair_caption(
+            candidate, (_uri(uris, candidate.left_id), descriptors[candidate.left_id]),
             (_uri(uris, candidate.right_id), descriptors[candidate.right_id]),
-            gateway,
-            verdict=verdicts.get(candidate.pair_id))
-        return record_to_json(record)
+            gateway, verdict=verdicts.get(candidate.pair_id)))
 
-    return _run_llm_lines(config, items, process,
-                          _out(config, "pair_caption.jsonl"), quarantine)
+    return _run_llm_lines(config, items, process, captions_out, quarantine)
 
 
 def _seed(config: PipelineConfig, what: str) -> int:
@@ -590,35 +586,34 @@ def _mixture_spec(config: PipelineConfig) -> mixture.MixtureSpec:
 
 
 def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                     ingest: Ingest):
+                     ingest: Ingest, descriptors_in: Path, selected_in: Path,
+                     interleaved_out: Path):
     """Generate multi-image interleaved descriptions."""
     seed = _seed(config, "interleave grouping")
-    descriptors = ingest.descriptor_map(config)
+    descriptors = _descriptors_by_image(ingest, descriptors_in)
     uris = ingest.uris(config, quarantine)
     groups = generation.group_for_interleave(
-        ingest.selected_pairs(config), descriptors,
+        ingest.published(selected_in, pairing.read_candidates), descriptors,
         min_size=config.interleave_min, max_size=config.interleave_max, seed=seed)
     items = [("g~" + "~".join(group), group) for group in groups]
     return _run_llm_lines(config, items, lambda group: record_to_json(
         generation.generate_interleaved(
             [GroupMember(i, _uri(uris, i), descriptors[i]) for i in group], gateway)),
-        _out(config, "interleaved.jsonl"), quarantine)
+        interleaved_out, quarantine)
 
 
 def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                    ingest: Ingest):
+                    ingest: Ingest, captions_in: Path, vqa_out: Path):
     """Reconstruct VQA supervision from generated captions."""
-    items = [(r.id, r) for r in ingest.shard(_out(config, "caption1.jsonl"))]
+    items = [(r.id, r) for r in ingest.shard(captions_in)]
     return _run_llm_lines(config, items, lambda r: record_to_json(
-        generation.synthesize_vqa(r, config.vqa_policy, gateway)), _out(config, "vqa1.jsonl"),
-        quarantine)
+        generation.synthesize_vqa(r, config.vqa_policy, gateway)), vqa_out, quarantine)
 
 
 def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                   ingest: Ingest):
+                   ingest: Ingest, profiles_out: Path, report_out: Path):
     """Score knowledge density over the corpus and write a report."""
-    records = [r for r in _source_records(config, ingest, quarantine,
-                                          include_generated=True)
+    records = [r for r in _source_records(config, ingest, quarantine, include_generated=True)
                if r.kind != KIND_OTHER]
     items = [(r.id, r) for r in records]
 
@@ -626,21 +621,18 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
         profile = knowledge.kd_score(record, gateway)
         return json_line(profile), knowledge.ProfileCounts.of(profile)
 
-    profiles = _run_llm_items(config, items, process, _out(config, "kd_profiles.jsonl"),
-                              quarantine)
+    profiles = _run_llm_items(config, items, process, profiles_out, quarantine)
     report = knowledge.build_report(profiles, {r.id: r.source for r in records},
                                     config.kd_comparisons, gateway.backend_id)
-    publish(_out(config, "kd_report.json"),
-            [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
+    publish(report_out, [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
     return len(items), len(profiles)
 
 
 def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-              ingest: Ingest):
+              ingest: Ingest, mix_dir: Path):
     """Plan, sample, and verify the configured training mixture."""
     spec = _mixture_spec(config)
     records = _source_records(config, ingest, quarantine, include_generated=True)
-    mix_dir = Path(config.out_dir) / "mixture"
     if not records:
         # empty corpus: publish empty outputs and report the failure via verify
         mixture.publish_mixture(mix_dir, mixture.MixturePlan(spec, {}, {}, {}), [])
@@ -650,39 +642,44 @@ def stage_mix(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
 
 
 def stage_stats(config: PipelineConfig, gateway: Gateway, quarantine: Quarantine,
-                ingest: Ingest):
+                ingest: Ingest, stats_out: Path):
     """Summarize corpus counts by source and kind."""
     records = _source_records(config, ingest, quarantine, include_generated=True)
-    by_source: dict[str, int] = {}
-    by_kind: dict[str, int] = {}
-    for r in records:
-        by_source[r.source] = by_source.get(r.source, 0) + 1
-        by_kind[r.kind] = by_kind.get(r.kind, 0) + 1
-    doc = {"records": len(records), "by_source": by_source, "by_kind": by_kind}
-    publish(_out(config, "corpus_stats.json"), [json.dumps(doc, sort_keys=True, indent=2)])
+    doc = {"records": len(records), "by_source": Counter(r.source for r in records),
+           "by_kind": Counter(r.kind for r in records)}
+    publish(stats_out, [json.dumps(doc, sort_keys=True, indent=2)])
     return len(records), len(records)
 
 
 @dataclass(frozen=True)
 class Stage:
+    """One stage: ``reads`` names the files under ``out_dir`` it needs and
+    ``writes`` those it publishes (``mixture`` is a directory). ``run_stage``
+    calls ``run(config, gateway, quarantine, ingest, *reads, *writes)`` with
+    their paths; ``check`` raises for a setting the stage would reject."""
     name: str
-    run: Callable[[PipelineConfig, Gateway, Quarantine, Ingest], tuple[int, int]]
-    # raises for a setting the stage would reject; made before any stage runs
+    run: Callable[..., tuple[int, int]]
+    reads: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
     check: Callable[[PipelineConfig], object] | None = None
 
 
 # every stage, in run_all order; a command's help is its run function's docstring
 STAGES = (
-    Stage("annotate", stage_annotate),
-    Stage("pair", stage_pair),
-    Stage("filter", stage_filter),
-    Stage("pair-caption", stage_pair_caption),
-    Stage("caption", stage_caption),
-    Stage("interleave", stage_interleave, lambda config: _seed(config, "interleave grouping")),
-    Stage("vqa-synth", stage_vqa_synth),
-    Stage("kd-score", stage_kd_score),
-    Stage("mix", stage_mix, _mixture_spec),
-    Stage("stats", stage_stats),
+    Stage("annotate", stage_annotate, (), ("descriptors.jsonl",)),
+    Stage("pair", stage_pair, ("descriptors.jsonl",), ("pair_candidates.jsonl",)),
+    Stage("filter", stage_filter, ("descriptors.jsonl", "pair_candidates.jsonl"),
+          ("pair_verdicts.jsonl", "pairs_selected.jsonl")),
+    Stage("pair-caption", stage_pair_caption, ("descriptors.jsonl", "pair_verdicts.jsonl",
+                                                "pairs_selected.jsonl"), ("pair_caption.jsonl",)),
+    Stage("caption", stage_caption, ("descriptors.jsonl", "pairs_selected.jsonl"),
+          ("caption1.jsonl",)),
+    Stage("interleave", stage_interleave, ("descriptors.jsonl", "pairs_selected.jsonl"),
+          ("interleaved.jsonl",), lambda config: _seed(config, "interleave grouping")),
+    Stage("vqa-synth", stage_vqa_synth, ("caption1.jsonl",), ("vqa1.jsonl",)),
+    Stage("kd-score", stage_kd_score, (), ("kd_profiles.jsonl", "kd_report.json")),
+    Stage("mix", stage_mix, (), ("mixture",), _mixture_spec),
+    Stage("stats", stage_stats, (), ("corpus_stats.json",)),
 )
 
 
@@ -744,7 +741,8 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
     with _run(config, gateway, (row,)) as (gateway, ingest):
         quarantine = Quarantine(Path(config.quarantine_dir), stage)
         before = gateway.stats.snapshot()
-        n_in, n_out = row.run(config, gateway, quarantine, ingest)
+        n_in, n_out = row.run(config, gateway, quarantine, ingest,
+                              *(Path(config.out_dir) / name for name in row.reads + row.writes))
         after = gateway.stats.snapshot()
         quarantine.publish()
     stats = {"stage": stage, "in": n_in, "out": n_out, "quarantined": len(quarantine.rows),
@@ -765,15 +763,17 @@ def run_all(config: PipelineConfig, strict: bool = False,
     mixture spec costs no model call; then the run holds the ``out_dir``
     lock, the reply store and one ``Ingest``, so each input file is read
     once, and a shard validated by an earlier run is rebuilt from its
-    index. Each stage goes through ``run_stage``. A killed run resumes by
-    running again: every stage is recomputed, and the model calls answered
-    before are read back from the reply store.
+    index. After each stage the reader drops the published files that no
+    later stage reads. Each stage goes through ``run_stage``. A killed run
+    resumes by running again: every stage is recomputed, and the model
+    calls answered before are read back from the reply store.
     """
     all_stats = []
-    with _run(config, gateway, STAGES):
-        for stage in STAGES:
+    with _run(config, gateway, STAGES) as (_, ingest):
+        for i, stage in enumerate(STAGES):
             stats = run_stage(stage.name, config, strict=strict)
             all_stats.append(stats)
             if stats["strict_failure"]:
                 return 1, all_stats
+            ingest.keep({Path(config.out_dir) / n for s in STAGES[i + 1:] for n in s.reads})
     return 0, all_stats

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -86,10 +87,19 @@ class KillerBackend(MockBackend):
 
 # --- config -----------------------------------------------------------------------
 
-def test_config_requires_distinct_paths(tmp_path):
-    with pytest.raises(ConfigInvalid):
-        config_from_obj({"io": {"in_dir": str(tmp_path), "out_dir": str(tmp_path),
-                                "quarantine_dir": str(tmp_path / "q")}})
+def test_config_requires_distinct_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "data", target_is_directory=True)
+    for in_dir, out_dir in [
+        (str(tmp_path), str(tmp_path)),
+        # one directory spelled absolute and relative: the stages read the
+        # generated files as input shards and quarantined 79 items
+        (str(tmp_path / "data"), "data"),
+        (str(tmp_path / "link"), str(tmp_path / "data")),  # a symlink and its target
+    ]:
+        with pytest.raises(ConfigInvalid, match="must be distinct"):
+            config_from_obj({"io": {"in_dir": in_dir, "out_dir": out_dir,
+                                    "quarantine_dir": str(tmp_path / "q")}})
 
 
 def test_http_backend_requires_endpoint(tmp_path, monkeypatch):
@@ -562,6 +572,28 @@ def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
         "corpus.jsonl", "descriptors.jsonl", "pair_candidates.jsonl",
         "pairs_selected.jsonl", "caption1.jsonl", "pair_caption.jsonl",
         "interleaved.jsonl", "vqa1.jsonl"])
+
+
+def test_run_all_holds_a_published_file_only_while_a_later_stage_reads_it(tmp_path,
+                                                                         monkeypatch):
+    """Candidates and verdicts, each read by one stage, are not held through
+    the later stages: holding them raised ``run_all``'s peak memory over
+    6,000 mock records from about 44 to 50 MB."""
+    config = make_workspace(tmp_path)
+    held = {}
+    run = pipeline.run_stage
+
+    def wrapper(stage, *args, **kwargs):
+        ingest = pipeline._runs.current[2]
+        held[stage] = sorted(path.name for kind, path in ingest._files if kind != "shard")
+        return run(stage, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_stage", wrapper)
+    assert run_all(config)[0] == 0
+    shared = ["descriptors.jsonl", "pairs_selected.jsonl"]
+    assert held == {"annotate": [], "pair": [], "filter": shared[:1], "pair-caption": shared[:1],
+                    "caption": shared, "interleave": shared, "vqa-synth": [], "kd-score": [],
+                    "mix": [], "stats": []}
 
 
 def test_run_all_runs_each_stage_through_the_module_run_stage(tmp_path, monkeypatch):
@@ -1654,11 +1686,60 @@ def test_readme_config_table_matches_the_settings():
 
 
 def test_readme_stage_table_matches_the_stages():
-    """README's stage table names the stages of ``pipeline.STAGES`` in their order."""
+    """README's stage table names the stages of ``pipeline.STAGES`` in their
+    order, and its "needs" and "writes" columns are each row's ``reads`` and
+    ``writes``."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Pipeline"):readme.index("### Config")]
-    assert re.findall(r"^\| `([\w-]+)` +\|", section, flags=re.M) == [
-        s.name for s in pipeline.STAGES]
+    rows = re.findall(r"^\| `([\w-]+)` +\|[^|]*\|([^|]*)\|([^|]*)\|$", section, flags=re.M)
+    assert [(name, tuple(re.findall(r"`([^`]+)`", needs)), tuple(re.findall(r"`([^`]+)`", writes)))
+            for name, needs, writes in rows] == [(s.name, s.reads, s.writes)
+                                                 for s in pipeline.STAGES]
+
+
+def test_each_stage_alone_needs_only_the_files_its_row_reads(tmp_path):
+    """A stage run alone in a copy of ``run_all``'s workspace that keeps only
+    ``.work``, the row's ``reads`` and, for the stages that read them, the
+    generated shards publishes its ``writes`` byte for byte as ``run_all``
+    did: the rows name every file a stage needs."""
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    out = Path(config.out_dir)
+
+    def read(path: Path):
+        return _tree_bytes(path) if path.is_dir() else path.read_bytes()
+
+    for stage in pipeline.STAGES:
+        keep = {".work", *stage.reads}
+        if stage.name in ("kd-score", "mix", "stats"):
+            keep.update(pipeline.GENERATED_SHARDS)
+        alone = dataclasses.replace(config, out_dir=str(tmp_path / stage.name / "out"),
+                                    quarantine_dir=str(tmp_path / stage.name / "quarantine"))
+        shutil.copytree(out, alone.out_dir, ignore=lambda directory, names: [
+            n for n in names if Path(directory) == out and n not in keep])
+        assert set(os.listdir(alone.out_dir)) == keep, stage.name
+        assert run_stage(stage.name, alone)["quarantined"] == 0, stage.name
+        for name in stage.writes:
+            assert read(Path(alone.out_dir) / name) == read(out / name), (stage.name, name)
+
+
+def test_input_shard_whose_name_is_not_utf8_is_quarantined(tmp_path):
+    """The work id of a bad line names its shard; a name that is not UTF-8
+    is named with its bytes escaped, where publishing the quarantine raised
+    ``UnicodeEncodeError``."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    try:
+        with open(os.path.join(os.fsencode(in_dir), b"\xff.jsonl"), "wb") as fh:
+            fh.write(b"not json\n")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    config = config_from_obj({"io": {"in_dir": str(in_dir), "out_dir": str(tmp_path / "out"),
+                                     "quarantine_dir": str(tmp_path / "q")}})
+    stats = run_stage("annotate", config)
+    assert (stats["in"], stats["out"], stats["quarantined"]) == (0, 0, 1)
+    row = json.loads((tmp_path / "q" / "annotate.jsonl").read_text(encoding="utf-8"))
+    assert (row["work_id"], row["error_code"]) == ("\\xff.jsonl:1", "parse")
 
 
 def test_cli_pair_flag_overrides(tmp_path):
