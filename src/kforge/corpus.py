@@ -20,23 +20,17 @@ on (``id``, ``kind``, ``source``, ``image_uris``; one ``kind`` and
 and are not kept, so a pool costs about its lines. ``stamped_line`` writes
 a plain line with a stamp by splicing it in, without a decode.
 
-``read_shard`` is the only validator. ``read_indexed`` reads a shard
-through its ``ShardIndex``, which keeps those fields and the plain bit for
-one exact content of the shard under this module's code, so a shard read
-again unchanged is rebuilt from its index and its raw lines, without a
-decode or a check.
+``read_shard`` is the only validator and the one way a shard is read.
+What it returns is not stored on disk: a run's reader (``pipeline.Ingest``)
+keeps a shard's records only while the shard's stat identity is unchanged.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
-import hashlib
 import json
-import marshal
 import math
 import os
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -280,7 +274,7 @@ def read_jsonl(path: str | Path, from_obj: Callable[[object], T]) -> Iterator[T]
     with _open(path) as fh:
         for lineno, data in enumerate(fh, start=1):
             try:
-                raw, obj, _ = _decode_line(_utf8(data, lineno), lineno)
+                raw, obj = _decode_line(_utf8(data, lineno), lineno)
             except ParseError as exc:
                 raise ParseError(lineno, f"invalid JSON in {path}: {exc.cause}") from exc
             try:
@@ -335,22 +329,22 @@ def _utf8(data: bytes, lineno: int) -> str:
         raise ParseError(lineno, f"not UTF-8: {exc}") from exc
 
 
-def _decode_line(raw: str, lineno: int) -> tuple[str, object, bool]:
-    """The kept text and the value of one decoded JSONL line, ``("", None,
-    False)`` for a blank one, and whether the JSON scanner took the line
-    whole. ``json.loads`` decides a line the scanner does not consume whole
-    (a BOM, extra data, errors), with its own messages, and its text is
-    stripped, since ``Record._body`` scans a kept line from index 0."""
+def _decode_line(raw: str, lineno: int) -> tuple[str, object]:
+    """The kept text and the value of one decoded JSONL line, ``("", None)``
+    for a blank one. ``json.loads`` decides a line the JSON scanner does not
+    consume whole (a BOM, extra data, errors), with its own messages, and
+    its text is stripped, since ``Record._body`` scans a kept line from
+    index 0."""
     try:
         obj, end = _scan(raw, 0)
         if raw[end:] in ("", "\n", "\r\n"):
-            return raw, obj, True
+            return raw, obj
     except (StopIteration, ValueError, RecursionError):
         pass
     if not raw.strip():
-        return "", None, False
+        return "", None
     try:
-        return raw.strip(), json.loads(raw), False
+        return raw.strip(), json.loads(raw)
     except (ValueError, RecursionError) as exc:  # invalid, or too deep
         raise ParseError(lineno, str(exc)) from exc
 
@@ -418,20 +412,19 @@ def _match_plain(raw: str) -> tuple | None:
     return rid, kind, uris, source, _token_estimate(chars, len(uris))
 
 
-def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> tuple[Record | None, bool]:
-    """The record of one shard line (None for a blank one) and whether the
-    scanner took the line whole; raises ``ParseError``/``ValidationError``.
-    A plain line is matched; any other is decoded and checked, and is not
-    plain."""
+def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> Record | None:
+    """The record of one shard line, None for a blank one; raises
+    ``ParseError``/``ValidationError``. A plain line is matched; any other
+    is decoded and checked, and is not plain."""
     raw = _utf8(data, lineno)
     fields = _match_plain(raw)
     if fields:
         rid, kind, uris, source, tokens = fields
-        plain = whole = True
+        plain = True
     else:
-        raw, obj, whole = _decode_line(raw, lineno)
+        raw, obj = _decode_line(raw, lineno)
         if not raw:
-            return None, False
+            return None
         rid, kind, uris, payload, source, _ = _checked(obj, lineno)
         # only an escape can spell a lone surrogate; the one-character
         # search first, since it is many times cheaper per line
@@ -442,12 +435,11 @@ def _shard_record(data: bytes, lineno: int, shared: dict[str, str]) -> tuple[Rec
     record.id, record.kind, record.image_uris, record.source = (
         rid, shared.setdefault(kind, kind), uris, shared.setdefault(source, source))
     record._line, record._tokens, record._plain = raw, tokens, plain
-    return record, whole
+    return record
 
 
 def read_shard(path: str | Path,
-               on_error: Callable[[Exception, int], None] | None = None,
-               index: ShardIndex | None = None) -> Iterator[Record]:
+               on_error: Callable[[Exception, int], None] | None = None) -> Iterator[Record]:
     """Yield records from one JSONL shard in file order.
 
     Lines end at ``\\n`` (a ``\\r`` before it is whitespace). A plain line
@@ -457,155 +449,25 @@ def read_shard(path: str | Path,
     number; a line that is not UTF-8, or whose text holds an unpaired
     surrogate (an escape such as ``\\ud800``), is invalid. Passing
     ``on_error`` turns raising into a callback (error, line_number) so
-    callers can quarantine and continue. With ``index``, the index of the
-    bytes read is filled in as they are read (see ``ShardIndex``).
+    callers can quarantine and continue. Every call reads and decides
+    every line: nothing is kept between calls.
     """
     shared: dict[str, str] = {}  # one string per distinct kind and source
     with _open(path) as fh:
-        for lineno, data in enumerate(fh if index is None else index.hashed(fh), start=1):
+        for lineno, data in enumerate(fh, start=1):
             try:
-                record, whole = _shard_record(data, lineno, shared)
+                record = _shard_record(data, lineno, shared)
             except (ParseError, ValidationError) as exc:
-                if index is not None:
-                    index.others.append(lineno)
                 if on_error is None:
                     raise
                 on_error(exc, lineno)
                 continue
-            if index is not None:
-                if whole:
-                    index.records.append(record)
-                else:
-                    index.others.append(lineno)
             if record is not None:
                 yield record
 
 
-# --- shard index -----------------------------------------------------------
-# An index is keyed on the code that decides each record (this module's
-# source) and on the interpreter whose marshal format and JSON scanner wrote it.
-_INDEX_FORMAT = f"kforge-shard-index 1 {sys.implementation.cache_tag} {marshal.version}"
-
-
-@functools.cache
-def _code_digest() -> str:
-    return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-
-
-class ShardIndex:
-    """What ``read_shard`` found in one content of one shard.
-
-    A shard's index file is named by the SHA-256 of the shard's resolved
-    path, so each shard has one, replaced whenever the shard is validated
-    again. Its header line holds the SHA-256 of this module's source, of the
-    shard's bytes and of the marshalled body. The body holds one list per
-    field (id, kind, source, image URIs, token estimate, plain bit) of the
-    lines matched as plain, or taken whole by the JSON scanner and
-    validated, in file order, and the numbers of the other lines: blank,
-    invalid, or decided by ``json.loads``. Those are decided again on every
-    read by ``read_shard``'s per-line code, so their errors and text always
-    come from the running code.
-    """
-
-    def __init__(self, shard: str | Path, index_dir: Path):
-        self.shard = Path(shard)
-        self.path = index_dir / (hashlib.sha256(
-            os.fsencode(self.shard.resolve())).hexdigest() + ".index")
-        self.digest = ""
-        self.others: list[int] = []
-        self.records: list[Record] = []
-
-    def hashed(self, lines: Iterable[bytes]) -> Iterator[bytes]:
-        """``lines``, the shard's, whose digest this takes as they pass."""
-        digest = hashlib.sha256()
-        for data in lines:
-            digest.update(data)
-            yield data
-        self.digest = digest.hexdigest()
-
-    def save(self) -> None:
-        """Replace the index file with this index, once ``read_shard`` has
-        read the whole shard. A failed write leaves no index, which costs
-        the next read a validation and nothing else."""
-        records = self.records
-        body = marshal.dumps((self.others, [r.id for r in records],
-                              [r.kind for r in records], [r.source for r in records],
-                              [r.image_uris for r in records], [r._tokens for r in records],
-                              [r._plain for r in records]))
-        header = (f"{_INDEX_FORMAT} {_code_digest()} {self.digest} "
-                  f"{hashlib.sha256(body).hexdigest()}\n")
-        with contextlib.suppress(OSError):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            publish(self.path, [header.encode(), body], binary=True)
-
-    def load(self, on_error: Callable[[Exception, int], None]) -> tuple[Record, ...] | None:
-        """The shard's records, rebuilt from the index file in one pass over
-        the shard; None, with ``on_error`` not called, when the file is
-        missing or damaged or describes other bytes or other code."""
-        try:
-            with open(self.path, "rb") as fh:
-                *tag, code, digest, body_digest = fh.readline().decode("ascii").split()
-                body = fh.read()
-            if (" ".join(tag) != _INDEX_FORMAT or code != _code_digest()
-                    or body_digest != hashlib.sha256(body).hexdigest()):
-                return None
-            others, *columns = marshal.loads(body)
-            skip = set(others)
-            if len(columns) != 6 or len({len(c) for c in columns}) != 1:
-                return None
-            fields = zip(*columns)
-        except (OSError, ValueError, TypeError, EOFError):
-            return None  # missing, torn or garbled
-        shared = {s: s for s in {*columns[1], *columns[2]}} if skip else {}
-        records, errors = [], []
-        try:
-            with open(self.shard, "rb") as shard:
-                for lineno, data in enumerate(self.hashed(shard), start=1):
-                    if lineno in skip:
-                        try:
-                            record = _shard_record(data, lineno, shared)[0]
-                        except (ParseError, ValidationError) as exc:
-                            errors.append((exc, lineno))
-                            continue
-                        if record is None:
-                            continue
-                    else:
-                        record = object.__new__(Record)
-                        (record.id, record.kind, record.source, record.image_uris,
-                         record._tokens, record._plain) = next(fields)
-                        record._line = data.decode("utf-8")
-                    records.append(record)
-        except (OSError, StopIteration, UnicodeDecodeError):
-            return None  # unreadable, or other lines than the index's
-        if self.digest != digest or next(fields, None) is not None:
-            return None
-        for exc, lineno in errors:
-            on_error(exc, lineno)
-        return tuple(records)
-
-
-def read_indexed(path: str | Path, index_dir: Path,
-                 on_error: Callable[[Exception, int], None]) -> tuple[Record, ...]:
-    """``read_shard``'s records of one shard, through its index in ``index_dir``.
-
-    An index written by this code for these exact bytes gives the records
-    without decoding or checking the lines it holds. Any other index is
-    ignored: ``read_shard`` reads the shard, and its index replaces the old
-    one. The lines an index leaves out are decided again, so ``on_error``
-    hears of every invalid line on every read, in line order.
-    """
-    index = ShardIndex(path, index_dir)
-    records = index.load(on_error)
-    if records is None:
-        records = tuple(read_shard(path, on_error, index))
-        index.save()
-    return records
-
-
-def publish(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
-            binary: bool = False) -> None:
-    """Durably replace ``path`` with the concatenation of ``chunks`` (text,
-    or bytes when ``binary``).
+def publish(path: str | Path, chunks: Iterable[str]) -> None:
+    """Durably replace ``path`` with the concatenation of ``chunks``.
 
     The text goes to ``<path>.tmp``, which is fsynced and renamed over
     ``path``; the directory is fsynced last, so once this returns the file
@@ -615,7 +477,7 @@ def publish(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())

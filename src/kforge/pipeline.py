@@ -24,10 +24,11 @@ file when the stage ends, so a rerun replaces the rows of the last one.
 ``run_all`` and a lone ``run_stage`` each open one run (``_run``). It
 checks the settings its stages would reject, takes ``out_dir/.work/lock``,
 attaches the reply store to the gateway and creates the one ``Ingest``
-that all its stages share, over the shard indexes in ``.work/shards``. So
-a shard is decoded and validated once per content (see
-``corpus.ShardIndex``), and an invalid line is quarantined once per run,
-under the stage that first reads its shard.
+that all its stages share, seeded with the shards of the last run that
+ended in this process. So a run decodes and validates a shard at most
+once, a run after it over the same unchanged shard not at all, and an
+invalid line is quarantined once per run, under the stage that first
+reads its shard.
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ from typing import Callable
 from kforge import annotation, corpus, generation, knowledge, mixture, pairing
 from kforge.corpus import (KIND_CAPTION, KIND_OTHER, KIND_VQA, Record,
                            dedupe_by_id, json_line, publish, record_to_json)
-from kforge.errors import ConfigInvalid, KforgeError, ValidationError, WorkspaceBusy
+from kforge.errors import (ConfigInvalid, KforgeError, ShardIoError, ValidationError,
+                           WorkspaceBusy)
 from kforge.gateway import Gateway, HttpBackend, MockBackend, ReplyStore, RetryPolicy
 from kforge.generation import GroupMember, VqaValidationPolicy
 
@@ -349,22 +351,24 @@ class Ingest:
     ``corpus.publish`` renames, so a republished file has a new identity and
     is read again, and a rewrite in place changes the ctime, which
     ``os.utime`` cannot restore; nothing stale is served. A cached shard
-    holds ``read_shard``'s records: each keeps its validated line, id, kind,
-    source, image URIs, token estimate and plain bit, and decodes its
-    payload only for the stage that reads it, so the cache grows with the
-    shards' text, not with payload objects. Each invalid line goes to the
-    quarantine of the first stage that reads its shard, only there. What is
-    cached is shared by every stage that reads it and must not be mutated.
+    holds ``read_shard``'s records and the invalid lines it found: each
+    record keeps its validated line, id, kind, source, image URIs, token
+    estimate and plain bit, and decodes its payload only for the stage that
+    reads it, so the cache grows with the shards' text, not with payload
+    objects. Each invalid line goes to the quarantine of the first stage of
+    this run that reads its shard, only there. What is cached is shared by
+    every stage that reads it and must not be mutated.
 
-    A shard is read through its index under ``work_dir/shards`` (see
-    ``corpus.ShardIndex``): across runs and commands, each shard content is
-    decoded and validated once. A run creates one reader over
-    ``out_dir/.work``, which all its stages share.
+    ``last`` holds the shard entries of an earlier reader (``shards()``),
+    each served under the same identity check as this reader's own, so a
+    run over shards that the last run read decodes none of them again. A
+    run creates one reader, which all its stages share.
     """
 
-    def __init__(self, work_dir: Path):
+    def __init__(self, last: dict | None = None):
         self._files: dict[tuple[object, Path], tuple[tuple[int, ...], object]] = {}
-        self._index_dir = Path(work_dir) / "shards"
+        self._last = last or {}
+        self._reported: dict[Path, object] = {}  # path -> the shard entry reported
 
     def _cached(self, kind, path: Path, decode):
         # stat before decoding: a file replaced in between is stored under
@@ -374,12 +378,11 @@ class Ingest:
         except OSError:
             return decode(path)  # let the decoder report the missing file
         identity = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        hit = self._files.get((kind, path))
-        if hit is not None and hit[0] == identity:
-            return hit[1]
-        value = decode(path)
-        self._files[(kind, path)] = (identity, value)
-        return value
+        hit = self._files.get((kind, path)) or self._last.get((kind, path))
+        if hit is None or hit[0] != identity:
+            hit = (identity, decode(path))
+        self._files[(kind, path)] = hit
+        return hit[1]
 
     def shard(self, path: Path, quarantine: Quarantine | None = None) -> tuple[Record, ...]:
         """The valid records of one shard, in file order.
@@ -389,20 +392,21 @@ class Ingest:
         """
         def decode(p):
             errors = []
-            records = corpus.read_indexed(
-                p, self._index_dir, lambda exc, lineno: errors.append((lineno, exc)))
-            return _Shard(records, errors)
+            records = tuple(corpus.read_shard(
+                p, lambda exc, lineno: errors.append((lineno, exc))))
+            return records, errors
 
         entry = self._cached("shard", path, decode)
-        if entry.errors and not entry.reported:
+        records, errors = entry
+        if errors and self._reported.get(path) is not entry:
             if quarantine is None:
-                raise entry.errors[0][1]
+                raise errors[0][1]
             # a name that is not UTF-8 decodes to surrogates, which a UTF-8 file cannot hold
             name = os.fsencode(path.name).decode("utf-8", "backslashreplace")
-            for lineno, exc in entry.errors:
+            for lineno, exc in errors:
                 quarantine.put(f"{name}:{lineno}", exc)
-            entry.reported = True
-        return entry.records
+            self._reported[path] = entry
+        return records
 
     def records(self, paths, quarantine: Quarantine | None = None) -> list[Record]:
         """The records of several shards in file order; the first of each id wins."""
@@ -422,19 +426,19 @@ class Ingest:
         """Drop every published file but those at ``paths``; shards stay cached."""
         self._files = {k: v for k, v in self._files.items() if k[0] == "shard" or k[1] in paths}
 
-
-@dataclass
-class _Shard:
-    records: tuple[Record, ...]
-    errors: list[tuple[int, Exception]]
-    reported: bool = False
+    def shards(self) -> dict:
+        """The entries of the shards this reader has read, for a later ``Ingest``."""
+        return {k: v for k, v in self._files.items() if k[0] == "shard"}
 
 
 def _source_records(config: PipelineConfig, ingest: Ingest,
                     quarantine: Quarantine | None = None,
                     include_generated: bool = False) -> list[Record]:
     """All records from the input shards (optionally plus the
-    ``GENERATED_SHARDS`` that exist, with one warning for each one that does not)."""
+    ``GENERATED_SHARDS`` that exist, with one warning for each one that does
+    not). An ``in_dir`` that is not a directory is an error, not an empty corpus."""
+    if not Path(config.in_dir).is_dir():
+        raise ShardIoError(f"io.in_dir {config.in_dir} is not a directory")
     shard_paths = sorted(Path(config.in_dir).glob("*.jsonl"))
     for path in (Path(config.out_dir) / name for name in GENERATED_SHARDS if include_generated):
         if path.exists():
@@ -684,6 +688,7 @@ STAGES = (
 
 
 _runs = threading.local()  # the run this thread is in: (.work path, gateway, reader)
+_last_shards: dict = {}  # the shard entries of the last run that ended in this process
 
 
 @contextmanager
@@ -695,9 +700,12 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
     exclusive ``flock`` taken without waiting, so a second process raises
     ``WorkspaceBusy``; the kernel drops a dead process's lock. It attaches
     ``.work/replies.log``, which resume reads, as the store of ``gateway``
-    (or of one built from ``config``), and creates the reader. On exit the
-    gateway gets its previous store back. An entry within this thread's run
-    over the same ``.work``, as each stage of ``run_all``, reuses that run."""
+    (or of one built from ``config``), and creates the reader, seeded with
+    the shards that the last run to end in this process read. On exit the
+    gateway gets its previous store back, and this run's shards replace
+    the last run's. An entry within this thread's run over the same
+    ``.work``, as each stage of ``run_all``, reuses that run."""
+    global _last_shards
     work = (Path(config.out_dir) / ".work").absolute()
     outer = getattr(_runs, "current", None)
     if outer is not None and outer[0] == work:
@@ -717,11 +725,13 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
         with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
             store = gateway.store
             with ReplyStore(work / "replies.log") as gateway.store:
-                _runs.current = (work, gateway, Ingest(work))
+                ingest = Ingest(_last_shards)
+                _runs.current = (work, gateway, ingest)
                 try:
                     yield _runs.current[1:]
                 finally:
                     gateway.store, _runs.current = store, outer
+                    _last_shards = ingest.shards()
 
 
 def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None,
@@ -730,10 +740,10 @@ def run_stage(stage: str, config: PipelineConfig, gateway: Gateway | None = None
 
     A lone call is a run of its own (see ``_run``): the stage's settings
     check, the ``out_dir`` lock, the reply store ``out_dir/.work/replies.log``
-    on ``gateway`` and a reader over the shard indexes in ``out_dir/.work``.
-    Within ``run_all`` the stage runs in ``run_all``'s run, with its
-    gateway and reader. The stage's quarantine file is published once its
-    function has returned.
+    on ``gateway`` and a reader seeded with the last run's shards. Within
+    ``run_all`` the stage runs in ``run_all``'s run, with its gateway and
+    reader. The stage's quarantine file is published once its function has
+    returned.
     """
     row = next((s for s in STAGES if s.name == stage), None)
     if row is None:
@@ -762,9 +772,9 @@ def run_all(config: PipelineConfig, strict: bool = False,
     reject are checked before the first stage runs, so a bad seed or
     mixture spec costs no model call; then the run holds the ``out_dir``
     lock, the reply store and one ``Ingest``, so each input file is read
-    once, and a shard validated by an earlier run is rebuilt from its
-    index. After each stage the reader drops the published files that no
-    later stage reads. Each stage goes through ``run_stage``. A killed run
+    once, and a shard that the last run in this process read unchanged is
+    not read again. After each stage the reader drops the published files
+    that no later stage reads. Each stage goes through ``run_stage``. A killed run
     resumes by running again: every stage is recomputed, and the model
     calls answered before are read back from the reply store.
     """

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import tempfile
 import time
@@ -574,162 +573,17 @@ def test_read_shard_crlf_lines_read_as_lf(tmp_path):
             == [record_to_json(r) for r in read_shard(lf)] == lines)
 
 
-# --- shard index ---------------------------------------------------------------
-
-def _fields(record: Record) -> tuple:
-    return (record.id, record.kind, record.image_uris, record.source, record._line,
-            record._tokens, record.payload, record.meta)
-
-
-def _read_through_index(path, index_dir) -> tuple[tuple, list[tuple]]:
-    errors = []
-    records = corpus.read_indexed(path, index_dir, lambda exc, n: errors.append(
-        (type(exc), str(exc), n)))
-    return records, errors
-
-
-def _counting_read_shard(monkeypatch) -> list[Path]:
-    calls = []
-    read = corpus.read_shard
-
-    def counting(path, *args, **kwargs):
-        calls.append(Path(path))
-        return read(path, *args, **kwargs)
-
-    monkeypatch.setattr(corpus, "read_shard", counting)
-    return calls
-
-
-@st.composite
-def shard_lines(draw):
-    """One shard line's bytes, of a kind the index holds or leaves out."""
-    line = record_to_json(draw(records())).encode("utf-8")
-    kind = draw(st.sampled_from([
-        "record", "record", "record", "crlf", "bom", "spaces", "tab_crlf", "blank",
-        "space", "whitespace", "not_json", "not_record", "not_utf8", "surrogate"]))
-    return {
-        "record": line,
-        "crlf": line + b"\r",
-        "bom": b"\xef\xbb\xbf" + line,
-        "spaces": b"  " + line + b" ",
-        "tab_crlf": b"\t" + line + b"\t\r",
-        "blank": b"",
-        "space": b" ",
-        "whitespace": b" \t \r",
-        "not_json": b'{"id": "x", ',
-        "not_record": b'{"id": "x"}',
-        "not_utf8": line.replace(b'"source":"', b'"source":"\xff', 1),
-        "surrogate": line.replace(b'"source":"', b'"source":"\\ud800', 1),
-    }[kind]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(shard_lines(), min_size=1, max_size=12), st.booleans())
-def test_warm_read_equals_read_shard(lines, final_newline):
-    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    with tempfile.TemporaryDirectory() as tmp:
-        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
-        path.write_bytes(data)
-        errors = []
-        want = list(read_shard(path, on_error=lambda exc, n: errors.append(
-            (type(exc), str(exc), n))))
-        cold = _read_through_index(path, index_dir)
-        warm_errors = []
-        warm = corpus.ShardIndex(path, index_dir).load(
-            lambda exc, n: warm_errors.append((type(exc), str(exc), n)))
-    assert warm is not None
-    for records, got_errors in (cold, (warm, warm_errors)):
-        assert [_fields(r) for r in records] == [_fields(r) for r in want]
-        assert got_errors == errors
-
-
 def test_warm_records_share_one_kind_and_source_string(tmp_path):
     path = tmp_path / "s.jsonl"
     write_shard(make_corpus(), path)
     with open(path, "ab") as fh:
         fh.write(b" " + record_to_json(make_corpus()[0]).replace('"c0-000"', '"c0-x"')
                  .encode() + b"\n")
-    _read_through_index(path, tmp_path / "index")
-    warm, _ = _read_through_index(path, tmp_path / "index")
+    warm = list(read_shard(path))
     assert warm[-1].id == "c0-x" and warm[-1]._line.startswith("{")
     for name in ("kind", "source"):
         values = {getattr(r, name) for r in warm}
         assert len({id(getattr(r, name)) for r in warm}) == len(values)
-
-
-def test_warm_read_calls_read_shard_only_for_changed_bytes(tmp_path, monkeypatch):
-    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
-    write_shard(make_corpus(), path)
-    calls = _counting_read_shard(monkeypatch)
-    first, _ = _read_through_index(path, index_dir)
-    second, _ = _read_through_index(path, index_dir)
-    assert len(calls) == 1
-    assert [_fields(r) for r in second] == [_fields(r) for r in first]
-    # the same bytes published again hit; one index file per shard
-    write_shard(first, path)
-    _read_through_index(path, index_dir)
-    assert len(calls) == 1
-    assert len(list(index_dir.iterdir())) == 1
-
-
-def test_same_size_rewrite_with_restored_mtime_misses_the_index(tmp_path, monkeypatch):
-    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
-    write_shard(make_corpus(), path)
-    calls = _counting_read_shard(monkeypatch)
-    _read_through_index(path, index_dir)
-    st_before = os.stat(path)
-    data = path.read_bytes()
-    with open(path, "r+b") as fh:  # in place: the inode stays
-        fh.write(data.replace(b"harbor", b"HARBOR"))
-    os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
-    st_after = os.stat(path)
-    assert ((st_after.st_ino, st_after.st_size, st_after.st_mtime_ns)
-            == (st_before.st_ino, st_before.st_size, st_before.st_mtime_ns))
-    records, _ = _read_through_index(path, index_dir)
-    assert len(calls) == 2
-    assert [r._line for r in records] == [r._line for r in read_shard(path)]
-    assert any("HARBOR" in r._line for r in records)
-    assert len(list(index_dir.iterdir())) == 1
-
-
-def test_index_of_other_code_is_not_used(tmp_path, monkeypatch):
-    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
-    write_shard(make_corpus(), path)
-    calls = _counting_read_shard(monkeypatch)
-    _read_through_index(path, index_dir)
-    monkeypatch.setattr(corpus, "_code_digest", lambda: "0" * 64)
-    _read_through_index(path, index_dir)
-    assert len(calls) == 2
-    (index_file,) = index_dir.iterdir()
-    assert index_file.read_bytes().split(b"\n", 1)[0].split()[-3] == b"0" * 64
-    _read_through_index(path, index_dir)
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("damage", ["truncate", "flip_body", "flip_header", "empty",
-                                    "no_header"])
-def test_damaged_index_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
-    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
-    write_shard(make_corpus(), path)
-    with open(path, "ab") as fh:
-        fh.write(b"{not json\n")
-    want = _read_through_index(path, index_dir)
-    (index_file,) = index_dir.iterdir()
-    good = index_file.read_bytes()
-    header_end = good.index(b"\n")
-    damaged = {
-        "truncate": good[:len(good) // 2],
-        "flip_body": good[:-3] + bytes([good[-3] ^ 0x40]) + good[-2:],
-        "flip_header": good[:header_end - 1] + b"0" + good[header_end:],
-        "empty": b"",
-        "no_header": good[header_end + 1:],
-    }[damage]
-    index_file.write_bytes(damaged)
-    calls = _counting_read_shard(monkeypatch)
-    got = _read_through_index(path, index_dir)
-    assert len(calls) == 1
-    assert ([_fields(r) for r in got[0]], got[1]) == ([_fields(r) for r in want[0]], want[1])
-    assert index_file.read_bytes() == good
 
 
 # --- plain lines and the stamp splice ----------------------------------------------
@@ -760,16 +614,10 @@ def _published(out_dir: Path, records) -> str:
 @given(st.lists(pool_lines(), min_size=1, max_size=6))
 def test_stamped_lines_equal_the_oracle_cold_and_warm(drawn):
     with tempfile.TemporaryDirectory() as tmp:
-        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
+        path = Path(tmp) / "s.jsonl"
         path.write_text("".join(line + "\n" for _, line in drawn), encoding="utf-8")
-        cold, _ = _read_through_index(path, index_dir)
-        warm = corpus.ShardIndex(path, index_dir).load(lambda exc, n: None)
-        assert warm is not None
-        published = [_published(Path(tmp) / name, records)
-                     for name, records in (("cold", cold), ("warm", warm))]
-    assert [r._plain for r in warm] == [r._plain for r in cold]
-    want = "".join(oracle_record_json(obj, _STAMP) + "\n" for obj, _ in drawn)
-    assert published == [want, want]
+        published = _published(Path(tmp) / "cold", list(read_shard(path)))
+    assert published == "".join(oracle_record_json(obj, _STAMP) + "\n" for obj, _ in drawn)
 
 
 _VQA_LINE = ('{"id":"v1","kind":"vqa","image_uris":["file:///v1.jpg"],"payload":{"qa":'
@@ -793,12 +641,11 @@ _VQA_LINE = ('{"id":"v1","kind":"vqa","image_uris":["file:///v1.jpg"],"payload":
 ], ids=["canonical", "other", "no-scope", "unsorted-meta", "meta", "crlf", "no-newline",
         "escape", "duplicate-key", "other-exponent"])
 def test_only_a_canonical_line_with_empty_meta_is_plain(tmp_path, data, plain):
-    path, index_dir = tmp_path / "s.jsonl", tmp_path / "index"
+    path = tmp_path / "s.jsonl"
     path.write_bytes(data.encode("utf-8"))
-    cold, _ = _read_through_index(path, index_dir)
-    warm = corpus.ShardIndex(path, index_dir).load(lambda exc, n: None)
-    assert [r._plain for r in cold] == [r._plain for r in warm] == [plain]
-    assert (corpus.stamped_line(_STAMP)(warm[0])
+    cold = list(read_shard(path))
+    assert [r._plain for r in cold] == [plain]
+    assert (corpus.stamped_line(_STAMP)(cold[0])
             == oracle_record_json(json.loads(data), _STAMP) + "\n")
 
 
@@ -859,21 +706,15 @@ def test_matched_lines_read_as_the_general_path_reads_them(lines):
     decode; a line it takes is plain exactly when it is the oracle's line
     with ``meta`` ``{}`` and no escape."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, index_dir = Path(tmp) / "s.jsonl", Path(tmp) / "index"
+        path = Path(tmp) / "s.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         matched, errors = _read_all(path)
         with mock.patch.object(corpus, "_match_plain", lambda *args: None):
             general, general_errors = _read_all(path)
-        cold, cold_errors = _read_through_index(path, index_dir)
-        warm_errors = []
-        warm = corpus.ShardIndex(path, index_dir).load(
-            lambda exc, n: warm_errors.append((type(exc), str(exc), n)))
     assert errors == general_errors
     assert [r[:-1] for r in matched] == [r[:-1] for r in general]
     assert not any(r[-1] for r in general)
     assert [r[-1] for r in matched] == [_canonical_with_empty_meta(r[-2]) for r in matched]
-    assert warm is not None and warm_errors == cold_errors
-    assert [_read_fields(r) for r in warm] == [_read_fields(r) for r in cold] == matched
 
 
 def test_plain_lines_are_matched_without_the_scanner(tmp_path, monkeypatch):

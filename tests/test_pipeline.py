@@ -662,7 +662,7 @@ def test_ingest_rereads_republished_shard(tmp_path, monkeypatch):
         return read_shard(p, *args, **kwargs)
 
     monkeypatch.setattr(corpus, "read_shard", counting)
-    ingest = pipeline.Ingest(tmp_path / ".work")
+    ingest = pipeline.Ingest()
     first = ingest.shard(path)
     assert ingest.shard(path) is first and len(calls) == 1
     # same size and timestamps, new content: only the rename shows the change
@@ -689,7 +689,7 @@ def test_ingest_keeps_lines_not_object_graphs(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ingest = pipeline.Ingest(tmp_path / ".work")
+        ingest = pipeline.Ingest()
         records = ingest.shard(path)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -699,31 +699,10 @@ def test_ingest_keeps_lines_not_object_graphs(tmp_path):
     assert retained / len(records) < 760
 
 
-def test_ingest_keeps_lines_not_object_graphs_when_warm(tmp_path):
-    """Records rebuilt from a shard's index keep what a validated read keeps."""
-    path = tmp_path / "shard.jsonl"
-    write_shard(make_corpus(n_caption=1000, n_vqa=1000, n_text=1000, n_other=1000, seed=3),
-                path)
-    cold = pipeline.Ingest(tmp_path / ".work").shard(path)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        records = pipeline.Ingest(tmp_path / ".work").shard(path)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert [(r.id, r._line, r._tokens) for r in records] == [
-        (r.id, r._line, r._tokens) for r in cold]
-    assert len(records) == 4000
-    assert retained / len(records) < 760
-
-
 def test_ingest_rereads_a_shard_rewritten_in_place_with_its_mtime_restored(tmp_path):
     path = tmp_path / "shard.jsonl"
     write_shard(make_corpus(), path)
-    ingest = pipeline.Ingest(tmp_path / ".work")
+    ingest = pipeline.Ingest()
     before = ingest.shard(path)
     st = os.stat(path)
     data = path.read_bytes()
@@ -784,6 +763,49 @@ def test_second_mix_over_unchanged_workspace_reads_no_shard(tmp_path, monkeypatc
     assert _tree_bytes(config.quarantine_dir) == quarantine
 
 
+def test_mix_after_a_same_size_rewrite_with_restored_mtime_reads_the_new_bytes(tmp_path):
+    """A run reuses the last run's shards only under the same stat identity,
+    whose ctime ``os.utime`` cannot restore."""
+    config = make_workspace(tmp_path)
+    shard = Path(config.in_dir) / "corpus.jsonl"
+    mixture_path = Path(config.out_dir) / "mixture" / "mixture.jsonl"
+    run_stage("mix", config)
+    before = mixture_path.read_bytes()
+    assert b"overall?" in before and b"OVERALL?" not in before
+    st = os.stat(shard)
+    data = shard.read_bytes()
+    time.sleep(0.02)  # past the file system's timestamp granularity
+    with open(shard, "r+b") as fh:  # in place, at the same size: the inode stays
+        fh.write(data.replace(b"overall?", b"OVERALL?"))
+    os.utime(shard, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (os.stat(shard).st_ino, os.stat(shard).st_size) == (st.st_ino, st.st_size)
+    run_stage("mix", config)
+    assert mixture_path.read_bytes() == before.replace(b"overall?", b"OVERALL?")
+
+
+def test_a_run_reuses_the_shards_of_the_last_run_only(tmp_path, monkeypatch):
+    configs = {name: make_workspace(tmp_path, name) for name in "ab"}
+    calls = []
+    read = corpus.read_shard
+
+    def counting(path, *args, **kwargs):
+        calls.append(Path(path).parent.parent.name)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "read_shard", counting)
+    for name in "abaa":
+        run_stage("mix", configs[name])
+    # b's run held b's shards alone, so a is read again after it, then reused
+    assert calls == ["a", "b", "a"]
+
+
+def test_run_all_leaves_only_the_lock_and_the_reply_store_in_work(tmp_path):
+    config = make_workspace(tmp_path)
+    assert run_all(config)[0] == 0
+    assert sorted(p.name for p in (Path(config.out_dir) / ".work").iterdir()) == [
+        "lock", "replies.log"]
+
+
 class _BadFirstReply(MockBackend):
     """Breaks the contract of the first reply it gives, then answers as the mock."""
 
@@ -809,7 +831,7 @@ def test_ingest_quarantines_a_bad_line_once(tmp_path):
     corpus.write_shard(make_corpus(n_caption=2, n_vqa=0, n_text=0, n_other=0), path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
-    ingest = pipeline.Ingest(tmp_path / ".work")
+    ingest = pipeline.Ingest()
     with pytest.raises(ParseError):
         ingest.shard(path)  # no quarantine yet: the bad line raises
     first, second = (Quarantine(tmp_path / "q", name) for name in ("first", "second"))
@@ -860,6 +882,26 @@ def test_empty_input_dir_clean_exit(tmp_path):
     for stats in all_stats:
         assert stats["in"] == 0 and stats["out"] == 0
         assert stats["quarantined"] == 0
+
+
+def test_missing_input_dir_exits_one_and_publishes_nothing(tmp_path, monkeypatch):
+    """A missing ``io.in_dir`` ran every stage over nothing and republished
+    empty outputs over the last run's."""
+    config = make_workspace(tmp_path)
+    config_path = _write_config(tmp_path, config)
+    assert run_all(config)[0] == 0
+    out, quarantine = _tree_bytes(config.out_dir), _tree_bytes(config.quarantine_dir)
+    Path(config.in_dir).rename(tmp_path / "moved")
+    calls = []
+    complete = MockBackend.complete
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, *args: calls.append(args) or complete(self, *args))
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: io.in_dir {config.in_dir} is not a directory\n"
+    assert calls == []
+    assert _tree_bytes(config.out_dir) == out
+    assert _tree_bytes(config.quarantine_dir) == quarantine
 
 
 # --- determinism and resume ------------------------------------------------------------
