@@ -154,10 +154,10 @@ def group_for_interleave(selected: list[PairCandidate],
             rem = len(ids) - i
             if rem <= max_size:
                 take = rem
-            elif rem - max_size >= min_size:
-                take = max_size
+            elif rem - max_size < min_size <= rem - min_size:
+                take = rem - min_size  # leaves one last group of min_size
             else:
-                take = rem - min_size
+                take = max_size  # a rest below min_size is dropped
             groups.append(ids[i:i + take])
             i += take
     return groups

@@ -160,13 +160,23 @@ def largest_remainder(budget: int, fractions: dict[str, float]) -> dict[str, int
 
     Floors each share, then hands out the leftover units by largest
     fractional remainder; ties go to the lexicographically first category.
+    Fractions whose float sum misses 1 can leave more units than categories,
+    which go round the order again, or floors above the budget, which give
+    units back from the smallest remainder up, never below zero.
     """
     raw = {c: budget * f for c, f in fractions.items()}
     out = {c: int(math.floor(v)) for c, v in raw.items()}
     leftover = budget - sum(out.values())
     order = sorted(fractions, key=lambda c: (-(raw[c] - out[c]), c))
-    for c in order[:leftover]:
-        out[c] += 1
+    while order and leftover > 0:
+        for c in order[:leftover]:
+            out[c] += 1
+        leftover -= min(leftover, len(order))
+    while leftover < 0:
+        for c in reversed(order):
+            if leftover < 0 and out[c] > 0:
+                out[c] -= 1
+                leftover += 1
     return out
 
 

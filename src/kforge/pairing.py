@@ -2,12 +2,12 @@
 
 Candidates must share a coarse category (same subcategory bucket, or same
 domain bucket for images with no subcategory partner) while differing in
-distinguishing details. An LLM filter then keeps only pairs whose
-relationship is coherent enough to explain simply.
+distinguishing details. Each image keeps at most a few of its best
+pairs, chosen greedily one score level at a time. An LLM filter then keeps
+only pairs whose relationship is coherent enough to explain simply.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -76,18 +76,16 @@ def _bucket_candidates(index: DescriptorIndex, members: list[str], alignment: st
                        min_contrast: float) -> list[tuple[float, str, str, str]]:
     """The bucket's capped pairs as ``(-score, left, right, alignment)``.
 
-    Greedy b-matching, computed lazily. Row *i* holds the pairs (*i*, *j* > *i*)
-    best first, in ``(-score, j)`` order, at most ``2 * cap + 2`` at a time;
-    a heap merges the row heads in the global ``(-score, left, right)`` order,
-    and a popped pair is kept while both images hold fewer than ``cap`` pairs.
-    A score is at most 1.0, so row *r* is filled only once the heap top
-    scores below 1.0: until then every row before *r* holds a pair ahead of
-    all of row *r*'s. A fill skips full partners and stops once its buffer
-    holds only 1.0s; an emptied buffer is refilled from after its last
-    entry. A row whose image is full is dropped. Memory is linear in the
-    bucket. Keys and concepts become int bitmasks over the bucket's own
-    vocabulary, so each set operation is one int operation plus
-    ``int.bit_count``.
+    Greedy b-matching, one pass per score level, best first from 1.0. A pass
+    walks the rows (*i*, *j* > *i*) in order and keeps each pair scoring the
+    level while both images hold fewer than ``cap`` pairs: within a level,
+    row order is the greedy's ``(left, right)`` tie order. It leaves a row
+    once its image is full and skips full partners, so every pair still open
+    after the pass was scored in it, and the best score it saw below the
+    level is the next level; a level whose pairs closed later in the same
+    pass keeps nothing. Memory is linear in the bucket. Keys and concepts
+    become int bitmasks over the bucket's own vocabulary, so each set
+    operation is one int operation plus ``int.bit_count``.
     """
     bits: dict[str, int] = {}
 
@@ -103,68 +101,34 @@ def _bucket_candidates(index: DescriptorIndex, members: list[str], alignment: st
     need_shared = alignment != ALIGN_SUBCATEGORY
     concepts = [mask(d.core_concepts) for d in descs] if need_shared else []
     cap = n if max_per_image is None else max_per_image  # n: no image fills up
-    width = 2 * cap + 2
     load = [0] * n
-
-    def fill(i: int, after_score: float,
-             after_j: int) -> tuple[list[tuple[float, int]], bool]:
-        """Row *i*'s best ``width`` entries after ``(-after_score, after_j)``,
-        worst first, and whether the row may hold more."""
-        ki = keys[i]
-        ci = concepts[i] if need_shared else 0
-        found = []
-        ones = 0
-        cut = False
-        for j in range(i + 1, n):
-            if load[j] >= cap:
-                continue
-            kj = keys[j]
-            n_diff = (ki ^ kj).bit_count()
-            if n_diff == 0 or (need_shared and not ci & concepts[j]):
-                continue
-            score = n_diff / (ki | kj).bit_count()
-            if score < min_contrast or score > after_score or (
-                    score == after_score and j <= after_j):
-                continue
-            found.append((-score, j))
-            if score == 1.0:
-                ones += 1
-                if ones == width:  # no later entry of this row sorts before these
-                    cut = True
-                    break
-        found.sort(reverse=True)
-        return found[-width:], cut or len(found) > width
-
-    heap: list[tuple[float, int, int, list[tuple[float, int]], bool]] = []
-
-    def push_next(i: int, buf: list[tuple[float, int]], more: bool,
-                  neg_score: float, j: int) -> None:
-        """Put row *i*'s next live entry after ``(neg_score, j)`` on the heap."""
-        while load[i] < cap:
-            while buf:
-                neg_score, j = buf.pop()
-                if load[j] < cap:
-                    # one head per row: the tuple order never reaches buf
-                    heapq.heappush(heap, (neg_score, i, j, buf, more))
-                    return
-            if not more:
-                return
-            buf, more = fill(i, -neg_score, j)
-
     kept = []
-    filled = 0
-    while True:
-        while filled < n and (not heap or heap[0][0] > -1.0):
-            push_next(filled, [], True, -2.0, n)  # -2.0: before every entry
-            filled += 1
-        if not heap:
-            return kept
-        neg_score, i, j, buf, more = heapq.heappop(heap)
-        if load[i] < cap and load[j] < cap:
-            load[i] += 1
-            load[j] += 1
-            kept.append((neg_score, members[i], members[j], alignment))
-        push_next(i, buf, more, neg_score, j)
+    level = 1.0
+    while level >= 0:  # -1.0: the last pass saw no open pair below its level
+        below = -1.0
+        for i in range(n):
+            if load[i] >= cap:
+                continue
+            ki = keys[i]
+            ci = concepts[i] if need_shared else 0
+            for j in range(i + 1, n):
+                if load[j] >= cap:
+                    continue
+                kj = keys[j]
+                n_diff = (ki ^ kj).bit_count()
+                if n_diff == 0 or (need_shared and not ci & concepts[j]):
+                    continue
+                score = n_diff / (ki | kj).bit_count()
+                if score == level:
+                    load[i] += 1
+                    load[j] += 1
+                    kept.append((-score, members[i], members[j], alignment))
+                    if load[i] >= cap:
+                        break
+                elif below < score < level and score >= min_contrast:
+                    below = score
+        level = below
+    return kept
 
 
 def _candidate(index: DescriptorIndex, neg_score: float, left: str, right: str,
@@ -188,9 +152,9 @@ def propose_pairs(index: DescriptorIndex,
     Per image at most ``max_per_image`` pairs survive (``None`` means
     unlimited). The cap is exact greedy: within a bucket, pairs are taken in
     ``(-score, pair id)`` order and kept while both images hold fewer than
-    ``max_per_image``. It is computed lazily, scoring an image's partners
-    only while the image can still place a pair, so memory is linear in the
-    bucket. Output is sorted by pair id.
+    ``max_per_image``. It runs one pass per score level, best first, and
+    scores an image's partners only while the image can still place a
+    pair, so memory is linear in the bucket. Output is sorted by pair id.
     """
     if max_per_image is not None and max_per_image < 1:
         raise ValueError("max_per_image must be >= 1")

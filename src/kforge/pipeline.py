@@ -205,8 +205,8 @@ SETTINGS = (
             flag=("vqa-synth", "--grounding", dict(type=float))),
     Setting("interleave.max_group", _int, attr="interleave_max"),
     Setting("interleave.min_group", _int, (
-        lambda value, config: 2 <= value <= config.interleave_max,
-        "{key} must be >= 2 and <= max_group"), attr="interleave_min"),
+        lambda value, config: 3 <= value <= config.interleave_max,
+        "{key} must be >= 3 and <= max_group"), attr="interleave_min"),
     Setting("mixture.spec", _instance(str, "a string"), attr="mixture_spec",
             flag=("mix", "--spec", dict(help="Spec JSON path or builtin:<name>."))),
     Setting("mixture.budget", _int, _AT_LEAST_1, attr="mixture_budget",

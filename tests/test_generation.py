@@ -237,6 +237,21 @@ def test_grouping_respects_domains_and_drops_tiny_leftovers():
     assert all(i.startswith("a-") for i in flat)  # the 2 sports images drop
 
 
+def test_group_sizes_stay_within_the_bounds():
+    for n in range(13):
+        ids = [f"img-{i:02d}" for i in range(n)]
+        descriptors = {i: make_descriptor(i, f"s-{i}", "food") for i in ids}
+        pairs = [PairCandidate(a, b, "subcategory", ("c",), ("k",), 1.0)
+                 for a, b in zip(ids, ids[1:])]
+        for min_size in range(2, 13):
+            for max_size in range(min_size, 13):
+                groups = group_for_interleave(pairs, descriptors, min_size, max_size)
+                assert all(min_size <= len(g) <= max_size for g in groups), (
+                    min_size, max_size, n, [len(g) for g in groups])
+                flat = [i for g in groups for i in g]
+                assert len(flat) == len(set(flat))
+
+
 def test_grouping_varies_with_seed():
     descriptors = {f"img-{i:02d}": make_descriptor(f"img-{i:02d}", f"s{i}", "food")
                    for i in range(10)}

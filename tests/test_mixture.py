@@ -85,6 +85,33 @@ def test_largest_remainder_conserves_budget():
         assert sum(out.values()) == budget
 
 
+def test_largest_remainder_conserves_budget_when_fractions_miss_one():
+    # validate_spec accepts fractions within 1e-9 of summing to 1; at a large
+    # budget their floors can overshoot it, or leave more units than categories
+    third = {"a": 0.3333333334, "b": 0.3333333333, "c": 0.3333333334}
+    assert largest_remainder(10**10, third) == {
+        "a": 3333333334, "b": 3333333333, "c": 3333333333}
+    out = largest_remainder(10**11, {c: 0.3333333333 for c in "abc"})
+    assert sum(out.values()) == 10**11
+    rng = random.Random(9)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        fractions = {f"c{i}": rng.random() for i in range(n)}
+        total = sum(fractions.values())
+        fractions = {c: min(1.0, max(0.0, f / total + rng.uniform(-4e-10, 4e-10) / n))
+                     for c, f in fractions.items()}
+        spec = MixtureSpec(name="s", proportions=fractions, unit="samples",
+                           budget=rng.choice([7, 10**9, 10**10, 10**12, 10**13]), seed=0,
+                           pool_bindings={c: ("p",) for c in fractions})
+        try:
+            validate_spec(spec)
+        except SpecInvalid:
+            continue
+        out = largest_remainder(spec.budget, fractions)
+        assert sum(out.values()) == spec.budget
+        assert min(out.values()) >= 0
+
+
 def test_largest_remainder_tie_break_lexicographic():
     assert largest_remainder(7, {"b": 0.5, "a": 0.5}) == {"a": 4, "b": 3}
 

@@ -160,13 +160,14 @@ def test_greedy_cap_matches_oracle(seed, max_per_image):
 @st.composite
 def single_buckets(draw):
     """One subcategory bucket, or one domain bucket of subcategory loners,
-    of up to 80 images over a 3-8 word key vocabulary: many scores tie and
-    many are 1.0."""
+    of up to 80 images with up to 6 keys from a 3-14 word vocabulary: many
+    scores tie, many are 1.0 and the rest spread over many levels. Concepts
+    come from a pool of 3 or 12 names, so a domain bucket may be sparse."""
     subcategory_aligned = draw(st.booleans())
-    vocab = [f"k{v}" for v in range(draw(st.integers(3, 8)))]
-    concepts = st.lists(st.sampled_from(["depth", "trade", "light"]), max_size=2,
-                        unique=True)
-    keys = st.lists(st.sampled_from(vocab), max_size=4, unique=True)
+    vocab = [f"k{v}" for v in range(draw(st.integers(3, 14)))]
+    pool = [f"c{v}" for v in range(draw(st.sampled_from([3, 12])))]
+    concepts = st.lists(st.sampled_from(pool), max_size=2, unique=True)
+    keys = st.lists(st.sampled_from(vocab), max_size=6, unique=True)
     return [make_descriptor(f"i{k:02d}", "reef" if subcategory_aligned else f"sub{k}",
                             "geo", concepts=draw(concepts), keys=draw(keys))
             for k in range(draw(st.integers(2, 80)))]
@@ -182,9 +183,9 @@ def test_lazy_cap_matches_oracle_on_tied_buckets(ds, max_per_image, min_contrast
 
 
 def test_row_refills_once_every_buffered_partner_is_full():
-    # At cap 1 a row buffers 4 partners. r0 scores 1/3 against each of r1-r5,
-    # which score 1/2 against each other, so r1-r2 and r3-r4 fill r0's whole
-    # buffer before r0 is used; only a refill of r0's row reaches r5.
+    # At cap 1, r0 scores 1/3 against each of r1-r5, which score 1/2 against
+    # each other. The 1/2 level keeps r1-r2 and r3-r4, so the 1/3 level skips
+    # four full partners in r0's row before it reaches r5.
     ds = [make_descriptor("r0", "reef", "geo", keys=("a", "b"))]
     ds += [make_descriptor(f"r{k}", "reef", "geo", keys=("a", "b", f"c{k}"))
            for k in range(1, 6)]
@@ -195,11 +196,11 @@ def test_row_refills_once_every_buffered_partner_is_full():
 
 
 def test_row_refill_starts_after_the_pair_it_kept_last():
-    # One domain bucket at cap 2: a row buffers 6 partners. b scores 1/3
-    # against each of p1-p7. The 1/2 pairs (f with p4 and p5, and among
-    # p1-p5, which share concept u) fill p1-p5 first, so b keeps p6, the
-    # last of its buffer, and then refills to reach p7. Concepts v and w
-    # keep p6 and p7 out of every other pair.
+    # One domain bucket at cap 2. b scores 1/3 against each of p1-p7. The
+    # 1/2 pairs (f with p4 and p5, and among p1-p5, which share concept u)
+    # fill p1-p5 first, so the 1/3 level skips five full partners in b's row
+    # and keeps p6, then p7. Concepts v and w keep p6 and p7 out of every
+    # other pair.
     def d(image_id, concepts, keys):
         return make_descriptor(image_id, f"sub-{image_id}", "geo", concepts=concepts,
                                keys=keys)
@@ -215,10 +216,22 @@ def test_row_refill_starts_after_the_pair_it_kept_last():
     assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds), 2)
 
 
+def test_a_level_noted_from_pairs_closed_later_in_its_pass_keeps_nothing():
+    # One bucket at cap 1. The 1.0 level scores a-b and a-c (2/3) before b-c
+    # (1.0) fills b and c, so it notes 2/3 as the next level. That level
+    # keeps nothing, and the 1/2 level after it keeps a-d.
+    ds = [make_descriptor(image_id, "reef", "geo", keys=keys) for image_id, keys in (
+        ("a", ("x", "y")), ("b", ("y", "p")), ("c", ("x", "q")), ("d", ("x", "y", "r", "s")))]
+    out = propose_pairs(build_index(ds), max_per_image=1, min_contrast=0.0)
+    assert [(c.left_id, c.right_id, c.contrast_score) for c in out] == [
+        ("a", "d", 0.5), ("b", "c", 1.0)]
+    assert _rows(out) == oracle_greedy_cap(oracle_propose_pairs(ds, 0.0), 1)
+
+
 def test_propose_pairs_memory_stays_linear_in_the_bucket():
     # One 2,000-image bucket has 2.0 M pairs, nearly all above min_contrast.
     # Holding them all in one list takes over 100 MB; the capped proposal
-    # buffers a few partners per image.
+    # holds a load count per image and the pairs it keeps.
     rng = random.Random(3)
     vocab = [f"key{v}" for v in range(40)]
     ds = [make_descriptor(f"i{k:04d}", "reef", "geo", keys=rng.sample(vocab, 3))

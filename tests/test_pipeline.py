@@ -102,6 +102,12 @@ def test_config_requires_distinct_paths(tmp_path, monkeypatch):
                                     "quarantine_dir": str(tmp_path / "q")}})
 
 
+def test_interleave_min_group_below_three_is_refused(tmp_path):
+    # an interleaved document needs 3 images, so groups of 2 would all be quarantined
+    with pytest.raises(ConfigInvalid, match="interleave.min_group must be >= 3"):
+        config_from_obj({**_config_doc(tmp_path), "interleave": {"min_group": 2}})
+
+
 def test_http_backend_requires_endpoint(tmp_path, monkeypatch):
     monkeypatch.delenv("KF_LLM_ENDPOINT", raising=False)
     monkeypatch.delenv("KF_LLM_MODEL", raising=False)
@@ -1512,7 +1518,7 @@ _BAD_VALUES = [
     ("vqa_policy.detail_to_global_min_ratio", 0,
      "vqa_policy.detail_to_global_min_ratio must be > 0"),
     ("vqa_policy.grounding_min_overlap", -0.5, "vqa_policy.grounding_min_overlap must be > 0"),
-    ("interleave.min_group", 1, "interleave.min_group must be >= 2 and <= max_group"),
+    ("interleave.min_group", 1, "interleave.min_group must be >= 3 and <= max_group"),
     ("interleave.max_group", "x", "interleave.max_group must be a whole number, got 'x'"),
     ("mixture.spec", 5, "mixture.spec must be a string"),
     ("mixture.budget", 0, "mixture.budget must be >= 1"),
