@@ -42,14 +42,16 @@ logger = logging.getLogger(__name__)
 # kernel at once
 SYNC_INTERVAL_S = 1.0
 
+TEMPERATURE = 0.0
+MAX_OUTPUT_TOKENS = 1024
+
 
 @dataclass(frozen=True)
 class LlmRequest:
+    """One model call, sampled with ``TEMPERATURE`` and ``MAX_OUTPUT_TOKENS``."""
     template_id: str
     bindings: dict
     image_uris: tuple[str, ...] = ()
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,8 @@ class HttpBackend:
     """Minimal chat-completions client on the standard library.
 
     Sends ``POST endpoint`` with ``{"model", "messages", "temperature",
-    "max_tokens"}`` where messages is a single user turn; image URIs ride
-    as ``image_url`` content parts. Reads the reply from
+    "max_tokens"}`` (the last two fixed) where messages is a single user
+    turn; image URIs ride as ``image_url`` content parts. Reads the reply from
     ``choices[0].message.content``.
 
     Keep-alive connections are pooled: a call takes the most recently used
@@ -364,8 +366,8 @@ class HttpBackend:
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": content}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }).encode("utf-8")
         conn = self._connection()
         resp = None
@@ -401,11 +403,9 @@ class HttpBackend:
 
 def _readable(sock: socket.socket) -> bool:
     """Whether ``sock`` has data or EOF waiting, without blocking."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 _RETRYABLE = ("timeout", "rate_limited", "connection")
@@ -512,9 +512,9 @@ class GatewayStats:
     reasks: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def bump(self, name: str, by: int = 1) -> None:
+    def bump(self, name: str) -> None:
         with self._lock:
-            setattr(self, name, getattr(self, name) + by)
+            setattr(self, name, getattr(self, name) + 1)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -530,13 +530,13 @@ class Gateway:
     contract is re-asked at most once before failing, and the checked reply
     is returned parsed, so nothing decodes it again. With a ``store``, a
     request is first looked up there, keyed on the backend, its model and all
-    it sends: a hit takes no token, slot or ``llm_calls`` count, and a
-    successful reply is stored before it is checked (a re-ask is a new key).
+    it sends, the fixed sampling settings included: a hit takes no token,
+    slot or ``llm_calls`` count, and a successful reply is stored before it
+    is checked (a re-ask is a new key).
     """
 
     def __init__(self, backend, retry: RetryPolicy | None = None,
-                 rps: float | None = None, in_flight: int = 8,
-                 sleep=time.sleep):
+                 rps: float | None = None, in_flight: int = 8):
         if in_flight < 1:
             raise ValueError("in_flight must be >= 1")
         self.backend = backend
@@ -545,7 +545,6 @@ class Gateway:
         self.semaphore = threading.BoundedSemaphore(in_flight)
         self.stats = GatewayStats()
         self.store: ReplyStore | None = None
-        self._sleep = sleep
 
     def __enter__(self) -> Gateway:
         return self
@@ -579,8 +578,6 @@ class Gateway:
             raise ValidationError(
                 "image_uris",
                 f"template {request.template_id} requires {bound} images, got {n}")
-        if request.temperature < 0:
-            raise ValidationError("temperature", "must be >= 0")
         return template
 
     def _attempt(self, request: LlmRequest, prompt: str) -> str:
@@ -588,7 +585,7 @@ class Gateway:
         if store is not None:
             key = hashlib.sha256((
                 f"{self.backend_id}\0{getattr(self.backend, 'model', None)}\0{request.template_id}"
-                f"\0{request.image_uris!r}\0{request.temperature!r}\0{request.max_output_tokens}"
+                f"\0{request.image_uris!r}\0{TEMPERATURE!r}\0{MAX_OUTPUT_TOKENS}"
                 f"\0{prompt}").encode("utf-8", "surrogatepass")).digest()
             reply = store.get(key)
             if reply is not None:
@@ -597,7 +594,7 @@ class Gateway:
         for attempt in range(self.retry.max_attempts):
             if attempt:
                 self.stats.bump("retries")
-                self._sleep(self.retry.backoff_base * self.retry.backoff_factor ** (attempt - 1))
+                time.sleep(self.retry.backoff_base * self.retry.backoff_factor ** (attempt - 1))
             self.bucket.acquire()
             with self.semaphore:
                 self.stats.bump("llm_calls")

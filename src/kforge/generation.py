@@ -233,14 +233,14 @@ def grounding_fraction(answer: str, caption_vocab: set[str]) -> float:
 
 def synthesize_vqa(caption_record: Record, policy: VqaValidationPolicy,
                    gateway: Gateway) -> Record:
-    """Reconstruct VQA supervision from a caption record.
+    """Reconstruct VQA supervision from a single-image caption record.
 
     Runs the caption-to-VQA prompt, classifies scopes, enforces the policy
     (item count, global minimum, detail/global ratio), and drops detail
     items whose answers are not grounded in the caption. If the drops push
     the set under ``min_items`` the record fails.
     """
-    if caption_record.kind not in (KIND_CAPTION, KIND_PAIR_CAPTION):
+    if caption_record.kind != KIND_CAPTION:
         raise ValidationError("kind", f"cannot synthesize VQA from kind {caption_record.kind}")
     caption = caption_record.payload["caption"]
     if not caption.strip():
@@ -288,17 +288,12 @@ def synthesize_vqa(caption_record: Record, policy: VqaValidationPolicy,
     if n_detail < policy.detail_to_global_min_ratio * n_global:
         raise PolicyViolation("ratio", "grounding drops broke the detail/global ratio")
 
-    meta = {"caption_id": caption_record.id}
-    uris = caption_record.image_uris
-    if len(uris) > 1:
-        # vqa records carry exactly one image; keep the rest in meta
-        meta["extra_image_uris"] = ",".join(uris[1:])
     record = Record(
         id=make_child_id("vqa1", caption_record.id),
         kind=KIND_VQA,
-        image_uris=uris[:1],
+        image_uris=caption_record.image_uris,
         payload={"qa": kept},
         source="vqa1",
-        meta=meta,
+        meta={"caption_id": caption_record.id},
     )
     return validate_record(record)

@@ -41,13 +41,13 @@ BUILTIN_PREFIX = "builtin:"
 
 @dataclass(frozen=True)
 class MixtureSpec:
+    """Category proportions, unit, budget, seed and each category's pools."""
     name: str
     proportions: dict[str, float]
     unit: str
     budget: int
     seed: int
     pool_bindings: dict[str, tuple[str, ...]]
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ def spec_from_obj(obj: dict) -> MixtureSpec:
             budget=int(obj["budget"]),
             seed=int(obj["seed"]),
             pool_bindings={str(k): tuple(v) for k, v in obj.get("pool_bindings", {}).items()},
-            notes=str(obj.get("notes", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"bad mixture spec: {exc}") from exc
@@ -103,42 +102,42 @@ def load_spec(path: str | Path) -> MixtureSpec:
     return spec_from_obj(obj)
 
 
-_BUILTIN_TABLE: dict[str, tuple[dict[str, float], dict[str, tuple[str, ...]], str]] = {
+_BUILTIN_TABLE: dict[str, tuple[dict[str, float], dict[str, tuple[str, ...]]]] = {
+    # original caption and VQA supervision
     "baseline": (
         {"caption": 0.28, "vqa": 0.17, "pure_text": 0.40, "other": 0.15},
         {"caption": ("caption0",), "vqa": ("vqa0",), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "original caption and VQA supervision",
     ),
+    # VQA supervision replaced by generated captions over the same images
     "caption_only": (
         {"caption": 0.45, "vqa": 0.0, "pure_text": 0.40, "other": 0.15},
         {"caption": ("caption0", "caption1"), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "VQA supervision replaced by generated captions over the same images",
     ),
+    # VQA supervision reconstructed from generated captions
     "synthetic_vqa": (
         {"caption": 0.28, "vqa": 0.17, "pure_text": 0.40, "other": 0.15},
         {"caption": ("caption0",), "vqa": ("vqa1",), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "VQA supervision reconstructed from generated captions",
     ),
+    # paired captions replace the caption and VQA shares (merged 45% block)
     "pair_caption_v1": (
         {"pair_caption": 0.45, "pure_text": 0.40, "other": 0.15},
         {"pair_caption": ("pair_caption",), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "paired captions replace the caption and VQA shares (merged 45% block)",
     ),
+    # interleaved documents replace the caption and VQA shares (merged 45% block)
     "interleaved_cfg": (
         {"interleaved": 0.45, "pure_text": 0.40, "other": 0.15},
         {"interleaved": ("interleaved",), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "interleaved documents replace the caption and VQA shares (merged 45% block)",
     ),
+    # paired captions replace the caption share; original VQA kept
     "pair_caption_v2": (
         {"caption": 0.28, "vqa": 0.17, "pure_text": 0.40, "other": 0.15},
         {"caption": ("pair_caption",), "vqa": ("vqa0",), "pure_text": ("pure_text",),
          "other": ("other",)},
-        "paired captions replace the caption share; original VQA kept",
     ),
 }
 
@@ -149,10 +148,10 @@ def builtin_spec(name: str, budget: int, seed: int, unit: str = UNIT_SAMPLES) ->
     """One of the shipped mixture configurations, parameterized by budget and seed."""
     if name not in _BUILTIN_TABLE:
         raise SpecInvalid(f"unknown builtin mixture {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    proportions, bindings, notes = _BUILTIN_TABLE[name]
+    proportions, bindings = _BUILTIN_TABLE[name]
     return validate_spec(MixtureSpec(
         name=name, proportions=dict(proportions), unit=unit, budget=budget,
-        seed=seed, pool_bindings=dict(bindings), notes=notes))
+        seed=seed, pool_bindings=dict(bindings)))
 
 
 def largest_remainder(budget: int, fractions: dict[str, float]) -> dict[str, int]:
@@ -287,16 +286,14 @@ def sample_mixture(plan: MixturePlan,
     return out
 
 
-def verify_mixture(sampled: Iterable[tuple[str, Record]], spec: MixtureSpec,
-                   tolerance: float | None = None) -> dict:
+def verify_mixture(sampled: Iterable[tuple[str, Record]], spec: MixtureSpec) -> dict:
     """Measure realized proportions against the declared ones, over the
     (category, record) pairs that ``sample_mixture`` returns.
 
     Returns a report document; ``pass`` is false when the measurement
-    deviates beyond the tolerance or the shard set is empty.
+    deviates beyond the unit's ``VERIFY_TOLERANCE`` or the shard set is empty.
     """
-    if tolerance is None:
-        tolerance = VERIFY_TOLERANCE[spec.unit]
+    tolerance = VERIFY_TOLERANCE[spec.unit]
     amounts: dict[str, int] = {c: 0 for c in spec.proportions}
     total = 0
     for category, r in sampled:

@@ -107,11 +107,12 @@ def _bool(key: str, value) -> bool:
 
 
 def _number(kind: type, null: bool = False):
-    """Conversion by ``kind``; an integer refuses a fractional part, and
-    with ``null`` a ``None`` stays ``None``."""
+    """Conversion by ``kind``; a bool is no number, an integer refuses a
+    fractional part, and with ``null`` a ``None`` stays ``None``."""
     def convert(key: str, value):
         try:
-            if kind is int and isinstance(value, float) and not value.is_integer():
+            if isinstance(value, bool) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()):
                 raise ValueError
             return None if null and value is None else kind(value)
         except (TypeError, ValueError):
@@ -232,7 +233,7 @@ _REQUIRED = [f.name for f in fields(PipelineConfig)
 def _given(doc: dict, section: str = "") -> dict:
     """The value of each key that ``doc``, the document or one of its
     sections, sets; an unknown key, or a section that is not an object, is
-    refused. An absent or empty section reads as ``{}``."""
+    refused. An absent or ``null`` section reads as ``{}``."""
     prefix = f"{section}." if section else ""
     names = {s.key[len(prefix):].split(".")[0] for s in SETTINGS if s.key.startswith(prefix)}
     unknown = set(doc) - names
@@ -244,7 +245,7 @@ def _given(doc: dict, section: str = "") -> dict:
         key = prefix + name
         if not any(s.key.startswith(f"{key}.") for s in SETTINGS):
             given[key] = value
-        elif isinstance(value or {}, dict):
+        elif value is None or isinstance(value, dict):
             given.update(_given(value or {}, key))
         else:
             raise ConfigInvalid(f"config section {key} must be an object")
@@ -334,11 +335,15 @@ class Quarantine:
         logger.warning("quarantined %s at stage %s: %s", work_id, self.path.stem, error)
 
     def publish(self) -> None:
-        if self.rows:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            publish(self.path, self.rows)
-        else:
-            self.path.unlink(missing_ok=True)
+        try:
+            if self.rows:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                publish(self.path, self.rows)
+            else:
+                self.path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ShardIoError(
+                f"io.quarantine_dir {self.path.parent} is not usable: {exc}") from exc
 
 
 # --- shared stage plumbing ----------------------------------------------------
@@ -696,15 +701,16 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
     """The run over ``out_dir/.work``; yields its gateway and its ``Ingest``.
 
     The outermost entry checks the settings, with ``validate_config`` and
-    each of ``stages``' ``check``. It then takes ``.work/lock``, an
-    exclusive ``flock`` taken without waiting, so a second process raises
-    ``WorkspaceBusy``; the kernel drops a dead process's lock. It attaches
-    ``.work/replies.log``, which resume reads, as the store of ``gateway``
-    (or of one built from ``config``), and creates the reader, seeded with
-    the shards that the last run to end in this process read. On exit the
-    gateway gets its previous store back, and this run's shards replace
-    the last run's. An entry within this thread's run over the same
-    ``.work``, as each stage of ``run_all``, reuses that run."""
+    each of ``stages``' ``check``. It then takes ``.work/lock`` (a
+    ``ShardIoError`` if it cannot be created), an exclusive ``flock`` taken
+    without waiting, so a second process raises ``WorkspaceBusy``; the
+    kernel drops a dead process's lock. It attaches ``.work/replies.log``,
+    which resume reads, as the store of ``gateway`` (or of one built from
+    ``config``), and creates the reader, seeded with the shards that the
+    last run to end in this process read. On exit the gateway gets its
+    previous store back, and this run's shards replace the last run's. An
+    entry within this thread's run over the same ``.work``, as each stage
+    of ``run_all``, reuses that run."""
     global _last_shards
     work = (Path(config.out_dir) / ".work").absolute()
     outer = getattr(_runs, "current", None)
@@ -715,8 +721,12 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
     for stage in stages:
         if stage.check is not None:
             stage.check(config)
-    work.mkdir(parents=True, exist_ok=True)
-    with open(work / "lock", "ab") as lock:
+    try:
+        work.mkdir(parents=True, exist_ok=True)
+        lock = open(work / "lock", "ab")
+    except OSError as exc:
+        raise ShardIoError(f"io.out_dir {config.out_dir} is not usable: {exc}") from exc
+    with lock:
         try:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

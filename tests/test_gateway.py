@@ -129,12 +129,6 @@ def test_unknown_template_rejected():
         gw.complete(LlmRequest("nope", {}))
 
 
-def test_negative_temperature_rejected():
-    gw = mock_gateway()
-    with pytest.raises(ValidationError):
-        gw.complete(LlmRequest("caption_to_vqa", {"cap": "x"}, temperature=-1.0))
-
-
 # --- retry / re-ask -------------------------------------------------------------
 
 def test_transport_retry_then_success():
@@ -338,6 +332,22 @@ def test_store_is_never_reused_for_another_model(tmp_path):
     assert backend.calls == 0
 
 
+@pytest.mark.parametrize("llm_request, key", [
+    (LlmRequest("single_caption", {"image": "img-1 file:///a.jpg"}, ("file:///a.jpg",)),
+     "7fb688d0b1242682c2b1dc177516d240849be58da46a4692b5ea0afcfd5773c5"),
+    (LlmRequest("caption_to_vqa", {"cap": "A red roof by a stone arch."}),
+     "51a3dfed0ef9f53de1219857d3318cc0501d91809d7ad20936c022a55f6e1265"),
+], ids=["single_caption", "caption_to_vqa"])
+def test_store_keys_are_stable(tmp_path, llm_request, key):
+    """The keys recorded by earlier releases, so their stores are still hit."""
+    path = tmp_path / "replies.log"
+    with ReplyStore(path) as store:
+        gw = mock_gateway()
+        gw.store = store
+        gw.complete(llm_request)
+    assert path.read_bytes().split(b" ", 1)[0].decode("ascii") == key
+
+
 def test_reask_is_stored_under_its_own_key(tmp_path):
     path = tmp_path / "replies.log"
     good = json.dumps([{"question": "q?", "answer": "a"}])
@@ -379,6 +389,17 @@ def test_store_cuts_a_reply_torn_before_its_newline(tmp_path):
         store.put(second, "b again")
     with ReplyStore(path) as store:
         assert (store.get(first), store.get(second)) == ("a", "b again")
+
+
+def test_store_is_cut_at_its_first_line_whose_reply_is_not_json(tmp_path):
+    path = tmp_path / "replies.log"
+    k1, k2, k3 = (hashlib.sha256(k).digest() for k in (b"one", b"two", b"three"))
+    first = f"{k1.hex()} {json.dumps('reply 1')}\n".encode("ascii")
+    path.write_bytes(first + f"{k2.hex()} not json\n".encode("ascii")
+                     + f"{k3.hex()} {json.dumps('reply 3')}\n".encode("ascii"))
+    with ReplyStore(path) as store:
+        assert (store.get(k1), store.get(k2), store.get(k3)) == ("reply 1", None, None)
+    assert path.read_bytes() == first
 
 
 def test_two_stores_on_one_log_never_return_another_keys_reply(tmp_path):
@@ -641,6 +662,34 @@ def test_http_dropped_connection_is_retried():
             request = _caption_request("img")
             assert gw.complete(request) == _expected_echo(request)
         assert gw.stats.retries == 1
+        assert server.accepted == 2
+
+
+def test_http_reply_broken_off_after_its_headers_is_not_retried_or_reused():
+    broken = []
+
+    class BreakOff(_EchoHandler):
+        def do_POST(self):
+            if not broken:
+                self.read_body()
+                broken.append(True)
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                self.wfile.write(b'{"choices"')  # then close, 90 bytes short
+                self.close_connection = True
+                return
+            super().do_POST()
+
+    with _serving(BreakOff) as (server, url):
+        with Gateway(HttpBackend(url, model="m"), retry=FAST) as gw:
+            with pytest.raises(BackendError) as err:
+                gw.complete(_caption_request("img-0"))
+            assert gw.backend._idle == []  # the broken connection was closed, not pooled
+            request = _caption_request("img-1")
+            assert gw.complete(request) == _expected_echo(request)
+        assert (err.value.kind, err.value.status) == ("http_status", None)
+        assert (gw.stats.llm_calls, gw.stats.retries) == (2, 0)
         assert server.accepted == 2
 
 

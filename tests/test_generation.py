@@ -397,6 +397,19 @@ def test_vqa_rejects_wrong_source_kind(corpus30):
         synthesize_vqa(pure, VqaValidationPolicy(), gw)
 
 
+def test_vqa_rejects_a_pair_caption():
+    """vqa-synth reads single-image captions only; a pair caption costs no call."""
+    from kforge.corpus import Record
+
+    pair = Record(id="pc-1", kind="pair_caption", image_uris=("file:///a.jpg", "file:///b.jpg"),
+                  payload={"caption": "Both show a red roof."}, source="pair_caption", meta={})
+    gw = mock_gateway()
+    with pytest.raises(ValidationError) as err:
+        synthesize_vqa(pair, VqaValidationPolicy(), gw)
+    assert err.value.field == "kind"
+    assert gw.stats.llm_calls == 0
+
+
 def test_scope_classification_rules():
     caption = "x" * 100
     items = [("What animal?", "y" * 30),   # long answer takes the global slot

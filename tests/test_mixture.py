@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +45,21 @@ def test_zero_fraction_needs_no_binding():
                               {"caption": ("caption0",)}))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"name": ""}, "spec needs a name"),
+    ({"unit": "bytes"}, "unknown unit 'bytes'"),
+    ({"budget": 0}, "budget must be positive"),
+    ({"proportions": {}}, "no categories declared"),
+    ({"proportions": {"caption": 1.5, "vqa": -0.5}}, "fraction for caption outside [0, 1]"),
+], ids=["no-name", "unit", "budget", "no-categories", "fraction"])
+def test_validate_spec_refusals(change, message):
+    spec = MixtureSpec("t", {"caption": 0.5, "vqa": 0.5}, "samples", 10, 0,
+                       {"caption": ("caption0",), "vqa": ("vqa0",)})
+    with pytest.raises(SpecInvalid) as err:
+        validate_spec(replace(spec, **change))
+    assert str(err.value) == message
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = builtin_spec("baseline", budget=1000, seed=3)
     path = tmp_path / "spec.json"
@@ -51,7 +67,6 @@ def test_spec_json_roundtrip(tmp_path):
         "name": spec.name, "proportions": spec.proportions, "unit": spec.unit,
         "budget": spec.budget, "seed": spec.seed,
         "pool_bindings": {k: list(v) for k, v in spec.pool_bindings.items()},
-        "notes": spec.notes,
     }), encoding="utf-8")
     assert load_spec(path) == spec
 

@@ -143,13 +143,24 @@ def test_http_backend_from_env(tmp_path, monkeypatch):
     # every reply contract re-asks once; the switch is gone
     ({"backend": {"retry": {"reask_on_malformed": False}}},
      "unknown keys in config section backend.retry: ['reask_on_malformed']"),
+    # only null stands for an absent section
+    ({"backend": False}, "config section backend must be an object"),
+    ({"pairing": 0}, "config section pairing must be an object"),
+    ({"vqa_policy": ""}, "config section vqa_policy must be an object"),
+    ({"backend": {"retry": []}}, "config section backend.retry must be an object"),
 ], ids=["section", "backend", "retry", "vqa_policy", "io", "not-an-object", "flush_every",
-        "reask_on_malformed"])
+        "reask_on_malformed", "false-section", "zero-section", "empty-string-section",
+        "empty-list-section"])
 def test_unknown_config_section_rejected(tmp_path, extra, message):
     doc = {"io": {"in_dir": "a", "out_dir": "b", "quarantine_dir": "c"}, **extra}
     with pytest.raises(ConfigInvalid) as err:
         config_from_obj(doc)
     assert str(err.value) == message
+
+
+def test_null_section_reads_as_absent(tmp_path):
+    doc = _config_doc(tmp_path)
+    assert config_from_obj({**doc, "pairing": None, "vqa_policy": None}) == config_from_obj(doc)
 
 
 @pytest.mark.parametrize("backend, message", [
@@ -910,6 +921,29 @@ def test_missing_input_dir_exits_one_and_publishes_nothing(tmp_path, monkeypatch
     assert _tree_bytes(config.quarantine_dir) == quarantine
 
 
+@pytest.mark.parametrize("key", ["out_dir", "quarantine_dir"])
+def test_unusable_directory_exits_one_without_a_traceback(tmp_path, key):
+    """A directory below a regular file ended in a NotADirectoryError
+    traceback: for io.out_dir when the run took its lock, for
+    io.quarantine_dir when the stage published what it quarantined."""
+    config = make_workspace(tmp_path)
+    with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    afile = tmp_path / "afile"
+    afile.write_text("a file", encoding="utf-8")
+    doc = _config_doc(Path(config.in_dir).parent)
+    doc["io"][key] = str(afile / "dir")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(cli_main, ["stats", "--config", str(config_path)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.stderr.startswith(f"error: io.{key} {afile / 'dir'} is not usable: ")
+    assert "Traceback" not in result.stderr
+    assert afile.read_text(encoding="utf-8") == "a file"
+    if key == "out_dir":  # the run stopped before its first stage
+        assert not Path(config.quarantine_dir).exists()
+
+
 # --- determinism and resume ------------------------------------------------------------
 
 def test_run_all_twice_byte_identical(tmp_path):
@@ -1529,6 +1563,10 @@ _BAD_VALUES = [
     ("kd.comparisons", ["ab"], "kd.comparisons entries must be two source names, got 'ab'"),
     ("seed", "abc", "seed must be a whole number, got 'abc'"),
     ("workers", 0, "workers must be >= 1"),
+    # true and false are no numbers
+    ("workers", True, "workers must be a whole number, got True"),
+    ("seed", False, "seed must be a whole number, got False"),
+    ("pairing.min_contrast", True, "pairing.min_contrast must be a number, got True"),
 ]
 
 
