@@ -8,7 +8,7 @@ can serve as a backend; ``name`` and ``close`` are optional. The HTTP
 backend uses only the standard library: one pool of keep-alive connections
 shared by every thread and stage, proxies read once from the environment,
 HTTPS verified against the system trust store. Timeouts, 429s, 5xx replies
-and connections dropped before a response are retried with backoff.
+and connections dropped before a reply is complete are retried with backoff.
 ``Gateway.complete`` is the one reply path: it checks each reply against
 its template's contract (see ``prompts.CONTRACTS``), re-asks at most once
 and returns the checked value. With a ``ReplyStore`` attached, a request
@@ -284,10 +284,11 @@ class HttpBackend:
     store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` are honoured).
 
     Failures become ``BackendError``: a socket timeout ``timeout``; a
-    connection refused, reset or closed before any response ``connection``;
-    429 ``rate_limited``; any other status >= 400, a reply that breaks off,
-    or one of the wrong shape (content that is not text, or holds an unpaired
-    surrogate) ``http_status``.
+    connection refused, reset or closed before a reply is complete, the
+    headers read or not, ``connection``; 429 ``rate_limited``; any other
+    status >= 400, a failed certificate check, or a reply of the wrong shape
+    (content that is not text, or holds an unpaired surrogate)
+    ``http_status``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
@@ -381,10 +382,10 @@ class HttpBackend:
                 resp.close()
             if isinstance(exc, TimeoutError):
                 kind = "timeout"
-            elif resp is None and not isinstance(exc, ssl.SSLCertVerificationError):
-                kind = "connection"
-            else:
+            elif isinstance(exc, ssl.SSLCertVerificationError):
                 kind = "http_status"
+            else:
+                kind = "connection"
             raise BackendError(kind, message=f"{type(exc).__name__}: {exc}") from exc
         with self._lock:
             self._idle.append(conn)
@@ -526,8 +527,10 @@ class Gateway:
     """Thread-safe front door to one backend.
 
     Applies the retry policy to transport failures, enforces the in-flight
-    cap and rate limit, and checks each reply once: a reply that breaks its
-    contract is re-asked at most once before failing, and the checked reply
+    cap (``semaphore``, ``in_flight`` slots unless a pipeline run installs
+    its own; a slot is held only for the backend call, not in a retry's
+    backoff) and rate limit, and checks each reply once: a reply that breaks
+    its contract is re-asked at most once before failing, and the checked reply
     is returned parsed, so nothing decodes it again. With a ``store``, a
     request is first looked up there, keyed on the backend, its model and all
     it sends, the fixed sampling settings included: a hit takes no token,
@@ -540,6 +543,7 @@ class Gateway:
         if in_flight < 1:
             raise ValueError("in_flight must be >= 1")
         self.backend = backend
+        self.in_flight = in_flight
         self.retry = retry or RetryPolicy()
         self.bucket = TokenBucket(rps)
         self.semaphore = threading.BoundedSemaphore(in_flight)

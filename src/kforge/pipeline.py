@@ -38,9 +38,9 @@ import logging
 import math
 import os
 import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain
@@ -453,42 +453,88 @@ def _source_records(config: PipelineConfig, ingest: Ingest,
     return ingest.records(shard_paths, quarantine)
 
 
-def _run_llm_items(config: PipelineConfig, items, process, final_path: Path,
-                   quarantine: Quarantine) -> list:
+# an LLM-backed stage with workers > 1 takes at most this many items per call
+# slot ahead of the oldest item whose line is not yet written
+WINDOW_PER_SLOT = 32
+
+
+def _slots(config: PipelineConfig, gateway: Gateway) -> int:
+    """The backend calls a run has in flight at most."""
+    return min(config.workers, gateway.in_flight)
+
+
+def _in_order(fn, items, slots: int):
+    """``fn`` of each of ``items`` on ``2 * slots`` threads, yielded in input
+    order. At most ``WINDOW_PER_SLOT * slots`` items are submitted ahead of
+    the oldest one not yet yielded; on exit the items not yet started are
+    cancelled and those running are waited for."""
+    pool = ThreadPoolExecutor(2 * slots)
+    window: deque = deque()
+    try:
+        for item in items:
+            if len(window) == WINDOW_PER_SLOT * slots:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_llm_items(config: PipelineConfig, gateway: Gateway, items, process,
+                   final_path: Path, quarantine: Quarantine) -> list:
     """Run work items through an LLM-backed processor and publish the output.
 
     ``items`` is a list of (work_id, payload); ``process`` maps a payload to
     (output line, value) or raises a KforgeError (quarantined). The lines
     stream to ``final_path`` in input order, whatever the number of workers;
     returns the values of the published lines, in the same order.
+
+    With one worker the items run one after another. With more they run
+    through ``_in_order`` on two threads per call slot (``_slots``), so
+    while one thread sleeps in a retry's backoff or does an item's own work,
+    another holds its slot. An error that is not a KforgeError propagates
+    and nothing is published; once an item has raised one, no item starts.
     """
+    failure: list[BaseException] = []
+
     def run_one(entry):
         work_id, payload = entry
+        if failure:
+            return None
         try:
             return work_id, process(payload), None
         except KforgeError as exc:
             return work_id, None, exc
+        except BaseException as exc:
+            failure.append(exc)
+            raise
 
     values = []
 
     def lines():
-        with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
-              else nullcontext()) as pool:
-            for work_id, out, exc in (pool.map if pool else map)(run_one, items):
+        with (closing(_in_order(run_one, items, _slots(config, gateway))) if config.workers > 1
+              else nullcontext(map(run_one, items))) as results:
+            for result in results:
+                if result is None:  # not run: a later item failed before this one started
+                    raise failure[0]
+                work_id, out, exc = result
                 if exc is not None:
                     quarantine.put(work_id, exc)
                 else:
                     values.append(out[1])
                     yield out[0] + "\n"
 
-    publish(final_path, lines())
+    with closing(lines()) as chunks:
+        publish(final_path, chunks)
     return values
 
 
-def _run_llm_lines(config: PipelineConfig, items, process, final_path: Path,
-                   quarantine: Quarantine) -> tuple[int, int]:
+def _run_llm_lines(config: PipelineConfig, gateway: Gateway, items, process,
+                   final_path: Path, quarantine: Quarantine) -> tuple[int, int]:
     """``_run_llm_items`` for a ``process`` that returns a line alone: the item and line counts."""
-    return len(items), len(_run_llm_items(config, items, lambda payload: (process(payload), None),
+    return len(items), len(_run_llm_items(config, gateway, items,
+                                          lambda payload: (process(payload), None),
                                           final_path, quarantine))
 
 
@@ -511,7 +557,7 @@ def stage_annotate(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
     items = sorted(((r.id, (r.id, r.image_uris[0]))
                     for r in _source_records(config, ingest, quarantine)
                     if r.kind in (KIND_CAPTION, KIND_VQA)), key=lambda kv: kv[0])
-    return _run_llm_lines(config, items, lambda p: annotation.descriptor_to_json(
+    return _run_llm_lines(config, gateway, items, lambda p: annotation.descriptor_to_json(
         annotation.annotate_image(*p, gateway)), descriptors_out, quarantine)
 
 
@@ -540,7 +586,7 @@ def stage_filter(config: PipelineConfig, gateway: Gateway, quarantine: Quarantin
             gateway, uris=(_uri(uris, candidate.left_id), _uri(uris, candidate.right_id)))
         return json_line(pairing.verdict_to_obj(verdict)), verdict
 
-    verdicts = _run_llm_items(config, items, process, verdicts_out, quarantine)
+    verdicts = _run_llm_items(config, gateway, items, process, verdicts_out, quarantine)
     pairing.write_candidates(
         pairing.select_pairs(sorted(verdicts, key=lambda v: v.candidate.pair_id)), selected_out)
     return len(items), len(verdicts)
@@ -554,7 +600,7 @@ def stage_caption(config: PipelineConfig, gateway: Gateway, quarantine: Quaranti
               for image_id in pair.pair_id}
     uris = ingest.uris(config, quarantine)
     items = [(image_id, image_id) for image_id in sorted(descriptors) if image_id not in paired]
-    return _run_llm_lines(config, items, lambda image_id: record_to_json(
+    return _run_llm_lines(config, gateway, items, lambda image_id: record_to_json(
         generation.generate_caption(image_id, _uri(uris, image_id), gateway)),
         captions_out, quarantine)
 
@@ -576,7 +622,7 @@ def stage_pair_caption(config: PipelineConfig, gateway: Gateway, quarantine: Qua
             (_uri(uris, candidate.right_id), descriptors[candidate.right_id]),
             gateway, verdict=verdicts.get(candidate.pair_id)))
 
-    return _run_llm_lines(config, items, process, captions_out, quarantine)
+    return _run_llm_lines(config, gateway, items, process, captions_out, quarantine)
 
 
 def _seed(config: PipelineConfig, what: str) -> int:
@@ -605,7 +651,7 @@ def stage_interleave(config: PipelineConfig, gateway: Gateway, quarantine: Quara
         ingest.published(selected_in, pairing.read_candidates), descriptors,
         min_size=config.interleave_min, max_size=config.interleave_max, seed=seed)
     items = [("g~" + "~".join(group), group) for group in groups]
-    return _run_llm_lines(config, items, lambda group: record_to_json(
+    return _run_llm_lines(config, gateway, items, lambda group: record_to_json(
         generation.generate_interleaved(
             [GroupMember(i, _uri(uris, i), descriptors[i]) for i in group], gateway)),
         interleaved_out, quarantine)
@@ -615,7 +661,7 @@ def stage_vqa_synth(config: PipelineConfig, gateway: Gateway, quarantine: Quaran
                     ingest: Ingest, captions_in: Path, vqa_out: Path):
     """Reconstruct VQA supervision from generated captions."""
     items = [(r.id, r) for r in ingest.shard(captions_in)]
-    return _run_llm_lines(config, items, lambda r: record_to_json(
+    return _run_llm_lines(config, gateway, items, lambda r: record_to_json(
         generation.synthesize_vqa(r, config.vqa_policy, gateway)), vqa_out, quarantine)
 
 
@@ -630,7 +676,7 @@ def stage_kd_score(config: PipelineConfig, gateway: Gateway, quarantine: Quarant
         profile = knowledge.kd_score(record, gateway)
         return json_line(profile), knowledge.ProfileCounts.of(profile)
 
-    profiles = _run_llm_items(config, items, process, profiles_out, quarantine)
+    profiles = _run_llm_items(config, gateway, items, process, profiles_out, quarantine)
     report = knowledge.build_report(profiles, {r.id: r.source for r in records},
                                     config.kd_comparisons, gateway.backend_id)
     publish(report_out, [json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True)])
@@ -704,13 +750,15 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
     each of ``stages``' ``check``. It then takes ``.work/lock`` (a
     ``ShardIoError`` if it cannot be created), an exclusive ``flock`` taken
     without waiting, so a second process raises ``WorkspaceBusy``; the
-    kernel drops a dead process's lock. It attaches ``.work/replies.log``,
-    which resume reads, as the store of ``gateway`` (or of one built from
-    ``config``), and creates the reader, seeded with the shards that the
-    last run to end in this process read. On exit the gateway gets its
-    previous store back, and this run's shards replace the last run's. An
-    entry within this thread's run over the same ``.work``, as each stage
-    of ``run_all``, reuses that run."""
+    kernel drops a dead process's lock. It creates ``quarantine_dir`` (a
+    ``ShardIoError`` if it cannot), so an unusable one costs no model call.
+    It attaches ``.work/replies.log``, which resume reads, as the store of
+    ``gateway`` (or of one built from ``config``), caps the gateway's calls
+    in flight at ``_slots`` and creates the reader, seeded with the shards
+    that the last run to end in this process read. On exit the gateway gets
+    its previous store and cap back, and this run's shards replace the
+    last run's. An entry within this thread's run over the same ``.work``,
+    as each stage of ``run_all``, reuses that run."""
     global _last_shards
     work = (Path(config.out_dir) / ".work").absolute()
     outer = getattr(_runs, "current", None)
@@ -732,15 +780,21 @@ def _run(config: PipelineConfig, gateway: Gateway | None, stages: tuple[Stage, .
         except BlockingIOError:
             raise WorkspaceBusy(f"{work / 'lock'} is locked: another kforge process is "
                                 f"running over {config.out_dir}") from None
+        try:
+            Path(config.quarantine_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ShardIoError(
+                f"io.quarantine_dir {config.quarantine_dir} is not usable: {exc}") from exc
         with nullcontext(gateway) if gateway is not None else build_gateway(config) as gateway:
-            store = gateway.store
+            store, semaphore = gateway.store, gateway.semaphore
+            gateway.semaphore = threading.BoundedSemaphore(_slots(config, gateway))
             with ReplyStore(work / "replies.log") as gateway.store:
                 ingest = Ingest(_last_shards)
                 _runs.current = (work, gateway, ingest)
                 try:
                     yield _runs.current[1:]
                 finally:
-                    gateway.store, _runs.current = store, outer
+                    gateway.store, gateway.semaphore, _runs.current = store, semaphore, outer
                     _last_shards = ingest.shards()
 
 

@@ -665,7 +665,7 @@ def test_http_dropped_connection_is_retried():
         assert server.accepted == 2
 
 
-def test_http_reply_broken_off_after_its_headers_is_not_retried_or_reused():
+def test_http_reply_broken_off_after_its_headers_is_retried_and_not_reused(tmp_path):
     broken = []
 
     class BreakOff(_EchoHandler):
@@ -681,16 +681,18 @@ def test_http_reply_broken_off_after_its_headers_is_not_retried_or_reused():
                 return
             super().do_POST()
 
+    request = _caption_request("img")
     with _serving(BreakOff) as (server, url):
-        with Gateway(HttpBackend(url, model="m"), retry=FAST) as gw:
-            with pytest.raises(BackendError) as err:
-                gw.complete(_caption_request("img-0"))
-            assert gw.backend._idle == []  # the broken connection was closed, not pooled
-            request = _caption_request("img-1")
+        with Gateway(HttpBackend(url, model="m"), retry=FAST) as gw, \
+                ReplyStore(tmp_path / "replies.log") as gw.store:
             assert gw.complete(request) == _expected_echo(request)
-        assert (err.value.kind, err.value.status) == ("http_status", None)
-        assert (gw.stats.llm_calls, gw.stats.retries) == (2, 0)
+        assert (gw.stats.llm_calls, gw.stats.retries) == (2, 1)
+        # the broken connection was closed, not pooled: the retry opened another
         assert server.accepted == 2
+    # the store holds the complete reply alone, never the broken-off body
+    lines = (tmp_path / "replies.log").read_text().splitlines()
+    assert [json.loads(line[65:]) for line in lines] == [
+        render_prompt(REGISTRY[request.template_id], request.bindings)]
 
 
 def test_http_refused_connection_is_kind_connection():
@@ -821,6 +823,17 @@ def test_http_successive_worker_pools_share_connections():
         assert 1 <= server.accepted <= 2
         for _ in range(server.accepted):
             assert server.closed.acquire(timeout=5)
+
+
+def test_http_run_at_two_workers_opens_at_most_two_connections(tmp_path):
+    # four threads take the items, two call slots send them
+    with _serving(_EchoHandler) as (server, url):
+        config = make_workspace(tmp_path)
+        config.backend_kind, config.endpoint, config.model = "http", url, "m"
+        config.workers = 2
+        stats = run_stage("annotate", config)
+    assert stats["llm_calls"] > 8
+    assert 1 <= server.accepted <= 2
 
 
 def test_rerun_against_loopback_server_sends_no_request(tmp_path):

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -554,19 +555,171 @@ class _NoCaptionFor(MockBackend):
         return super().complete(request, prompt)
 
 
-def test_run_all_same_bytes_at_one_and_three_workers(tmp_path):
-    trees = []
-    for workers in (1, 3):
-        config = make_workspace(tmp_path, f"workers{workers}")
+class _RateLimitedFirst(_NoCaptionFor):
+    """``_NoCaptionFor`` that also answers the first attempt of one prompt in
+    four (by digest) with a 429."""
+
+    def __init__(self, image_id: str):
+        super().__init__(image_id)
+        self.limited: set[str] = set()
+        self.lock = threading.Lock()
+
+    def complete(self, request, prompt):
+        if gateway._digest(prompt)[0] % 4 == 0:
+            with self.lock:
+                first = prompt not in self.limited
+                self.limited.add(prompt)
+            if first:
+                raise BackendError("rate_limited", 429)
+        return super().complete(request, prompt)
+
+
+def test_run_all_same_bytes_at_any_worker_count(tmp_path):
+    # 90 images: annotate takes more items than the window holds at 2 workers
+    corpus_records = make_corpus(n_caption=60, n_vqa=30, n_text=20, n_other=6)
+    trees, counts = [], []
+    for workers in (1, 2, 8):
+        config = make_workspace(tmp_path, f"workers{workers}", corpus=corpus_records)
         with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
             fh.write("this is not json\n")
         config.workers = workers
-        gateway = Gateway(_NoCaptionFor("c0-001"), retry=RetryPolicy(backoff_base=0.001))
-        assert run_all(config, gateway=gateway)[0] == 0
+        gw = Gateway(_RateLimitedFirst("c0-004"), retry=RetryPolicy(backoff_base=0.001))
+        assert run_all(config, gateway=gw)[0] == 0
         trees.append((_tree_bytes(config.out_dir), _tree_bytes(config.quarantine_dir)))
-    assert trees[0] == trees[1]
+        counts.append(gw.stats.snapshot())
+    assert trees[0] == trees[1] == trees[2]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["retries"] > 0
     # both the bad input line and the failed model item are quarantined
     assert set(trees[0][1]) == {"annotate.jsonl", "caption.jsonl"}
+
+
+class _InProgress(MockBackend):
+    """Mock backend that counts its calls in progress. A call waits until
+    ``expect`` are in progress at once (or 5 s), then holds 2 ms more."""
+
+    def __init__(self, expect: int):
+        self.expect = expect
+        self.now = self.peak = 0
+        self.cond = threading.Condition()
+
+    def complete(self, request, prompt):
+        with self.cond:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: self.peak >= self.expect, timeout=5)
+        time.sleep(0.002)
+        with self.cond:
+            self.now -= 1
+        return super().complete(request, prompt)
+
+
+@pytest.mark.parametrize("workers,in_flight", [(2, 8), (8, 2), (4, 8)])
+def test_backend_calls_in_flight_peak_at_the_slot_count(tmp_path, workers, in_flight):
+    config = make_workspace(tmp_path, corpus=make_corpus(n_caption=30, n_vqa=10))
+    config.workers, config.in_flight = workers, in_flight
+    backend = _InProgress(min(workers, in_flight))
+    gw = Gateway(backend, in_flight=in_flight)
+    semaphore = gw.semaphore
+    stats = run_stage("annotate", config, gateway=gw)
+    assert stats["llm_calls"] == stats["out"] == stats["in"] > 2 * workers
+    assert backend.peak == min(workers, in_flight)
+    assert gw.semaphore is semaphore  # the run's cap was the run's alone
+
+
+class _BackoffAtTheHead(MockBackend):
+    """Mock backend whose first call is a 429. It records whether, while
+    that item sleeps in its backoff, two other calls were in progress at
+    once; such a call waits for that, or for the retry, or 5 s."""
+
+    def __init__(self):
+        self.first: str | None = None
+        self.retried = False
+        self.others = 0
+        self.overlapped = False
+        self.cond = threading.Condition()
+
+    def complete(self, request, prompt):
+        with self.cond:
+            if self.first is None:
+                self.first = prompt
+                raise BackendError("rate_limited", 429)
+            if prompt == self.first:
+                self.retried = True
+            else:
+                self.others += 1
+                if self.others == 2 and not self.retried:
+                    self.overlapped = True
+                self.cond.notify_all()
+                self.cond.wait_for(lambda: self.overlapped or self.retried, timeout=5)
+                self.others -= 1
+            self.cond.notify_all()
+        return super().complete(request, prompt)
+
+
+def test_other_items_fill_the_slots_while_one_backs_off(tmp_path):
+    config = make_workspace(tmp_path)
+    config.workers, config.in_flight = 2, 2
+    backend = _BackoffAtTheHead()
+    stats = run_stage("annotate", config,
+                      gateway=Gateway(backend, retry=RetryPolicy(backoff_base=0.3), in_flight=2))
+    assert backend.overlapped
+    assert (stats["retried"], stats["quarantined"], stats["out"]) == (1, 0, stats["in"])
+
+
+def test_unexpected_error_ends_the_stage_and_starts_no_item(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path, corpus=make_corpus(n_caption=60, n_vqa=30))
+    config.workers, config.in_flight = 2, 2  # four threads
+    started: list[str] = []
+    failed = threading.Event()
+    cond = threading.Condition()
+    annotate_image = annotation.annotate_image
+
+    def second_fails(image_id, uri, gw):
+        with cond:
+            started.append(image_id)
+            cond.notify_all()
+            failing = len(started) == 2
+            if failing:  # fail once every thread holds an item
+                assert cond.wait_for(lambda: len(started) == 4, timeout=5)
+                failed.set()
+        if failing:
+            raise RuntimeError("not a KforgeError")
+        assert failed.wait(timeout=5)
+        # meanwhile the failing thread, free while the first item's line
+        # holds the output back, takes the next queued item
+        time.sleep(0.2)
+        return annotate_image(image_id, uri, gw)
+
+    monkeypatch.setattr(annotation, "annotate_image", second_fails)
+    gw = Gateway(MockBackend())
+    with pytest.raises(RuntimeError, match="^not a KforgeError$"):
+        run_stage("annotate", config, gateway=gw)
+    # the three items running when the second failed finished; none started after
+    assert len(started) == 4 and gw.stats.snapshot()["llm_calls"] == 3
+    assert list(Path(config.out_dir).iterdir()) == [Path(config.out_dir) / ".work"]
+    assert list(Path(config.quarantine_dir).iterdir()) == []
+
+
+def test_window_submits_a_bounded_number_of_items_ahead():
+    started: list[int] = []
+    lock = threading.Lock()
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        return i
+
+    slots = 2
+    limit = pipeline.WINDOW_PER_SLOT * slots
+    n = 5 * limit
+    for k, i in enumerate(pipeline._in_order(fn, range(n), slots)):
+        assert i == k
+        with lock:
+            assert max(started) < k + limit
+        time.sleep(0.0002)
+    assert sorted(started) == list(range(n))
 
 
 def test_run_all_decodes_each_file_once(tmp_path, monkeypatch):
@@ -922,10 +1075,11 @@ def test_missing_input_dir_exits_one_and_publishes_nothing(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("key", ["out_dir", "quarantine_dir"])
-def test_unusable_directory_exits_one_without_a_traceback(tmp_path, key):
+def test_unusable_directory_exits_one_without_a_traceback(tmp_path, monkeypatch, key):
     """A directory below a regular file ended in a NotADirectoryError
     traceback: for io.out_dir when the run took its lock, for
-    io.quarantine_dir when the stage published what it quarantined."""
+    io.quarantine_dir when the first stage published what it quarantined,
+    after all its model calls. Both now end the run before its first stage."""
     config = make_workspace(tmp_path)
     with open(Path(config.in_dir) / "corpus.jsonl", "a", encoding="utf-8") as fh:
         fh.write("not json\n")
@@ -935,13 +1089,20 @@ def test_unusable_directory_exits_one_without_a_traceback(tmp_path, key):
     doc["io"][key] = str(afile / "dir")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
-    result = CliRunner().invoke(cli_main, ["stats", "--config", str(config_path)])
+    calls = []
+    complete = MockBackend.complete
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, *args: calls.append(args) or complete(self, *args))
+    result = CliRunner().invoke(cli_main, ["run-all", "--config", str(config_path)])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert result.stderr.startswith(f"error: io.{key} {afile / 'dir'} is not usable: ")
     assert "Traceback" not in result.stderr
     assert afile.read_text(encoding="utf-8") == "a file"
-    if key == "out_dir":  # the run stopped before its first stage
+    assert calls == []
+    if key == "out_dir":
         assert not Path(config.quarantine_dir).exists()
+    else:  # no stage published an output
+        assert [p.name for p in Path(config.out_dir).iterdir()] == [".work"]
 
 
 # --- determinism and resume ------------------------------------------------------------
